@@ -347,18 +347,21 @@ class McResult:
     params: tuple[str, ...]
 
 
-def _draw(seed: int, replica: int, device: int, dists) -> list[float]:
-    """Counter-based draws: one Philox stream per (seed, replica, device)."""
-    bg = np.random.Philox(key=seed, counter=[0, 0, replica, device])
-    rng = np.random.Generator(bg)
-    vals = []
-    for _p, kind, a, b in dists:
-        z = rng.standard_normal()
-        if kind == "normal":
-            vals.append(a + b * z)
-        else:
-            vals.append(a * math.exp(b * z))
-    return vals
+def mc_samples(count: int, seed: int, n_devices: int, dists) -> np.ndarray:
+    """The (count, n_devices, n_params) block of mismatch draws.
+
+    Counter-based: entry [r, i] holds one draw per `dists` entry, in order,
+    from the Philox stream keyed (seed, replica=r, device=i), so a replica's
+    draws do not depend on `count`.
+    """
+    out = np.empty((count, n_devices, len(dists)))
+    for r in range(count):
+        for i in range(n_devices):
+            rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, r, i]))
+            for j, (_p, kind, a, b) in enumerate(dists):
+                z = rng.standard_normal()
+                out[r, i, j] = a + b * z if kind == "normal" else a * math.exp(b * z)
+    return out
 
 
 def mc_overrides(samples_row: np.ndarray, devices: Sequence[str],
@@ -380,12 +383,10 @@ def monte_carlo(c: Circuit, spec: McSpec,
     """
     devices = tuple(e.name for e in c.elements if e.kind == "M")
     params = tuple(p for p, _k, _a, _b in spec.dists)
-    samples = np.empty((spec.count, len(devices), len(params)))
+    samples = mc_samples(spec.count, spec.seed, len(devices), spec.dists)
     metrics = []
     passed = 0
     for r in range(spec.count):
-        for i in range(len(devices)):
-            samples[r, i, :] = _draw(spec.seed, r, i, spec.dists)
         cv = c.with_otft_overrides(mc_overrides(samples[r], devices, params))
         m = metric(cv)
         metrics.append(m)

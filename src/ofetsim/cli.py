@@ -17,7 +17,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import fields as dc_fields
+from dataclasses import asdict, fields as dc_fields
 from pathlib import Path
 
 import numpy as np
@@ -76,8 +76,7 @@ class Run:
         self.dir.mkdir(parents=True, exist_ok=True)
         self.seed = args.seed
         self.fmt = getattr(args, "format", "csv")
-        self.solver = solver
-        self.cfg = SolverConfig(**solver) if solver else SolverConfig()
+        self.cfg = SolverConfig(**solver)
         self.inputs: dict[str, str] = {}
         self.outputs: list[str] = []
         self.command = " ".join(sys.argv[1:] if argv is None else argv)
@@ -109,7 +108,7 @@ class Run:
             "inputs": dict(sorted(self.inputs.items())),
             "outputs": {n: _sha256(self.dir / n) for n in sorted(self.outputs)},
             "seed": self.seed,
-            "solver": dict(sorted(self.solver.items())),
+            "solver": asdict(self.cfg),
             "version": __version__,
         }
         with open(self.dir / "manifest.json", "w", encoding="utf-8") as fh:
@@ -174,14 +173,6 @@ def cmd_extract(args, run: Run) -> int:
 # fit
 
 
-def _card_line(name: str, p) -> str:
-    g = p.geom
-    vals = (f"mu0={p.mu0!r} vth={p.vth!r} ss={p.ss!r} lambda={p.lam!r} "
-            f"gamma={p.gamma!r} rc={p.rc!r} cox={p.cox!r} "
-            f"w={g.w!r} l={g.l!r} lov={g.lov!r}")
-    return f".model {name} otft{p.polarity} {vals}"
-
-
 def cmd_fit(args, run: Run) -> int:
     sweeps = []
     for p in args.csv:
@@ -194,8 +185,18 @@ def cmd_fit(args, run: Run) -> int:
         print("no sweeps to fit", file=sys.stderr)
         return E_INPUT
 
-    lines = ["fitted model cards"]
-    for dev in devices:
+    names = {dev: "fit_" + "".join(ch if ch.isalnum() else "_" for ch in dev)
+             for dev in devices}
+    seen: dict[str, str] = {}  # card name as the case-insensitive parser reads it
+    for dev, name in names.items():
+        other = seen.setdefault(name.lower(), dev)
+        if other != dev:
+            print(f"devices {other!r} and {dev!r} both map to card name {name!r}",
+                  file=sys.stderr)
+            return E_INPUT
+
+    cards = {}
+    for dev, name in names.items():
         group = [s for s in sweeps if s.device_id == dev]
         kinds = {s.kind for s in group}
         if not {"transfer", "output"} <= kinds:
@@ -203,14 +204,14 @@ def cmd_fit(args, run: Run) -> int:
                   file=sys.stderr)
             return E_INPUT
         result = extract.fit_model(group, polarity=args.polarity, vth=args.vth)
-        name = "fit_" + "".join(ch if ch.isalnum() else "_" for ch in dev)
-        lines.append(_card_line(name, result.params))
+        cards[name] = result.params
         if args.verbose:
             print(f"{dev}: rms {result.rms_frac:.2%} in {result.iterations} "
                   f"iterations", file=sys.stderr)
-    lines.append(".end")
+    deck = netlist.Circuit(title="fitted model cards", nodes=("0",), elements=(),
+                           models=tuple(sorted(cards.items())), analyses=(), params=())
     with open(run.path("cards.cir"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(netlist.serialize(deck))
     run.finish()
     return E_OK
 
@@ -257,12 +258,11 @@ def cmd_sim(args, run: Run) -> int:
                                  r.amplitude, int(r.settled))])
         elif isinstance(a, netlist.Mc):
             devices = [e.name for e in c.elements if e.kind == "M"]
-            rows = []
-            for rep in range(a.count):
-                for i, dev in enumerate(devices):
-                    vals = analyses._draw(a.seed, rep, i, a.dists)
-                    for (pname, _k2, _a2, _b2), v in zip(a.dists, vals):
-                        rows.append((rep, dev, pname, float(v)))
+            samples = analyses.mc_samples(a.count, a.seed, len(devices), a.dists)
+            rows = [(rep, dev, pname, float(samples[rep, i, j]))
+                    for rep in range(a.count)
+                    for i, dev in enumerate(devices)
+                    for j, (pname, _k2, _a2, _b2) in enumerate(a.dists)]
             run.write_rows(f"mc_{k}_samples.csv",
                            ["replica", "device", "param", "value"], rows)
     run.finish()

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import kernels
 from .model import OtftParams, StrainState, apply_strain, device_capacitances
-from .netlist import Circuit, DcSweep, Element, Tran
+from .netlist import Circuit, DcSweep, Element, Tran, card_with
 
 
 class ConvergenceError(Exception):
@@ -149,22 +149,10 @@ def read_waveform_binary(path) -> Waveform:
 
 # -- elaboration --------------------------------------------------------------
 
-_OVERRIDE_TO_FIELD = {"mu0": "mu0", "vth": "vth", "ss": "ss", "lambda": "lam",
-                      "gamma": "gamma", "rc": "rc", "cox": "cox", "order": "order"}
-
-
 def effective_otft_params(card: OtftParams, e: Element) -> OtftParams:
     """Instance card after per-instance overrides and strain."""
     ov = dict(e.overrides)
-    changes = {}
-    for key, fld in _OVERRIDE_TO_FIELD.items():
-        if key in ov:
-            changes[fld] = float(ov[key])
-    geom = card.geom
-    if any(k in ov for k in ("w", "l", "lov")):
-        geom = replace(geom, **{k: float(ov[k]) for k in ("w", "l", "lov") if k in ov})
-        changes["geom"] = geom
-    p = card.replace(**changes) if changes else card
+    p = card_with(card, ov)
     if "strain" in ov:
         orientation = "perpendicular" if ov.get("dir", "par") == "perp" else "parallel"
         p = apply_strain(p, StrainState(float(ov["strain"]), orientation))
@@ -225,7 +213,6 @@ class _System:
         self.cond_a = self.cond[:, 0].astype(np.intp)
         self.cond_b = self.cond[:, 1].astype(np.intp)
         self.cond_g = self.cond[:, 2]
-        self.caps = caps
         self.cap_a = np.array([a for a, b, c in caps], dtype=np.intp)
         self.cap_b = np.array([b for a, b, c in caps], dtype=np.intp)
         self.cap_c = np.array([c for a, b, c in caps], dtype=float)
@@ -451,8 +438,10 @@ def _dc_sweep_single(c, d, cfg, extra=None, label=""):
     sys = _System(c, cfg)
     known = {n for _a, _b, _w, n in sys.vsources} | {n for _a, _b, _w, n in sys.isources}
     src = d.source.lower()
-    if src not in known:
-        raise ConvergenceError(f"dc sweep: unknown source {d.source!r}")
+    extra = {k.lower(): v for k, v in (extra or {}).items()}
+    for name in (src, *extra):
+        if name not in known:
+            raise ConvergenceError(f"dc sweep: unknown source {name!r}")
     values = _sweep_values(d.start, d.stop, d.step)
     rows = np.empty((values.size, sys.dim0 - 1))
     x = None
@@ -489,7 +478,6 @@ def transient(c: Circuit, directive: Tran, cfg: SolverConfig | None = None,
     if cfg.max_step is not None:
         max_h = min(max_h, cfg.max_step)
 
-    ncap = len(sys.caps)
     cap_c = sys.cap_c
     if ic is None:
         x = sys.solve_dc(t=0.0, context="transient t=0 operating point")
@@ -503,7 +491,7 @@ def transient(c: Circuit, directive: Tran, cfg: SolverConfig | None = None,
             if key != "0":
                 x[sys.node_index[key] - 1] = float(v)
         first_be = True
-    cap_i = np.zeros(ncap)
+    cap_i = np.zeros(cap_c.size)
 
     def vab(xv):
         xfull = np.concatenate(([0.0], xv))

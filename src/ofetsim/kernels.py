@@ -1,10 +1,8 @@
-"""Numeric kernels for transistor evaluation.
+"""Vectorized OTFT device equations: one numpy kernel for every caller.
 
-Two interchangeable implementations of the device equations live here: a
-scalar loop compiled with numba, and a vectorized pure-numpy path used when
-numba is unavailable or disabled.  Set ``OFETSIM_NUMBA=0`` in the environment
-to force the numpy path.  Both produce bit-identical control flow on the same
-inputs; a parity test pins them against each other.
+``otft_eval`` evaluates drain current and its two small-signal derivatives
+for a batch of devices in one call; the engine's Newton loop and the
+contact-resistance solve in ``model`` both go through it.
 
 All quantities are SI.  Inputs arrive polarity-normalized: ``vthn`` is the
 threshold of the equivalent n-type device and ``sign`` maps external bias and
@@ -14,30 +12,17 @@ current back to the device polarity (+1 n-type, -1 p-type).
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def decorator(func):
-            return func
-
-        return decorator
-
 
 def numba_enabled() -> bool:
-    """True when the compiled path is active for this process."""
-    return HAS_NUMBA and os.environ.get("OFETSIM_NUMBA", "1") != "0"
+    """Always False: the kernel has a single numpy implementation.
+
+    Kept as a constant for callers that stamp the kernel backend into their
+    run records.
+    """
+    return False
 
 
 LN10 = math.log(10.0)
@@ -47,67 +32,15 @@ LN10 = math.log(10.0)
 _VOV_FLOOR = 1e-30
 
 
-@njit(cache=True)
-def _eval_loop(vgs, vds, sign, kwl, mu0, vthn, ss, gamma, lam, order, out):
-    n = vgs.shape[0]
-    for i in range(n):
-        sg = sign[i]
-        vg = sg * vgs[i]
-        vd = sg * vds[i]
-        # Source/drain are interchangeable; evaluate in the vd >= 0 quadrant.
-        swapped = vd < 0.0
-        if swapped:
-            vg = vg - vd
-            vd = -vd
-        phi = (2.0 + gamma[i]) * ss[i] / LN10
-        u = (vg - vthn[i]) / phi
-        if u > 40.0:
-            sp = u
-        elif u < -700.0:
-            sp = 0.0
-        else:
-            sp = math.log1p(math.exp(u))
-        vov = phi * sp
-        if vov < _VOV_FLOOR:
-            out[0, i] = 0.0
-            out[1, i] = 0.0
-            out[2, i] = 0.0
-            continue
-        if u > 40.0:
-            sig = 1.0
-        else:
-            sig = 1.0 / (1.0 + math.exp(-u))
-        mu = mu0[i] * vov ** gamma[i]
-        if gamma[i] == 0.0:
-            dmu = 0.0
-        else:
-            dmu = gamma[i] * mu0[i] * vov ** (gamma[i] - 1.0)
-        r = vd / vov
-        rm = r ** order[i]
-        den = (1.0 + rm) ** (1.0 / order[i])
-        vde = vd / den
-        dvde_dvd = 1.0 / (den * (1.0 + rm))
-        dvde_dvov = vde * rm / ((1.0 + rm) * vov)
-        f = (vov - 0.5 * vde) * vde
-        df_dvov = vde + dvde_dvov * (vov - vde)
-        df_dvd = dvde_dvd * (vov - vde)
-        k = kwl[i]
-        lamf = 1.0 + lam[i] * vd
-        i0 = k * mu * f
-        idr = i0 * lamf
-        gm = k * (dmu * f + mu * df_dvov) * sig * lamf
-        gds = k * mu * df_dvd * lamf + i0 * lam[i]
-        if swapped:
-            idr = -idr
-            gds_sw = gm + gds
-            gm = -gm
-            gds = gds_sw
-        out[0, i] = sg * idr
-        out[1, i] = gm
-        out[2, i] = gds
+def otft_eval(vgs, vds, sign, kwl, mu0, vthn, ss, gamma, lam, order, out=None):
+    """Drain current and small-signal derivatives for a batch of devices.
 
-
-def _eval_numpy(vgs, vds, sign, kwl, mu0, vthn, ss, gamma, lam, order, out):
+    Parameters are 1-d float64 arrays of equal length.  Returns a (3, n)
+    array: rows are drain current, d(id)/d(vgs) and d(id)/d(vds), all in the
+    external sign convention of the device polarity.
+    """
+    if out is None:
+        out = np.empty((3, vgs.shape[0]))
     vg = sign * vgs
     vd = sign * vds
     swapped = vd < 0.0
@@ -143,20 +76,4 @@ def _eval_numpy(vgs, vds, sign, kwl, mu0, vthn, ss, gamma, lam, order, out):
     out[0] = np.where(cut, 0.0, sign * idr_s)
     out[1] = np.where(cut, 0.0, gm_s)
     out[2] = np.where(cut, 0.0, gds_s)
-
-
-def otft_eval(vgs, vds, sign, kwl, mu0, vthn, ss, gamma, lam, order, out=None):
-    """Drain current and small-signal derivatives for a batch of devices.
-
-    Parameters are 1-d float64 arrays of equal length.  Returns a (3, n)
-    array: rows are drain current, d(id)/d(vgs) and d(id)/d(vds), all in the
-    external sign convention of the device polarity.
-    """
-    n = vgs.shape[0]
-    if out is None:
-        out = np.empty((3, n))
-    if numba_enabled():
-        _eval_loop(vgs, vds, sign, kwl, mu0, vthn, ss, gamma, lam, order, out)
-    else:
-        _eval_numpy(vgs, vds, sign, kwl, mu0, vthn, ss, gamma, lam, order, out)
     return out

@@ -194,66 +194,44 @@ class Circuit:
                 return e
         raise KeyError(name)
 
-    def _with_elements(self, elements) -> "Circuit":
-        return replace(self, elements=tuple(elements))
+    def _with_changed(self, changed: dict[str, Element]) -> "Circuit":
+        """New circuit with each element named in `changed` swapped for its value."""
+        return replace(self, elements=tuple(changed.get(e.name, e)
+                                            for e in self.elements))
 
     def with_source_level(self, name: str, level: float) -> "Circuit":
         """New circuit with a V/I source's operating level replaced."""
-        key = name.lower()
-        out, hit = [], False
-        for e in self.elements:
-            if e.name == key:
-                if e.kind not in ("V", "I"):
-                    raise KeyError(f"{name} is not a source")
-                out.append(replace(e, wave=e.wave.with_level(level)))
-                hit = True
-            else:
-                out.append(e)
-        if not hit:
-            raise KeyError(name)
-        return self._with_elements(out)
+        e = self.element(name)
+        if e.kind not in ("V", "I"):
+            raise KeyError(f"{name} is not a source")
+        return self._with_changed({e.name: replace(e, wave=e.wave.with_level(level))})
 
     def with_element_value(self, name: str, value: float) -> "Circuit":
         """New circuit with one R/C value replaced."""
-        key = name.lower()
-        out, hit = [], False
-        for e in self.elements:
-            if e.name == key:
-                if e.kind not in ("R", "C"):
-                    raise KeyError(f"{name} has no scalar value")
-                out.append(replace(e, value=float(value)))
-                hit = True
-            else:
-                out.append(e)
-        if not hit:
-            raise KeyError(name)
-        return self._with_elements(out)
+        e = self.element(name)
+        if e.kind not in ("R", "C"):
+            raise KeyError(f"{name} has no scalar value")
+        return self._with_changed({e.name: replace(e, value=float(value))})
 
     def with_scaled_values(self, prefix: str, factor: float) -> "Circuit":
         """Scale every R/C value whose name starts with prefix (lowercased)."""
         pref = prefix.lower()
-        out = []
-        for e in self.elements:
-            if e.kind in ("R", "C") and e.name.startswith(pref):
-                out.append(replace(e, value=e.value * factor))
-            else:
-                out.append(e)
-        return self._with_elements(out)
+        return self._with_changed({e.name: replace(e, value=e.value * factor)
+                                   for e in self.elements
+                                   if e.kind in ("R", "C") and e.name.startswith(pref)})
 
     def with_otft_overrides(self, updates: dict) -> "Circuit":
         """Merge per-instance override values; updates: name -> {key: value}."""
         ups = {k.lower(): v for k, v in updates.items()}
-        out = []
+        changed = {}
         for e in self.elements:
             if e.name in ups:
                 if e.kind != "M":
                     raise KeyError(f"{e.name} is not a transistor")
                 merged = dict(e.overrides)
                 merged.update({k.lower(): v for k, v in ups[e.name].items()})
-                out.append(replace(e, overrides=tuple(sorted(merged.items()))))
-            else:
-                out.append(e)
-        return self._with_elements(out)
+                changed[e.name] = replace(e, overrides=tuple(sorted(merged.items())))
+        return self._with_changed(changed)
 
     def with_strain(self, epsilon: float, orientation: str) -> "Circuit":
         """Apply one strain state to every transistor instance."""
@@ -272,11 +250,31 @@ _NUM_RE = re.compile(r"([+-]?(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?)([a-z]*)\Z")
 _SUFFIX = {"f": 1e-15, "p": 1e-12, "n": 1e-9, "u": 1e-6, "m": 1e-3,
            "k": 1e3, "g": 1e9}
 
-_MODEL_KEYS = {"mu0": "mu0", "vth": "vth", "ss": "ss", "lambda": "lam",
-               "gamma": "gamma", "rc": "rc", "cox": "cox", "order": "order"}
+# The model-card vocabulary in card order: (dialect key, OtftParams field,
+# default, None for a required key).  w, l and lov are fields of
+# OtftParams.geom.  Parsing, serializing and instance overrides all read it.
+_CARD = (("mu0", "mu0", None), ("vth", "vth", None), ("ss", "ss", None),
+         ("lambda", "lam", 0.0), ("gamma", "gamma", 0.0), ("rc", "rc", 0.0),
+         ("cox", "cox", None), ("w", "w", None), ("l", "l", None),
+         ("lov", "lov", 0.0), ("order", "order", 3.0))
+_CARD_KEYS = {k for k, _f, _d in _CARD}
 _GEOM_KEYS = ("w", "l", "lov")
-_OVERRIDE_KEYS = set(_MODEL_KEYS) | set(_GEOM_KEYS) | {"strain", "dir"}
+_OVERRIDE_KEYS = _CARD_KEYS | {"strain", "dir"}
 _MC_PARAMS = {"vth", "mu0", "ss", "lambda", "gamma", "rc"}
+
+
+def card_with(card: OtftParams, values: dict) -> OtftParams:
+    """`card` with its entries replaced by the card keys found in `values`.
+
+    `values` is keyed by dialect name (e.g. "lambda", "w"); other keys are
+    ignored, so an instance's full override dict can be passed as is.
+    """
+    changes = {f: float(values[k]) for k, f, _d in _CARD
+               if k in values and k not in _GEOM_KEYS}
+    geom = {k: float(values[k]) for k in _GEOM_KEYS if k in values}
+    if geom:
+        changes["geom"] = replace(card.geom, **geom)
+    return card.replace(**changes) if changes else card
 
 
 def _tokenize(line: str) -> list[str]:
@@ -294,6 +292,7 @@ class _Parser:
         self.models: dict[str, OtftParams] = {}
         self.elements: list[Element] = []
         self.analyses: list = []
+        self.sweep_lines: list[tuple[int, DcSweep]] = []
         self.names: set[str] = set()
         self.nodes: list[str] = ["0"]
         self._node_seen = {"0"}
@@ -356,29 +355,25 @@ class _Parser:
         raw = self.kwargs(toks[3:], line, f".model {name}")
         vals = {}
         for k, v in raw.items():
-            if k not in _MODEL_KEYS and k not in _GEOM_KEYS:
+            if k not in _CARD_KEYS:
                 self.error(line, f".model {name}: unknown key {k!r}")
                 return
             num = self.number(v, line, f".model {name} key {k}")
             if num is None:
                 return
             vals[k] = num
-        missing = [k for k in ("mu0", "vth", "ss", "cox", "w", "l") if k not in vals]
+        missing = [k for k, _f, d in _CARD if d is None and k not in vals]
         if missing:
             self.error(line, f".model {name}: missing key(s) {', '.join(missing)}")
             return
         if name in self.models:
             self.error(line, f"duplicate model name {name!r}")
             return
+        fields = {f: vals.get(k, d) for k, f, d in _CARD}
         try:
-            geom = DeviceGeometry(w=vals["w"], l=vals["l"], lov=vals.get("lov", 0.0))
+            geom = DeviceGeometry(**{f: fields.pop(f) for f in _GEOM_KEYS})
             self.models[name] = OtftParams(
-                polarity="p" if mtype == "otftp" else "n",
-                mu0=vals["mu0"], vth=vals["vth"], ss=vals["ss"],
-                lam=vals.get("lambda", 0.0), gamma=vals.get("gamma", 0.0),
-                rc=vals.get("rc", 0.0), cox=vals["cox"], geom=geom,
-                order=vals.get("order", 3.0),
-            )
+                polarity="p" if mtype == "otftp" else "n", geom=geom, **fields)
         except ParameterError as exc:
             self.error(line, f".model {name}: {exc}")
 
@@ -494,6 +489,7 @@ class _Parser:
                 d = replace(d, source2=toks[5], start2=nums2[0],
                             stop2=nums2[1], step2=nums2[2])
             self.analyses.append(d)
+            self.sweep_lines.append((line, d))
             return
         if card == ".tran":
             if len(toks) not in (3, 4):
@@ -717,6 +713,13 @@ def parse(text: str, params: dict | None = None) -> Circuit:
         else:
             expand(lineno, toks, "", {}, ())
 
+    # swept sources may be defined after the directive
+    sources = {e.name for e in p.elements if e.kind in ("V", "I")}
+    for lineno, d in p.sweep_lines:
+        for src in (d.source, d.source2):
+            if src is not None and src not in sources:
+                p.error(lineno, f".dc: {src!r} names no V or I source")
+
     if any(d.severity == "error" for d in p.diags):
         raise NetlistError(p.diags)
 
@@ -812,13 +815,9 @@ def serialize(c: Circuit) -> str:
     if c.params:
         out.append(".param " + " ".join(f"{k}={_fmt(v)}" for k, v in c.params))
     for name, m in c.models:
-        g = m.geom
-        out.append(
-            f".model {name} otft{m.polarity} mu0={_fmt(m.mu0)} vth={_fmt(m.vth)}"
-            f" ss={_fmt(m.ss)} lambda={_fmt(m.lam)} gamma={_fmt(m.gamma)}"
-            f" rc={_fmt(m.rc)} cox={_fmt(m.cox)} w={_fmt(g.w)} l={_fmt(g.l)}"
-            f" lov={_fmt(g.lov)} order={_fmt(m.order)}"
-        )
+        vals = " ".join(f"{k}={_fmt(getattr(m.geom if k in _GEOM_KEYS else m, f))}"
+                        for k, f, _d in _CARD)
+        out.append(f".model {name} otft{m.polarity} {vals}")
     for e in c.elements:
         if e.kind in ("R", "C"):
             out.append(f"{e.name} {e.nodes[0]} {e.nodes[1]} {_fmt(e.value)}")

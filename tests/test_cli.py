@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from ofetsim import fixtures, netlist
+from ofetsim import analyses, fixtures, netlist
 from ofetsim.cli import main
 
 
@@ -100,6 +100,19 @@ def test_fit_reference_device(tmp_path):
     assert -1.0 < card.vth < -0.6
 
 
+def test_fit_card_name_clash(tmp_path, capsys):
+    # "ref-p" and "ref.p" both sanitize to the card name fit_ref_p
+    lines = open(REFERENCE).read().splitlines()
+    clash = tmp_path / "clash.csv"
+    clash.write_text("\n".join(lines + [ln.replace("ref-p", "ref.p", 1)
+                                        for ln in lines[1:]]) + "\n")
+    out = tmp_path / "o"
+    assert main(["fit", str(clash), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "'ref-p'" in err and "'ref.p'" in err and "fit_ref_p" in err
+    assert not (out / "cards.cir").exists()
+
+
 # -- sim ---------------------------------------------------------------------
 
 
@@ -142,6 +155,40 @@ def test_sim_mc_samples_deterministic(tmp_path):
     header, rows = _read_csv(a / "mc_0_samples.csv")
     assert header == ["replica", "device", "param", "value"]
     assert len(rows) == 6
+
+
+def test_sim_mc_samples_match_monte_carlo(tmp_path):
+    text = ("mismatch samples\n"
+            ".model pm otftp mu0=2.35e-5 vth=-0.8 ss=0.18 cox=3.5e-4 w=380u l=35u\n"
+            "vdd d 0 dc -20\nm1 d d 0 pm\nm2 d d 0 pm\n"
+            ".mc 4 31 vth=normal -0.8 0.05 mu0=lognormal 2.35e-5 0.1\n.end\n")
+    net = tmp_path / "mc.cir"
+    net.write_text(text)
+    out = tmp_path / "o"
+    assert main(["sim", str(net), "--out", str(out)]) == 0
+    _, rows = _read_csv(out / "mc_0_samples.csv")
+    c = netlist.parse(text)
+    res = analyses.monte_carlo(c, analyses.McSpec.from_directive(c.analyses[0]),
+                               lambda cv: None)
+    assert [(int(r[0]), r[1], r[2], float(r[3])) for r in rows] == [
+        (rep, dev, p, float(res.samples[rep, i, j]))
+        for rep in range(4) for i, dev in enumerate(res.devices)
+        for j, p in enumerate(res.params)]
+
+
+@pytest.mark.parametrize("sweep", [
+    ".dc vbogus 0 1 0.5",             # unknown primary source
+    ".dc vin 0 1 0.5 vbogus 0 2 1",   # unknown secondary source
+    ".dc r1 0 1 0.5",                 # names an element that is not a source
+])
+def test_sim_dc_unknown_source(tmp_path, capsys, sweep):
+    net = tmp_path / "dc.cir"
+    net.write_text(f"divider\nvin a 0 dc 1\n{sweep}\nr1 a b 1k\nr2 b 0 1k\n.end\n")
+    out = tmp_path / "o"
+    assert main(["sim", str(net), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "line 3" in err and "names no V or I source" in err
+    assert not (out / "manifest.json").exists()
 
 
 def test_sim_waveform_binary_format(tmp_path):
@@ -189,6 +236,7 @@ def test_solver_override_recorded(tmp_path):
                  "--out", str(out), "--solver.reltol=1e-6"]) == 0
     man = json.loads((out / "manifest.json").read_text())
     assert man["solver"]["reltol"] == 1e-6
+    assert man["solver"]["method"] == "trap"  # defaults are recorded too
 
 
 def test_bad_subcommand():

@@ -246,6 +246,8 @@ def test_unknown_sweep_source_raises():
     c = netlist.parse(RC_NET)
     with pytest.raises(ConvergenceError):
         dc_sweep(c, netlist.DcSweep("vxx", 0.0, 1.0, 0.1), SolverConfig())
+    with pytest.raises(ConvergenceError):
+        dc_sweep(c, netlist.DcSweep("v1", 0.0, 1.0, 0.5, "vxx", 0.0, 1.0, 1.0))
 
 
 def test_conflicting_sources_raise():

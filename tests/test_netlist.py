@@ -211,6 +211,7 @@ def test_with_otft_overrides_and_strain():
     ("t\nv1 a 0 dc 1\n.tran 0 1m\n.end", "positive step", 3),
     ("t\ni1 0 a sin 0 1 1k\nr1 a 0 1k\n.end", "dc and pulse", 2),
     ("t\n.subckt s a\nr1 a 0 1k\nv1 a 0 dc 1\n.end", "never closed", 2),
+    ("t\nv1 a 0 dc 1\nr1 a 0 1k\n.dc v2 0 1 0.1\n.end", "no V or I source", 4),
 ])
 def test_malformed_input_diagnostics(text, needle, line):
     with pytest.raises(NetlistError) as err:
@@ -218,6 +219,12 @@ def test_malformed_input_diagnostics(text, needle, line):
     diags = err.value.diagnostics
     assert any(needle.lower() in d.message.lower() and d.line == line
                for d in diags), diags
+
+
+def test_dc_source_may_follow_directive():
+    c = parse("t\n.dc vin 0 1 0.5 i1 0 1m 1m\nvin a 0 dc 0\nr1 a 0 1k\n"
+              "i1 0 a dc 0\n.end")
+    assert c.analyses[0].source == "vin" and c.analyses[0].source2 == "i1"
 
 
 def test_no_crash_on_garbage():
