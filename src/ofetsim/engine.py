@@ -3,9 +3,17 @@
 The solver assembles node-voltage KCL equations augmented with one branch
 current per voltage source.  Transistors stamp their analytic conductances;
 contact resistance is elaborated as two internal-node series resistors of
-rc/2.  DC convergence uses damped Newton with gmin-ladder and
-source-stepping homotopies; transient uses backward Euler or trapezoidal
-companions with step-doubling error control.
+rc/2.  Each circuit is elaborated once into a stamp table: flat matrix and
+right-hand-side indices with sign patterns for conductors, voltage-source
+incidence, capacitor companions, the six transistor Jacobian entries and the
+drain-current injection, plus the node incidence of every branch current for
+the residual scale.  A Newton iteration applies it in three scatters and
+converges when the last node update is below vntol and every KCL residual is
+within abstol + reltol * (sum of |branch currents| at the node), or
+vntol + reltol * |V| on a voltage-source row.  DC falls back from plain damped
+Newton to a gmin ladder (1e-3 S down to gmin), then to source stepping (0.1 to
+1.0); transient uses backward Euler or trapezoidal companions with
+step-doubling error control.
 
 Waveforms serialize to CSV and to a compact little-endian binary table; both
 writers are bit-reproducible for identical inputs.
@@ -15,7 +23,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -159,8 +167,31 @@ def effective_otft_params(card: OtftParams, e: Element) -> OtftParams:
     return p
 
 
+# Sign patterns of the per-element stamps, entry by entry.
+_G_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])   # conductance: (a,a) (b,b) (a,b) (b,a)
+_V_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])   # V-source: (a,k) (b,k) (k,a) (k,b)
+
+
+def _ends(rows, width=2):
+    """Node index columns of (node, ..., value) element rows."""
+    return np.array([r[:width] for r in rows], dtype=np.intp).reshape(-1, width).T
+
+
+def _flat(dim, entries, by_element=True):
+    """Flat (dim, dim) matrix indices of (rows, cols) arrays, element by element
+    (the order of a loop over elements) or entry by entry.  np.add.at and
+    np.bincount accumulate in index order, so the layout fixes every rounding."""
+    idx = np.stack([r * dim + c for r, c in entries], axis=1 if by_element else 0)
+    return idx.ravel()
+
+
+def _pair_stamp(dim, a, b):
+    """Flat indices of two-terminal conductance stamps, in _G_SIGNS order."""
+    return _flat(dim, ((a, a), (b, b), (a, b), (b, a)))
+
+
 class _System:
-    """Assembled arrays for one circuit; owns its Newton workspace."""
+    """Assembled arrays and stamp table for one circuit; owns its Newton workspace."""
 
     def __init__(self, circuit: Circuit, cfg: SolverConfig):
         self.circuit = circuit
@@ -170,187 +201,146 @@ class _System:
 
         cond = []     # (a, b, g) linear conductors
         caps = []     # (a, b, C)
-        self.vsources = []  # (a, b, wave, name)
-        self.isources = []  # (a, b, wave, name)
-        otfts = []    # (d, g, s, params, name)
+        vsrc, isrc = [], []  # (a, b, wave, name) per V / I source
+        otfts = []    # (d, g, s, params)
 
         for e in circuit.elements:
             if e.kind == "R":
                 cond.append((index[e.nodes[0]], index[e.nodes[1]], 1.0 / e.value))
             elif e.kind == "C":
                 caps.append((index[e.nodes[0]], index[e.nodes[1]], e.value))
-            elif e.kind == "V":
-                self.vsources.append((index[e.nodes[0]], index[e.nodes[1]], e.wave, e.name))
-            elif e.kind == "I":
-                self.isources.append((index[e.nodes[0]], index[e.nodes[1]], e.wave, e.name))
+            elif e.kind in ("V", "I"):
+                (vsrc if e.kind == "V" else isrc).append(
+                    (index[e.nodes[0]], index[e.nodes[1]], e.wave, e.name))
             elif e.kind == "M":
                 p = effective_otft_params(circuit.model_card(e.model), e)
                 d, g, s = (index[n] for n in e.nodes)
                 di, si = d, s
                 if p.rc > 0.0:
                     gc = 2.0 / p.rc
-                    di = len(names)
-                    names.append(f"{e.name}#d")
-                    si = len(names)
-                    names.append(f"{e.name}#s")
-                    cond.append((d, di, gc))
-                    cond.append((s, si, gc))
-                cond.append((di, si, cfg.gmin))
-                cond.append((g, si, cfg.gmin))
+                    di, si = len(names), len(names) + 1
+                    names += [f"{e.name}#d", f"{e.name}#s"]
+                    cond += [(d, di, gc), (s, si, gc)]
+                cond += [(di, si, cfg.gmin), (g, si, cfg.gmin)]
                 cgs, cgd = device_capacitances(p)
-                caps.append((g, s, cgs))
-                caps.append((g, d, cgd))
-                otfts.append((di, g, si, p, e.name))
+                caps += [(g, s, cgs), (g, d, cgd)]
+                otfts.append((di, g, si, p))
 
-        self.names = names
         self.n_nodes = len(names) - 1
-        self.n_branch = len(self.vsources)
-        self.dim0 = len(names) + self.n_branch  # includes ground slot 0
+        self.n_branch = len(vsrc)
+        self.branch0 = nb0 = len(names)
+        self.dim0 = dim0 = nb0 + self.n_branch  # includes ground slot 0
         self.circuit_nodes = [n for n in circuit.nodes if n != "0"]
         self.node_index = index
 
-        self.cond = np.array(cond, dtype=float).reshape(-1, 3)
-        self.cond_a = self.cond[:, 0].astype(np.intp)
-        self.cond_b = self.cond[:, 1].astype(np.intp)
-        self.cond_g = self.cond[:, 2]
-        self.cap_a = np.array([a for a, b, c in caps], dtype=np.intp)
-        self.cap_b = np.array([b for a, b, c in caps], dtype=np.intp)
-        self.cap_c = np.array([c for a, b, c in caps], dtype=float)
+        # sources, voltage sources first; overrides find theirs by name
+        srcs = vsrc + isrc
+        self.waves = [w for _a, _b, w, _n in srcs]
+        self.source_index = {name: k for k, (_a, _b, _w, name) in enumerate(srcs)}
+        self.vsource_names = [name for _a, _b, _w, name in vsrc]
 
-        n_m = len(otfts)
-        self.m_names = [name for *_ignore, name in otfts]
-        self.m_d = np.array([o[0] for o in otfts], dtype=np.intp)
-        self.m_g = np.array([o[1] for o in otfts], dtype=np.intp)
-        self.m_s = np.array([o[2] for o in otfts], dtype=np.intp)
-        ps = [o[3] for o in otfts]
-        self.m_sign = np.array([p.sign for p in ps])
-        self.m_kwl = np.array([p.geom.w / p.geom.l * p.cox for p in ps])
-        self.m_mu0 = np.array([p.mu0 for p in ps])
-        self.m_vthn = np.array([p.sign * p.vth for p in ps])
-        self.m_ss = np.array([p.ss for p in ps])
-        self.m_gamma = np.array([p.gamma for p in ps])
-        self.m_lam = np.array([p.lam for p in ps])
-        self.m_order = np.array([p.order for p in ps])
-        self._m_out = np.empty((3, n_m))
+        cond_a, cond_b = _ends(cond)
+        self.cond_g = np.array([g for _a, _b, g in cond], dtype=float)
+        self.cap_a, self.cap_b = _ends(caps)
+        self.cap_c = np.array([c for _a, _b, c in caps], dtype=float)
+        va, vb = _ends(vsrc)
+        ia, ib = _ends(isrc)
+        self.m_d, self.m_g, self.m_s = d, g, s = _ends(otfts, 3)
+        # kernel arguments after vgs and vds, one array per card quantity
+        self.m_par = tuple(np.array(col) for col in zip(*(
+            (p.sign, p.geom.w / p.geom.l * p.cox, p.mu0, p.sign * p.vth,
+             p.ss, p.gamma, p.lam, p.order) for *_dgs, p in otfts)))
+        self._m_out = np.empty((3, len(otfts)))
 
-        # static matrix with ghost ground slot; ground row/col sliced at solve
-        dim0 = self.dim0
-        a0 = np.zeros((dim0, dim0))
-        for a, b, g in zip(self.cond_a, self.cond_b, self.cond_g):
-            a0[a, a] += g
-            a0[b, b] += g
-            a0[a, b] -= g
-            a0[b, a] -= g
-        nb0 = len(names)
-        for k, (a, b, _w, _n) in enumerate(self.vsources):
-            row = nb0 + k
-            a0[a, row] += 1.0
-            a0[b, row] -= 1.0
-            a0[row, a] += 1.0
-            a0[row, b] -= 1.0
-        self.a_static = a0
-        self.branch0 = nb0
+        # The stamp table; ground is slot 0 and is sliced off at the solve.
+        # Matrix and right-hand-side entries are laid out in the order the
+        # per-element stamps were written, so sums are exact replays; the
+        # residual scale only feeds the convergence test.
+        k = nb0 + np.arange(self.n_branch)
+        static = np.concatenate((_pair_stamp(dim0, cond_a, cond_b),
+                                 _flat(dim0, ((va, k), (vb, k), (k, va), (k, vb)))))
+        vals = np.concatenate(((self.cond_g[:, None] * _G_SIGNS).ravel(),
+                               np.tile(_V_SIGNS, k.size)))
+        self.a_static = np.bincount(static, vals, dim0 * dim0).reshape(dim0, dim0)
+        self.cap_stamp = _pair_stamp(dim0, self.cap_a, self.cap_b)
+        self.m_jac = _flat(dim0, ((d, d), (d, g), (d, s), (s, d), (s, g), (s, s)),
+                           by_element=False)
+        self.m_inj = np.concatenate((d, s))
+        self.rhs_idx = np.concatenate((np.stack((ia, ib), axis=1).ravel(), k,
+                                       self.cap_a, self.cap_b))
+        # both ends of every branch current: conductors and capacitor
+        # companions, current sources, voltage sources, transistor channels
+        self.lin_a = np.concatenate((cond_a, self.cap_a))
+        self.lin_b = np.concatenate((cond_b, self.cap_b))
+        self.scale_idx = np.concatenate((self.lin_a, ia, va, d, self.lin_b, ib, vb, s))
 
     # -- right-hand side and residual helpers --------------------------------
 
     def _source_values(self, t, alpha, overrides):
-        vs = np.array([w.value(t) for _a, _b, w, _n in self.vsources], dtype=float)
-        cs = np.array([w.value(t) for _a, _b, w, _n in self.isources], dtype=float)
-        if overrides:
-            for k, (_a, _b, _w, n) in enumerate(self.vsources):
-                if n in overrides:
-                    vs[k] = overrides[n]
-            for k, (_a, _b, _w, n) in enumerate(self.isources):
-                if n in overrides:
-                    cs[k] = overrides[n]
-        return alpha * vs, alpha * cs
+        """Voltage-source and current-source values at t, scaled by alpha."""
+        vals = np.array([w.value(t) for w in self.waves], dtype=float)
+        for name, v in (overrides or {}).items():
+            vals[self.source_index[name]] = v
+        return alpha * vals[:self.n_branch], alpha * vals[self.n_branch:]
 
     def newton(self, x0, t=None, alpha=1.0, gshunt=0.0,
                cap_geq=None, cap_ieq=None, src_overrides=None):
-        """Damped Newton; returns solution or None on failure."""
+        """Damped Newton; returns solution or None on failure.
+
+        Terms that do not depend on the iterate (sources, shunts, capacitor
+        companions, branch-row tolerances) are stamped once per call; each
+        iteration then makes three scatters: drain-current injection, the
+        residual scale and the transistor Jacobian.
+        """
         cfg = self.cfg
-        dim0 = self.dim0
-        nb0 = self.branch0
+        dim0, nb0, nn = self.dim0, self.branch0, self.n_nodes
         vs, cs = self._source_values(t, alpha, src_overrides)
 
         a_base = self.a_static.copy()
         if gshunt > 0.0:
             idx = np.arange(1, nb0)
             a_base[idx, idx] += gshunt
-        if cap_geq is not None:
-            for (a, b), g in zip(zip(self.cap_a, self.cap_b), cap_geq):
-                a_base[a, a] += g
-                a_base[b, b] += g
-                a_base[a, b] -= g
-                a_base[b, a] -= g
-
-        b_full = np.zeros(dim0)
-        for k, (a, b, _w, _n) in enumerate(self.isources):
-            b_full[a] -= cs[k]
-            b_full[b] += cs[k]
-        for k in range(self.n_branch):
-            b_full[nb0 + k] += vs[k]
-        if cap_ieq is not None:
-            np.add.at(b_full, self.cap_a, cap_ieq)
-            np.add.at(b_full, self.cap_b, -cap_ieq)
+        if cap_geq is None:
+            cap_geq = cap_ieq = np.zeros(self.cap_c.size)
+        else:
+            np.add.at(a_base.reshape(-1), self.cap_stamp,
+                      (cap_geq[:, None] * _G_SIGNS).ravel())
+        b_full = np.bincount(self.rhs_idx, np.concatenate(
+            (np.stack((-cs, cs), axis=1).ravel(), vs, cap_ieq, -cap_ieq)), dim0)
+        g_lin = np.concatenate((self.cond_g, cap_geq))
+        i0_lin = np.concatenate((np.zeros(self.cond_g.size), cap_ieq))
+        # voltage-source rows are potential differences, not currents
+        tol_branch = cfg.vntol + cfg.reltol * np.abs(vs)
 
         x = x0.copy()
         xfull = np.zeros(dim0)
+        idr, gm, gds = self._m_out  # rows filled in place by the kernel
         last_dv = math.inf
-        n_m = self.m_d.size
         for _ in range(cfg.max_newton_iters):
             xfull[1:] = x
-            if n_m:
-                vgs = xfull[self.m_g] - xfull[self.m_s]
-                vds = xfull[self.m_d] - xfull[self.m_s]
-                out = kernels.otft_eval(vgs, vds, self.m_sign, self.m_kwl,
-                                        self.m_mu0, self.m_vthn, self.m_ss,
-                                        self.m_gamma, self.m_lam, self.m_order,
-                                        self._m_out)
+            if idr.size:
+                kernels.otft_eval(xfull[self.m_g] - xfull[self.m_s],
+                                  xfull[self.m_d] - xfull[self.m_s],
+                                  *self.m_par, self._m_out)
             f_full = a_base @ xfull - b_full
-            scale = np.zeros(dim0)
-            ic = self.cond_g * (xfull[self.cond_a] - xfull[self.cond_b])
-            np.add.at(scale, self.cond_a, np.abs(ic))
-            np.add.at(scale, self.cond_b, np.abs(ic))
-            if cap_geq is not None:
-                icp = cap_geq * (xfull[self.cap_a] - xfull[self.cap_b]) - cap_ieq
-                np.add.at(scale, self.cap_a, np.abs(icp))
-                np.add.at(scale, self.cap_b, np.abs(icp))
-            for k, (a, b, _w, _n) in enumerate(self.isources):
-                scale[a] += abs(cs[k])
-                scale[b] += abs(cs[k])
-            for k, (a, b, _w, _n) in enumerate(self.vsources):
-                ib = abs(xfull[nb0 + k])
-                scale[a] += ib
-                scale[b] += ib
-            if n_m:
-                idr, gm, gds = out
-                np.add.at(f_full, self.m_d, idr)
-                np.add.at(f_full, self.m_s, -idr)
-                np.add.at(scale, self.m_d, np.abs(idr))
-                np.add.at(scale, self.m_s, np.abs(idr))
+            np.add.at(f_full, self.m_inj, np.concatenate((idr, -idr)))
+            i_br = np.concatenate((g_lin * (xfull[self.lin_a] - xfull[self.lin_b]) - i0_lin,
+                                   cs, xfull[nb0:], idr))
+            scale = np.bincount(self.scale_idx, np.tile(np.abs(i_br), 2), dim0)
             tol = cfg.abstol + cfg.reltol * scale
-            # voltage-source rows are potential differences, not currents
-            for k in range(self.n_branch):
-                tol[nb0 + k] = cfg.vntol + cfg.reltol * abs(vs[k])
+            tol[nb0:] = tol_branch
             if last_dv < cfg.vntol and np.all(np.abs(f_full[1:]) <= tol[1:]):
                 return x
             jac = a_base.copy()
-            if n_m:
-                d_, g_, s_ = self.m_d, self.m_g, self.m_s
-                np.add.at(jac, (d_, d_), gds)
-                np.add.at(jac, (d_, g_), gm)
-                np.add.at(jac, (d_, s_), -(gm + gds))
-                np.add.at(jac, (s_, d_), -gds)
-                np.add.at(jac, (s_, g_), -gm)
-                np.add.at(jac, (s_, s_), gm + gds)
+            gsum = gm + gds
+            np.add.at(jac.reshape(-1), self.m_jac,
+                      np.concatenate((gds, gm, -gsum, -gds, -gm, gsum)))
             try:
                 dx = np.linalg.solve(jac[1:, 1:], -f_full[1:])
             except np.linalg.LinAlgError:
                 return None
             if not np.all(np.isfinite(dx)):
                 return None
-            nn = self.n_nodes
             dx[:nn] = np.clip(dx[:nn], -cfg.damping, cfg.damping)
             x = x + dx
             last_dv = float(np.max(np.abs(dx[:nn]))) if nn else 0.0
@@ -398,7 +388,7 @@ class _System:
         cols = {}
         for n in self.circuit_nodes:
             cols[f"v({n})"] = xs[:, self.node_index[n] - 1]
-        for k, (_a, _b, _w, name) in enumerate(self.vsources):
+        for k, name in enumerate(self.vsource_names):
             cols[f"i({name})"] = xs[:, self.branch0 - 1 + k]
         return cols
 
@@ -423,41 +413,33 @@ def dc_sweep(c: Circuit, directive: DcSweep, cfg: SolverConfig | None = None):
     """
     cfg = cfg or SolverConfig()
     if directive.source2 is not None:
+        if directive.source2.lower() == directive.source.lower():
+            raise ConvergenceError(
+                f"dc sweep: secondary source {directive.source2!r} is the swept source")
         outer = _sweep_values(directive.start2, directive.stop2, directive.step2)
         prim = replace(directive, source2=None, start2=None, stop2=None, step2=None)
-        out = []
-        for val2 in outer:
-            w = _dc_sweep_single(c, prim, cfg, extra={directive.source2: float(val2)},
+        return [_dc_sweep_single(c, prim, cfg, extra={directive.source2: float(val2)},
                                  label=f"{directive.source2}={val2:g}")
-            out.append(w)
-        return out
+                for val2 in outer]
     return _dc_sweep_single(c, directive, cfg)
 
 
 def _dc_sweep_single(c, d, cfg, extra=None, label=""):
     sys = _System(c, cfg)
-    known = {n for _a, _b, _w, n in sys.vsources} | {n for _a, _b, _w, n in sys.isources}
     src = d.source.lower()
     extra = {k.lower(): v for k, v in (extra or {}).items()}
     for name in (src, *extra):
-        if name not in known:
+        if name not in sys.source_index:
             raise ConvergenceError(f"dc sweep: unknown source {name!r}")
     values = _sweep_values(d.start, d.stop, d.step)
     rows = np.empty((values.size, sys.dim0 - 1))
     x = None
     for i, val in enumerate(values):
-        overrides = {src: float(val)}
-        if extra:
-            overrides.update(extra)
-        if x is None:
-            x = sys.solve_dc(src_overrides=overrides,
-                             context=f"dc sweep at {d.source}={val:g}")
-        else:
-            xn = sys.newton(x, src_overrides=overrides)
-            if xn is None:
-                xn = sys.solve_dc(src_overrides=overrides,
-                                  context=f"dc sweep at {d.source}={val:g}")
-            x = xn
+        overrides = {src: float(val), **extra}
+        # warm start from the previous point; cold DC solve on the first or on failure
+        xn = None if x is None else sys.newton(x, src_overrides=overrides)
+        x = xn if xn is not None else sys.solve_dc(
+            src_overrides=overrides, context=f"dc sweep at {d.source}={val:g}")
         rows[i] = x
     return Waveform(axis_name=src, axis=values, columns=sys.columns_of(rows),
                     label=label)
@@ -533,17 +515,12 @@ def transient(c: Circuit, directive: Tran, cfg: SolverConfig | None = None,
         while t < stop - 1e-15 * stop:
             h = min(max(h, cfg.min_step), max_h, stop - t)
             method = "be" if (first_be and t == 0.0) else cfg.method
+            # one full step and two half steps, each only if the last converged
             xf, _ = step_once(x, cap_i, t + h, h, method)
-            xh1, ci1 = (None, None)
-            if xf is not None:
-                xh1, ci1 = step_once(x, cap_i, t + 0.5 * h, 0.5 * h, method)
-            if xf is None or xh1 is None:
-                h *= 0.5
-                if h < cfg.min_step:
-                    raise ConvergenceError(
-                        f"transient: step underflow at t={t:g}", at=t)
-                continue
-            xh2, ci2 = step_once(xh1, ci1, t + h, 0.5 * h, method)
+            xh1, ci1 = (None, None) if xf is None else step_once(
+                x, cap_i, t + 0.5 * h, 0.5 * h, method)
+            xh2, ci2 = (None, None) if xh1 is None else step_once(
+                xh1, ci1, t + h, 0.5 * h, method)
             if xh2 is None:
                 h *= 0.5
                 if h < cfg.min_step:

@@ -124,6 +124,9 @@ class Element:
     wave: SourceWave | None = None
     model: str | None = None
     overrides: tuple[tuple[str, Union[float, str]], ...] = ()
+    # netlist line of the element's own card (0 when built in code); not
+    # part of the element's identity, so equality and serialize ignore it
+    line: int = field(default=0, compare=False)
 
     def override(self, key: str, default=None):
         for k, v in self.overrides:
@@ -231,6 +234,9 @@ class Circuit:
                 merged = dict(e.overrides)
                 merged.update({k.lower(): v for k, v in ups[e.name].items()})
                 changed[e.name] = replace(e, overrides=tuple(sorted(merged.items())))
+        unknown = sorted(set(ups) - set(changed))
+        if unknown:
+            raise KeyError(f"no transistor named {', '.join(unknown)}")
         return self._with_changed(changed)
 
     def with_strain(self, epsilon: float, orientation: str) -> "Circuit":
@@ -330,7 +336,7 @@ class _Parser:
             self.error(line, f"duplicate element name {e.name!r}")
             return
         self.names.add(e.name)
-        self.elements.append(e)
+        self.elements.append(replace(e, line=line))
 
     # -- cards ---------------------------------------------------------------
 
@@ -480,6 +486,9 @@ class _Parser:
                 return
             d = DcSweep(source=toks[1], start=start, stop=stop, step=step)
             if len(toks) == 9:
+                if toks[5] == toks[1]:
+                    self.error(line, f".dc: secondary source {toks[5]!r} is the swept source")
+                    return
                 nums2 = [self.number(t, line, ".dc") for t in toks[6:9]]
                 if None in nums2:
                     return
@@ -739,8 +748,10 @@ def parse(text: str, params: dict | None = None) -> Circuit:
 def validate(c: Circuit) -> list[Diagnostic]:
     """All invariant violations; an empty list means simulatable.
 
-    Errors: non-positive R/C/W/L, unresolved models, no ground connection.
+    Errors: non-positive R/C/W/L, negative strain, unresolved models (each
+    at its element's card line), no ground connection.
     Warnings: nodes with no DC path to ground, unused model cards.
+    Circuit-wide diagnostics are reported at line 0.
     """
     diags: list[Diagnostic] = []
     model_names = {n for n, _ in c.models}
@@ -765,7 +776,7 @@ def validate(c: Circuit) -> list[Diagnostic]:
             touched.add(n)
         if e.kind in ("R", "C"):
             if not (e.value is not None and e.value > 0.0):
-                diags.append(Diagnostic("error", 0,
+                diags.append(Diagnostic("error", e.line,
                                         f"{e.name}: value must be > 0, got {e.value}"))
             if e.kind == "R":
                 union(table[e.nodes[0]], table[e.nodes[1]])
@@ -773,18 +784,19 @@ def validate(c: Circuit) -> list[Diagnostic]:
             union(table[e.nodes[0]], table[e.nodes[1]])
         elif e.kind == "M":
             if e.model not in model_names:
-                diags.append(Diagnostic("error", 0, f"{e.name}: unresolved model {e.model!r}"))
+                diags.append(Diagnostic("error", e.line,
+                                        f"{e.name}: unresolved model {e.model!r}"))
             else:
                 used_models.add(e.model)
                 card = c.model_card(e.model)
                 w = e.override("w", card.geom.w)
                 l = e.override("l", card.geom.l)
                 if not (w > 0.0 and l > 0.0):
-                    diags.append(Diagnostic("error", 0,
+                    diags.append(Diagnostic("error", e.line,
                                             f"{e.name}: W and L must be > 0, got {w}, {l}"))
                 strain = e.override("strain", 0.0)
                 if strain < 0.0:
-                    diags.append(Diagnostic("error", 0,
+                    diags.append(Diagnostic("error", e.line,
                                             f"{e.name}: strain must be >= 0, got {strain}"))
             # the channel and the engine's gmin shunts provide DC paths
             d, g, s = (table[n] for n in e.nodes)

@@ -134,6 +134,15 @@ def test_sim_invalid_netlist(tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
+def test_sim_validation_error_names_card_line(tmp_path, capsys):
+    bad = tmp_path / "bad.cir"
+    bad.write_text("negative resistor\nv1 a 0 dc 1\nr1 a 0 -1k\n.op\n.end\n")
+    out = tmp_path / "o"
+    assert main(["sim", str(bad), "--out", str(out)]) == 2
+    assert "line 3: r1: value must be > 0" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 def test_sim_no_directives(tmp_path, capsys):
     quiet = tmp_path / "q.cir"
     quiet.write_text("no work to do\nv1 a 0 dc 1\nr1 a 0 1k\n.end\n")

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from ofetsim import netlist
+from ofetsim import engine, netlist
 from ofetsim.engine import (
     ConvergenceError,
     SolverConfig,
@@ -194,6 +194,21 @@ m1 d d 0 pm
 """
 
 
+SHARED_NET = """\
+two transistors sharing drain and source, one diode-connected
+.model pm otftp mu0=2.35e-5 vth=-0.8 ss=0.18 lambda=0.015 cox=3.5e-4 w=380u l=35u
+.model pw otftp mu0=1.5e-5 vth=-1.2 ss=0.2 lambda=0.02 cox=3.5e-4 w=200u l=20u
+v1 top 0 dc -20
+vg g 0 dc -8
+r1 top d 100k
+m1 d d s pm
+m2 d g s pw
+r2 s 0 10k
+.op
+.end
+"""
+
+
 def test_nonlinear_kcl_residual():
     c = netlist.parse(OTFT_NET)
     cfg = SolverConfig()
@@ -204,6 +219,61 @@ def test_nonlinear_kcl_residual():
     i_m = float(drain_current(card, vd, vd))  # rc = 0 on this card
     scale = max(abs(i_r), abs(i_m))
     assert abs(i_r - i_m) <= cfg.abstol + 10.0 * cfg.reltol * scale
+
+    # rc = 0 on both cards, so the two channels stamp the same matrix entries
+    c = netlist.parse(SHARED_NET)
+    op = dc_operating_point(c, cfg)
+    vd, vg, vs = op["d"], op["g"], op["s"]
+    i_top, i_s = (op["top"] - vd) / 100e3, vs / 10e3
+    i_1 = float(drain_current(c.model_card("pm"), vd - vs, vd - vs))
+    i_2 = float(drain_current(c.model_card("pw"), vg - vs, vd - vs))
+    assert abs(i_1) > 1e-7 and abs(i_2) > 1e-7  # both channels conduct
+    scale = max(abs(i_top), abs(i_s), abs(i_1), abs(i_2))
+    for i_r in (i_top, i_s):  # KCL at the shared drain and the shared source
+        assert abs(i_r - i_1 - i_2) <= cfg.abstol + 10.0 * cfg.reltol * scale
+
+
+def test_stamp_table_replays_element_loops():
+    # the flat stamps must add in the order of a per-element loop (matrix
+    # stamps) or of one scatter per entry kind (transistor Jacobian), so that
+    # every sum, and with it every waveform, is bit-identical to those loops
+    c = netlist.parse(SHARED_NET.replace(".op", "c1 d s 1n\nc2 d 0 2n\ni1 0 s dc 1u\n.op"))
+    sys = engine._System(c, SolverConfig())
+    n_g = sys.cond_g.size
+    ref = np.zeros((sys.dim0, sys.dim0))
+    for a, b, g in zip(sys.lin_a[:n_g], sys.lin_b[:n_g], sys.cond_g):
+        ref[a, a] += g
+        ref[b, b] += g
+        ref[a, b] -= g
+        ref[b, a] -= g
+    for k, name in enumerate(sys.vsource_names):
+        a, b = (sys.node_index[n] for n in c.element(name).nodes)
+        row = sys.branch0 + k
+        ref[a, row] += 1.0
+        ref[b, row] -= 1.0
+        ref[row, a] += 1.0
+        ref[row, b] -= 1.0
+    assert np.array_equal(ref, sys.a_static)
+
+    rng = np.random.default_rng(3)
+    geq = 10.0 ** rng.uniform(-12.0, 3.0, sys.cap_c.size)
+    got = ref.copy()
+    np.add.at(got.reshape(-1), sys.cap_stamp, (geq[:, None] * engine._G_SIGNS).ravel())
+    for a, b, g in zip(sys.cap_a, sys.cap_b, geq):
+        ref[a, a] += g
+        ref[b, b] += g
+        ref[a, b] -= g
+        ref[b, a] -= g
+    assert np.array_equal(ref, got)
+
+    gm, gds = 10.0 ** rng.uniform(-12.0, 3.0, (2, sys.m_d.size))
+    d, g, s = sys.m_d, sys.m_g, sys.m_s
+    np.add.at(got.reshape(-1), sys.m_jac,
+              np.concatenate((gds, gm, -(gm + gds), -gds, -gm, gm + gds)))
+    for (r, q), v in zip(((d, d), (d, g), (d, s), (s, d), (s, g), (s, s)),
+                         (gds, gm, -(gm + gds), -gds, -gm, gm + gds)):
+        np.add.at(ref, (r, q), v)
+    assert np.array_equal(ref, got)
 
 
 def test_gmin_shunts_bound_off_state():
@@ -248,6 +318,9 @@ def test_unknown_sweep_source_raises():
         dc_sweep(c, netlist.DcSweep("vxx", 0.0, 1.0, 0.1), SolverConfig())
     with pytest.raises(ConvergenceError):
         dc_sweep(c, netlist.DcSweep("v1", 0.0, 1.0, 0.5, "vxx", 0.0, 1.0, 1.0))
+    # the secondary override would replace the swept value at every point
+    with pytest.raises(ConvergenceError, match="swept source"):
+        dc_sweep(c, netlist.DcSweep("v1", 0.0, 1.0, 0.5, "V1", 5.0, 6.0, 1.0))
 
 
 def test_conflicting_sources_raise():

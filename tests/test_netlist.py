@@ -195,6 +195,9 @@ def test_with_otft_overrides_and_strain():
             assert e.override("dir") == "par"
     c0 = c.with_strain(0.0, "parallel")
     assert all(e.override("strain") == 0.0 for e in c0.elements if e.kind == "M")
+    # a misspelt instance is an error, not a silent no-op; every miss is named
+    with pytest.raises(KeyError, match="mbogus, mzz"):
+        c.with_otft_overrides({"mp": {"vth": 1.0}, "mbogus": {"vth": 1.0}, "MZZ": {}})
 
 
 # -- diagnostics --------------------------------------------------------------
@@ -212,6 +215,7 @@ def test_with_otft_overrides_and_strain():
     ("t\ni1 0 a sin 0 1 1k\nr1 a 0 1k\n.end", "dc and pulse", 2),
     ("t\n.subckt s a\nr1 a 0 1k\nv1 a 0 dc 1\n.end", "never closed", 2),
     ("t\nv1 a 0 dc 1\nr1 a 0 1k\n.dc v2 0 1 0.1\n.end", "no V or I source", 4),
+    ("t\nv1 a 0 dc 1\nr1 a 0 1k\n.dc v1 0 1 0.5 v1 5 6 1\n.end", "swept source", 4),
 ])
 def test_malformed_input_diagnostics(text, needle, line):
     with pytest.raises(NetlistError) as err:
@@ -237,6 +241,19 @@ def test_no_crash_on_garbage():
             parse(text)
         except NetlistError as e:
             assert all(d.line >= 1 for d in e.diagnostics)
+
+
+def test_validate_reports_card_lines():
+    c = parse("t\nv1 a 0 dc 1\nr1 a 0 -1k\n"
+              ".model pm otftp mu0=1e-5 vth=-1 ss=0.2 cox=3e-4 w=1u l=1u\n"
+              ".subckt amp d\nm1 d d 0 pm strain=-0.1\n.ends\n"
+              "x1 a amp\nm2 a a 0 pm w=0\n.end")
+    errors = {d.message.split(":")[0]: d.line for d in validate(c)
+              if d.severity == "error"}
+    assert errors == {"r1": 3, "mx1.m1": 6, "m2": 9}
+    # the card line is not part of an element's identity
+    assert parse(serialize(c)) == c
+    assert [e.line for e in parse(serialize(c)).elements] != [e.line for e in c.elements]
 
 
 def test_validate_flags():
