@@ -326,7 +326,8 @@ class _System:
             np.add.at(f_full, self.m_inj, np.concatenate((idr, -idr)))
             i_br = np.concatenate((g_lin * (xfull[self.lin_a] - xfull[self.lin_b]) - i0_lin,
                                    cs, xfull[nb0:], idr))
-            scale = np.bincount(self.scale_idx, np.tile(np.abs(i_br), 2), dim0)
+            a_br = np.abs(i_br)
+            scale = np.bincount(self.scale_idx, np.concatenate((a_br, a_br)), dim0)
             tol = cfg.abstol + cfg.reltol * scale
             tol[nb0:] = tol_branch
             if last_dv < cfg.vntol and np.all(np.abs(f_full[1:]) <= tol[1:]):
@@ -339,9 +340,9 @@ class _System:
                 dx = np.linalg.solve(jac[1:, 1:], -f_full[1:])
             except np.linalg.LinAlgError:
                 return None
-            if not np.all(np.isfinite(dx)):
+            if not np.isfinite(dx).all():
                 return None
-            dx[:nn] = np.clip(dx[:nn], -cfg.damping, cfg.damping)
+            dx[:nn] = np.minimum(np.maximum(dx[:nn], -cfg.damping), cfg.damping)
             x = x + dx
             last_dv = float(np.max(np.abs(dx[:nn]))) if nn else 0.0
         return None

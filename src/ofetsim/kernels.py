@@ -52,24 +52,27 @@ def otft_eval(vgs, vds, sign, kwl, mu0, vthn, ss, gamma, lam, order, out=None):
     vov = phi * sp
     cut = vov < _VOV_FLOOR
     vov = np.where(cut, 1.0, vov)
-    sig = 1.0 / (1.0 + np.exp(-np.clip(u, -700.0, 700.0)))
+    sig = 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(u, -700.0), 700.0)))
     mu = mu0 * vov ** gamma
     gz = gamma == 0.0
     dmu = np.where(gz, 0.0, gamma * mu0 * vov ** np.where(gz, 0.0, gamma - 1.0))
     r = vd / vov
     rm = r ** order
-    den = (1.0 + rm) ** (1.0 / order)
+    rm1 = 1.0 + rm
+    den = rm1 ** (1.0 / order)
     vde = vd / den
-    dvde_dvd = 1.0 / (den * (1.0 + rm))
-    dvde_dvov = vde * rm / ((1.0 + rm) * vov)
+    dvde_dvd = 1.0 / (den * rm1)
+    dvde_dvov = vde * rm / (rm1 * vov)
     f = (vov - 0.5 * vde) * vde
-    df_dvov = vde + dvde_dvov * (vov - vde)
-    df_dvd = dvde_dvd * (vov - vde)
+    vgap = vov - vde
+    df_dvov = vde + dvde_dvov * vgap
+    df_dvd = dvde_dvd * vgap
     lamf = 1.0 + lam * vd
-    i0 = kwl * mu * f
+    kmu = kwl * mu
+    i0 = kmu * f
     idr = i0 * lamf
     gm = kwl * (dmu * f + mu * df_dvov) * sig * lamf
-    gds = kwl * mu * df_dvd * lamf + i0 * lam
+    gds = kmu * df_dvd * lamf + i0 * lam
     idr_s = np.where(swapped, -idr, idr)
     gds_s = np.where(swapped, gm + gds, gds)
     gm_s = np.where(swapped, -gm, gm)
