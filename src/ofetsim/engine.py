@@ -7,13 +7,19 @@ rc/2.  Each circuit is elaborated once into a stamp table: flat matrix and
 right-hand-side indices with sign patterns for conductors, voltage-source
 incidence, capacitor companions, the six transistor Jacobian entries and the
 drain-current injection, plus the node incidence of every branch current for
-the residual scale.  A Newton iteration applies it in three scatters and
-converges when the last node update is below vntol and every KCL residual is
-within abstol + reltol * (sum of |branch currents| at the node), or
-vntol + reltol * |V| on a voltage-source row.  DC falls back from plain damped
-Newton to a gmin ladder (1e-3 S down to gmin), then to source stepping (0.1 to
-1.0); transient uses backward Euler or trapezoidal companions with
-step-doubling error control.
+the residual scale.  A Newton iteration applies it in three scatters, solves
+for the update and stops on that update: when every KCL residual at the point
+just evaluated is within abstol + reltol * (sum of |branch currents| at the
+node), or vntol + reltol * |V| on a voltage-source row, and every clipped node
+update is below vntol, it returns the point plus the update, with no further
+evaluation.  A failed call records its largest |residual| and that row for
+ConvergenceError.  DC falls back from plain damped Newton to a gmin ladder
+(1e-3 S down to gmin), then to source stepping (0.1 to 1.0); transient uses
+backward Euler or trapezoidal companions with step-doubling error control.
+Each transient step solve starts from its initial point moved along the
+polynomial through the last three accepted points, and each warm-started DC
+sweep point from that polynomial in the swept value; the start changes only
+the work of a solve, not its tolerances or the step control.
 
 Waveforms serialize to CSV and to a compact little-endian binary table; both
 writers are bit-reproducible for identical inputs.
@@ -227,6 +233,7 @@ class _System:
                 otfts.append((di, g, si, p))
 
         self.n_nodes = len(names) - 1
+        self.unknown_names = names
         self.n_branch = len(vsrc)
         self.branch0 = nb0 = len(names)
         self.dim0 = dim0 = nb0 + self.n_branch  # includes ground slot 0
@@ -251,6 +258,8 @@ class _System:
             (p.sign, p.geom.w / p.geom.l * p.cox, p.mu0, p.sign * p.vth,
              p.ss, p.gamma, p.lam, p.order) for *_dgs, p in otfts)))
         self._m_out = np.empty((3, len(otfts)))
+        # largest |residual| of the last failed Newton call, and its row
+        self.fail_residual, self.fail_row = math.nan, ""
 
         # The stamp table; ground is slot 0 and is sliced off at the solve.
         # Matrix and right-hand-side entries are laid out in the order the
@@ -287,10 +296,12 @@ class _System:
                cap_geq=None, cap_ieq=None, src_overrides=None):
         """Damped Newton; returns solution or None on failure.
 
-        Terms that do not depend on the iterate (sources, shunts, capacitor
-        companions, branch-row tolerances) are stamped once per call; each
-        iteration then makes three scatters: drain-current injection, the
-        residual scale and the transistor Jacobian.
+        Stops on the update that converges and returns the point plus that
+        update, without evaluating the devices again.  Terms that do not
+        depend on the iterate (sources, shunts, capacitor companions,
+        branch-row tolerances) are stamped once per call; each iteration then
+        makes three scatters: drain-current injection, the residual scale and
+        the transistor Jacobian.
         """
         cfg = self.cfg
         dim0, nb0, nn = self.dim0, self.branch0, self.n_nodes
@@ -312,10 +323,9 @@ class _System:
         # voltage-source rows are potential differences, not currents
         tol_branch = cfg.vntol + cfg.reltol * np.abs(vs)
 
-        x = x0.copy()
+        x = x0
         xfull = np.zeros(dim0)
         idr, gm, gds = self._m_out  # rows filled in place by the kernel
-        last_dv = math.inf
         for _ in range(cfg.max_newton_iters):
             xfull[1:] = x
             if idr.size:
@@ -330,8 +340,6 @@ class _System:
             scale = np.bincount(self.scale_idx, np.concatenate((a_br, a_br)), dim0)
             tol = cfg.abstol + cfg.reltol * scale
             tol[nb0:] = tol_branch
-            if last_dv < cfg.vntol and np.all(np.abs(f_full[1:]) <= tol[1:]):
-                return x
             jac = a_base.copy()
             gsum = gm + gds
             np.add.at(jac.reshape(-1), self.m_jac,
@@ -339,13 +347,28 @@ class _System:
             try:
                 dx = np.linalg.solve(jac[1:, 1:], -f_full[1:])
             except np.linalg.LinAlgError:
-                return None
+                return self._failed(f_full)
             if not np.isfinite(dx).all():
-                return None
+                return self._failed(f_full)
             dx[:nn] = np.minimum(np.maximum(dx[:nn], -cfg.damping), cfg.damping)
             x = x + dx
-            last_dv = float(np.max(np.abs(dx[:nn]))) if nn else 0.0
+            if (np.abs(dx[:nn]) < cfg.vntol).all() and (np.abs(f_full[1:]) <= tol[1:]).all():
+                return x
+        return self._failed(f_full)
+
+    def _failed(self, f_full):
+        """Record the largest |residual| of a failed Newton call and its row."""
+        r = int(np.argmax(np.abs(f_full[1:]))) + 1
+        self.fail_residual = float(abs(f_full[r]))
+        self.fail_row = (f"node {self.unknown_names[r]}" if r < self.branch0
+                         else f"i({self.vsource_names[r - self.branch0]})")
         return None
+
+    def error(self, message, at):
+        """ConvergenceError for the last failed Newton call."""
+        return ConvergenceError(
+            f"{message}; largest residual {self.fail_residual:.3g} at {self.fail_row}",
+            residual=self.fail_residual, at=at)
 
     def solve_dc(self, x0=None, t=None, src_overrides=None, context="dc operating point"):
         """Newton with gmin-ladder and source-stepping fallbacks."""
@@ -374,7 +397,7 @@ class _System:
         for alpha in np.linspace(0.1, 1.0, 10):
             xn = self.newton(x, t=t, alpha=alpha, src_overrides=src_overrides)
             if xn is None:
-                raise ConvergenceError(
+                raise self.error(
                     f"{context}: no convergence (failed at source step {alpha:.1f})",
                     at=alpha)
             x = xn
@@ -401,6 +424,20 @@ def dc_operating_point(c: Circuit, cfg: SolverConfig | None = None) -> dict[str,
     return sys.node_voltages(x)
 
 
+def _extrapolate(ts, xs, t):
+    """Value at t of the polynomial through the last three (or fewer) points
+    (ts[k], xs[k]): the predicted start of the next Newton solve."""
+    ts, xs = ts[-3:], xs[-3:]
+    p = 0.0
+    for j, (tj, xj) in enumerate(zip(ts, xs)):
+        w = 1.0
+        for k, tk in enumerate(ts):
+            if k != j:
+                w *= (t - tk) / (tj - tk)
+        p = p + w * xj
+    return p
+
+
 def _sweep_values(start, stop, step):
     n = int(math.floor((stop - start) / step + 1e-9)) + 1 if stop > start else 1
     return start + step * np.arange(n)
@@ -415,7 +452,7 @@ def dc_sweep(c: Circuit, directive: DcSweep, cfg: SolverConfig | None = None):
     cfg = cfg or SolverConfig()
     if directive.source2 is not None:
         if directive.source2.lower() == directive.source.lower():
-            raise ConvergenceError(
+            raise ValueError(
                 f"dc sweep: secondary source {directive.source2!r} is the swept source")
         outer = _sweep_values(directive.start2, directive.stop2, directive.step2)
         prim = replace(directive, source2=None, start2=None, stop2=None, step2=None)
@@ -431,16 +468,18 @@ def _dc_sweep_single(c, d, cfg, extra=None, label=""):
     extra = {k.lower(): v for k, v in (extra or {}).items()}
     for name in (src, *extra):
         if name not in sys.source_index:
-            raise ConvergenceError(f"dc sweep: unknown source {name!r}")
+            raise KeyError(f"dc sweep: unknown source {name!r}")
     values = _sweep_values(d.start, d.stop, d.step)
     rows = np.empty((values.size, sys.dim0 - 1))
-    x = None
     for i, val in enumerate(values):
         overrides = {src: float(val), **extra}
-        # warm start from the previous point; cold DC solve on the first or on failure
-        xn = None if x is None else sys.newton(x, src_overrides=overrides)
-        x = xn if xn is not None else sys.solve_dc(
-            src_overrides=overrides, context=f"dc sweep at {d.source}={val:g}")
+        # start from the curve through the last points; cold DC solve on the
+        # first point or on failure
+        x = sys.newton(_extrapolate(values[:i], rows[:i], val),
+                       src_overrides=overrides) if i else None
+        if x is None:
+            x = sys.solve_dc(src_overrides=overrides,
+                             context=f"dc sweep at {d.source}={val:g}")
         rows[i] = x
     return Waveform(axis_name=src, axis=values, columns=sys.columns_of(rows),
                     label=label)
@@ -487,7 +526,10 @@ def transient(c: Circuit, directive: Tran, cfg: SolverConfig | None = None,
         else:
             geq = 2.0 * cap_c / h
             ieq = geq * vab(x_in) + i_in
-        xn = sys.newton(x_in, t=t_new, cap_geq=geq, cap_ieq=ieq)
+        # start from x_in moved along the curve through the accepted points
+        x0 = x_in + (_extrapolate(times, states, t_new)
+                     - _extrapolate(times, states, t_new - h))
+        xn = sys.newton(x0, t=t_new, cap_geq=geq, cap_ieq=ieq)
         if xn is None:
             return None, None
         return xn, geq * vab(xn) - ieq
@@ -504,8 +546,8 @@ def transient(c: Circuit, directive: Tran, cfg: SolverConfig | None = None,
             method = "be" if (first_be and t == 0.0) else cfg.method
             xn, cin = step_once(x, cap_i, t + h_eff, h_eff, method)
             if xn is None:
-                raise ConvergenceError(f"transient: no convergence at t={t + h_eff:g}",
-                                       at=t + h_eff)
+                raise sys.error(f"transient: no convergence at t={t + h_eff:g}",
+                                at=t + h_eff)
             x, cap_i = xn, cin
             t += h_eff
             times.append(t)
@@ -525,8 +567,7 @@ def transient(c: Circuit, directive: Tran, cfg: SolverConfig | None = None,
             if xh2 is None:
                 h *= 0.5
                 if h < cfg.min_step:
-                    raise ConvergenceError(
-                        f"transient: step underflow at t={t:g}", at=t)
+                    raise sys.error(f"transient: step underflow at t={t:g}", at=t)
                 continue
             nn = sys.n_nodes
             diff = np.abs(xh2[:nn] - xf[:nn])
