@@ -374,8 +374,8 @@ def test_newton_exits_on_converging_update(name, kernel_calls):
 
 
 def test_ring_step_kernel_calls(kernel_calls):
-    # predicted starts and the exit on the converging update; the parent
-    # rule (previous-point starts, a re-check evaluation) made 15.5 per step
+    # predicted starts and the exit on the converging update; previous-point
+    # starts and a re-check evaluation per solve made 15.5 per step
     f = 522.6  # Hz, the ring at 24 V
     c = netlist.parse(fixtures.read("ro_pseudo_e.cir")).with_source_level("vdd", 24.0)
     w = transient(c, netlist.Tran(step=1.0 / (50.0 * f), stop=2.0 / f), SolverConfig())
@@ -389,7 +389,8 @@ def test_ring_step_kernel_calls(kernel_calls):
     ("inverter_cmos.cir", netlist.DcSweep("vin", 0.0, 5.0, 0.01)),
 ])
 def test_sweep_point_kernel_calls(name, sweep, kernel_calls):
-    # previous-point starts made 3.56 and 3.50 calls per point
+    # previous-point starts and a re-check evaluation per solve made 3.56
+    # and 3.50 calls per point
     c = netlist.parse(fixtures.read(name))
     w = dc_sweep(c, sweep or c.analyses[0], SolverConfig())
     assert kernel_calls[0] <= 1.6 * w.axis.size
