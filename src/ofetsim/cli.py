@@ -207,7 +207,8 @@ def cmd_fit(args, run: Run) -> int:
         cards[name] = result.params
         if args.verbose:
             print(f"{dev}: rms {result.rms_frac:.2%} in {result.iterations} "
-                  f"iterations", file=sys.stderr)
+                  f"iterations, at bound: {', '.join(result.at_bound) or 'none'}",
+                  file=sys.stderr)
     deck = netlist.Circuit(title="fitted model cards", nodes=("0",), elements=(),
                            models=tuple(sorted(cards.items())), analyses=(), params=())
     with open(run.path("cards.cir"), "w", encoding="utf-8") as fh:

@@ -5,6 +5,15 @@ figures of merit (saturation mobility, threshold, subthreshold swing, on/off
 ratio, TLM contact resistance) and full parameter cards obtained by damped
 least squares with an asinh residual that weighs subthreshold and on-state
 decades evenly.
+
+The card fit (``fit_model``) concatenates all sweeps that share geometry and
+cox into one bias batch, so each residual pass makes one contact-resistance
+solve (``model.drain_current_with_contacts``) per batch.  Its Jacobian is
+exact: one kernel call at the solved internal bias gives the current's
+derivatives by bias and by ss, gamma and lambda, and implicit
+differentiation through the contact solve turns them into d(current)/d(card)
+(``_jacobian``).  A parameter that sits on its bound while the descent
+direction points out of the box is held for that iteration.
 """
 
 from __future__ import annotations
@@ -385,11 +394,6 @@ _BOUNDS = {
     "rc": (0.0, 1e12),
 }
 
-# finite-difference steps: relative with an absolute floor per field
-_FD_REL = {"mu0": 1e-6, "vth": 1e-6, "ss": 1e-6, "lam": 1e-6, "gamma": 1e-6, "rc": 1e-3}
-_FD_ABS = {"mu0": 1e-12, "vth": 1e-6, "ss": 1e-6, "lam": 1e-6, "gamma": 1e-6, "rc": 100.0}
-
-
 @dataclass(frozen=True)
 class FitConfig:
     i_scale: float = 1e-9       # asinh knee current, A
@@ -409,6 +413,7 @@ class FitResult:
     converged: bool
     message: str = ""
     cost_history: tuple = ()  # cost after the start and each accepted step
+    at_bound: tuple = ()      # fitted parameters that end on a bound
 
 
 def _sweep_bias(s: IvSweep):
@@ -417,14 +422,60 @@ def _sweep_bias(s: IvSweep):
     return np.full(s.v.size, s.fixed_bias), s.v
 
 
-def _residuals(params: OtftParams, sweeps, i_scale: float) -> np.ndarray:
-    parts = []
+class _Group(NamedTuple):
+    """The sweeps of one (geometry, cox) as one bias batch."""
+
+    geom: DeviceGeometry
+    cox: float
+    vg: np.ndarray
+    vd: np.ndarray
+    i: np.ndarray
+
+
+def _bias_groups(sweeps) -> list[_Group]:
+    """Concatenate sweeps sharing geometry and cox, in first-seen order."""
+    parts: dict[tuple, list] = {}
     for s in sweeps:
-        p = params.replace(geom=s.geom, cox=s.cox)
-        vg, vd = _sweep_bias(s)
-        im = model.drain_current_with_contacts(p, vg, vd)
-        parts.append(np.arcsinh(im / i_scale) - np.arcsinh(s.i / i_scale))
-    return np.concatenate(parts)
+        parts.setdefault((s.geom, s.cox), []).append((*_sweep_bias(s), s.i))
+    return [_Group(geom, cox, *(np.concatenate(col) for col in zip(*rows)))
+            for (geom, cox), rows in parts.items()]
+
+
+def _residuals(params: OtftParams, groups, i_scale: float):
+    """asinh residuals over the groups and the model currents behind them.
+
+    Each group takes one contact-resistance solve over its whole batch.
+    """
+    im = np.concatenate([
+        model.drain_current_with_contacts(params.replace(geom=g.geom, cox=g.cox),
+                                          g.vg, g.vd)
+        for g in groups])
+    meas = np.concatenate([g.i for g in groups])
+    return np.arcsinh(im / i_scale) - np.arcsinh(meas / i_scale), im
+
+
+def _jacobian(params: OtftParams, fields, groups, im, i_scale: float) -> np.ndarray:
+    """Exact d(residual)/d(field) at the point whose model currents are ``im``.
+
+    Each current solves I = f(vg - I*rc/2, vd - I*rc; theta).  Implicit
+    differentiation gives dI/dtheta = f_theta / (1 + rc*(gm/2 + gds)), with
+    f and its derivatives taken by one kernel call at the internal bias;
+    rc acts through the bias alone, so f_rc = -I*(gm/2 + gds).  The chain
+    rule through asinh(I/i_scale) divides each row by hypot(I, i_scale).
+    """
+    cols = []
+    start = 0
+    for g in groups:
+        p = params.replace(geom=g.geom, cox=g.cox)
+        i = im[start:start + g.vg.size]
+        start += g.vg.size
+        f = model.sensitivities(p, g.vg - i * (0.5 * p.rc), g.vd - i * p.rc)
+        gc = 0.5 * f[1] + f[2]
+        df = {"mu0": i / p.mu0, "vth": -f[1], "ss": f[3], "gamma": f[4],
+              "lam": f[5], "rc": -i * gc}
+        cols.append(np.stack([df[k] for k in fields], axis=1)
+                    / (1.0 + p.rc * gc)[:, None])
+    return np.concatenate(cols) / np.hypot(im, i_scale)[:, None]
 
 
 def initial_guess(sweeps, polarity: str, vth: float | None) -> OtftParams:
@@ -454,9 +505,20 @@ def fit_model(sweeps: list[IvSweep], polarity: str = "p",
               config: FitConfig | None = None) -> FitResult:
     """Fit {mu0, rc, ss, lambda, gamma} (+ vth unless fixed) to the sweeps.
 
-    Damped least squares on asinh-scaled residuals: trust factor multiplied
-    by 10 on rejection, divided by 10 on acceptance.  Raises FitError with
-    the best-so-far result if 200 iterations pass without convergence.
+    Levenberg-Marquardt on asinh-scaled residuals, with Marquardt's
+    diagonal scaling: the damping is multiplied by 10 on a rejected step
+    and divided by 10 on an accepted one.  Sweeps sharing geometry and cox
+    form one bias batch, so a residual pass makes one contact-resistance
+    solve per batch.  The Jacobian is exact: one kernel call per batch at
+    the accepted point, differentiated implicitly through the contact
+    solve (see ``_jacobian``).  A parameter on its bound whose descent
+    direction points out of the box is held for that iteration (its column
+    is zeroed); every other step is clipped to the bounds.  Converges on
+    two successive accepted steps that lower the cost by at most ``ftol``
+    relative, or on a rejected step whose linearized gain is at most
+    ``ftol`` relative (more damping cannot gain more); stagnates when no
+    damping gives a lower cost.  Raises FitError with the best-so-far
+    result if ``max_iters`` iterations pass without convergence.
     """
     cfg = config or FitConfig()
     if not any(s.kind == "transfer" for s in sweeps):
@@ -465,22 +527,18 @@ def fit_model(sweeps: list[IvSweep], polarity: str = "p",
         raise ExtractionError("fit needs at least one output sweep")
     fields = [f for f in FIT_FIELDS if not (f == "vth" and vth is not None)]
     params = initial_guess(sweeps, polarity, vth)
+    groups = _bias_groups(sweeps)
+    lo = np.array([_BOUNDS[f][0] for f in fields])
+    hi = np.array([_BOUNDS[f][1] for f in fields])
 
     sig = np.concatenate([np.arcsinh(s.i / cfg.i_scale) for s in sweeps])
     sig_rms = math.sqrt(float(np.mean(sig ** 2))) or 1.0
 
-    def clamp(vec):
-        out = vec.copy()
-        for j, f in enumerate(fields):
-            lo, hi = _BOUNDS[f]
-            out[j] = min(max(out[j], lo), hi)
-        return out
-
     def with_vec(vec):
         return params.replace(**{f: float(vec[j]) for j, f in enumerate(fields)})
 
-    vec = clamp(np.array([getattr(params, f) for f in fields]))
-    r = _residuals(with_vec(vec), sweeps, cfg.i_scale)
+    vec = np.clip(np.array([getattr(params, f) for f in fields]), lo, hi)
+    r, im = _residuals(with_vec(vec), groups, cfg.i_scale)
     cost = float(r @ r)
     lam_lm = cfg.lm_lambda0
     small_steps = 0
@@ -493,21 +551,19 @@ def fit_model(sweeps: list[IvSweep], polarity: str = "p",
             rms_frac=math.sqrt(cost / r.size) / sig_rms,
             iterations=iterations, converged=converged, message=msg,
             cost_history=tuple(history),
+            at_bound=tuple(f for j, f in enumerate(fields)
+                           if vec[j] <= lo[j] or vec[j] >= hi[j]),
         )
 
     for iterations in range(1, cfg.max_iters + 1):
-        jac = np.empty((r.size, len(fields)))
-        for j, f in enumerate(fields):
-            delta = max(_FD_REL[f] * abs(vec[j]), _FD_ABS[f])
-            pert = vec.copy()
-            pert[j] = min(max(pert[j] + delta, _BOUNDS[f][0]), _BOUNDS[f][1])
-            actual = pert[j] - vec[j]
-            if actual == 0.0:
-                pert[j] = vec[j] - delta
-                actual = -delta
-            jac[:, j] = (_residuals(with_vec(pert), sweeps, cfg.i_scale) - r) / actual
-        jtj = jac.T @ jac
+        jac = _jacobian(with_vec(vec), fields, groups, im, cfg.i_scale)
         jtr = jac.T @ r
+        # hold each parameter on a bound that the descent direction -jtr leaves
+        held = np.flatnonzero(((vec <= lo) & (jtr > 0.0)) | ((vec >= hi) & (jtr < 0.0)))
+        jac[:, held] = 0.0
+        jtr[held] = 0.0
+        jtj = jac.T @ jac
+        jtj[held, held] = 1.0
         diag = np.maximum(np.diag(jtj), 1e-300)
         accepted = False
         while lam_lm <= cfg.lm_lambda_max:
@@ -516,17 +572,21 @@ def fit_model(sweeps: list[IvSweep], polarity: str = "p",
             except np.linalg.LinAlgError:
                 lam_lm *= cfg.lm_factor
                 continue
-            trial = clamp(vec + step)
-            rt = _residuals(with_vec(trial), sweeps, cfg.i_scale)
+            trial = np.clip(vec + step, lo, hi)
+            rt, it = _residuals(with_vec(trial), groups, cfg.i_scale)
             ct = float(rt @ rt)
             if ct < cost:
                 gain = cost - ct
-                vec, r, cost = trial, rt, ct
+                vec, r, im, cost = trial, rt, it, ct
                 history.append(cost)
                 lam_lm = max(lam_lm / cfg.lm_factor, 1e-14)
                 accepted = True
                 small_steps = small_steps + 1 if gain <= cfg.ftol * max(cost, 1e-300) else 0
                 break
+            dv = trial - vec
+            if -(dv @ (2.0 * jtr + jtj @ dv)) <= cfg.ftol * cost:
+                # more damping only shrinks the step, so no step can gain more
+                return result(True, "converged: predicted gain below ftol")
             lam_lm *= cfg.lm_factor
         if not accepted:
             return result(True, "stagnated: no decreasing step")

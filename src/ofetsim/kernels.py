@@ -35,9 +35,16 @@ _VOV_FLOOR = 1e-30
 def otft_eval(vgs, vds, sign, kwl, mu0, vthn, ss, gamma, lam, order, out=None):
     """Drain current and small-signal derivatives for a batch of devices.
 
-    Parameters are 1-d float64 arrays of equal length.  Returns a (3, n)
-    array: rows are drain current, d(id)/d(vgs) and d(id)/d(vds), all in the
-    external sign convention of the device polarity.
+    ``vgs`` and ``vds`` are 1-d float64 arrays of equal length; every other
+    parameter is such an array or a scalar shared by the whole batch.  Pass
+    the exponents ``gamma`` and ``order`` as arrays to match a per-device
+    call bit for bit: for a scalar exponent of 0.5, 2 or -1 numpy computes
+    a power with sqrt, square or reciprocal, which round differently.
+    Returns ``out``, by default a new (3, n) array: rows are drain current,
+    d(id)/d(vgs) and d(id)/d(vds).  Given a (6, n) ``out``, rows 3-5 receive
+    d(id)/d(ss), d(id)/d(gamma) and d(id)/d(lam) as well.  All rows are in
+    the external sign convention of the device polarity and are 0 for a
+    device in cutoff.
     """
     if out is None:
         out = np.empty((3, vgs.shape[0]))
@@ -71,7 +78,8 @@ def otft_eval(vgs, vds, sign, kwl, mu0, vthn, ss, gamma, lam, order, out=None):
     kmu = kwl * mu
     i0 = kmu * f
     idr = i0 * lamf
-    gm = kwl * (dmu * f + mu * df_dvov) * sig * lamf
+    kg = kwl * (dmu * f + mu * df_dvov)
+    gm = kg * sig * lamf
     gds = kmu * df_dvd * lamf + i0 * lam
     idr_s = np.where(swapped, -idr, idr)
     gds_s = np.where(swapped, gm + gds, gds)
@@ -79,4 +87,14 @@ def otft_eval(vgs, vds, sign, kwl, mu0, vthn, ss, gamma, lam, order, out=None):
     out[0] = np.where(cut, 0.0, sign * idr_s)
     out[1] = np.where(cut, 0.0, gm_s)
     out[2] = np.where(cut, 0.0, gds_s)
+    if out.shape[0] == 6:
+        # ss and gamma act through phi: d(vov)/d(phi) = softplus(u) - u*sigmoid(u),
+        # written as log1p(e) + |u|*e/(1+e) with e = exp(-|u|) to avoid cancellation
+        au = np.abs(u)
+        e = np.exp(-au)
+        did_dphi = kg * lamf * (np.log1p(e) + au * e / (1.0 + e)) / LN10
+        psign = np.where(cut, 0.0, np.where(swapped, -sign, sign))
+        out[3] = psign * did_dphi * (2.0 + gamma)
+        out[4] = psign * (did_dphi * ss + idr * np.log(vov))
+        out[5] = psign * i0 * vd
     return out

@@ -124,7 +124,7 @@ class OtftParams:
         return dataclasses.replace(self, **changes)
 
 
-def _eval_batch(p: OtftParams, vgs, vds) -> tuple[np.ndarray, tuple]:
+def _eval_batch(p: OtftParams, vgs, vds, rows: int = 3) -> tuple[np.ndarray, tuple]:
     vg = np.asarray(vgs, dtype=float)
     vd = np.asarray(vds, dtype=float)
     if not (np.all(np.isfinite(vg)) and np.all(np.isfinite(vd))):
@@ -132,18 +132,13 @@ def _eval_batch(p: OtftParams, vgs, vds) -> tuple[np.ndarray, tuple]:
     vg, vd = np.broadcast_arrays(vg, vd)
     shape = vg.shape
     n = vg.size
-    full = np.full
+    # the exponents gamma and order stay arrays: see kernels.otft_eval
     out = kernels.otft_eval(
         np.ascontiguousarray(vg.ravel(), dtype=float),
         np.ascontiguousarray(vd.ravel(), dtype=float),
-        full(n, p.sign),
-        full(n, p.geom.w / p.geom.l * p.cox),
-        full(n, p.mu0),
-        full(n, p.sign * p.vth),
-        full(n, p.ss),
-        full(n, p.gamma),
-        full(n, p.lam),
-        full(n, p.order),
+        p.sign, p.geom.w / p.geom.l * p.cox, p.mu0, p.sign * p.vth,
+        p.ss, np.full(n, p.gamma), p.lam, np.full(n, p.order),
+        out=np.empty((rows, n)),
     )
     return out, shape
 
@@ -170,6 +165,16 @@ def output_conductance(p: OtftParams, vgs, vds):
     """Analytic d(id)/d(vds) at fixed vgs."""
     out, shape = _eval_batch(p, vgs, vds)
     return _shaped(out[2], shape)
+
+
+def sensitivities(p: OtftParams, vgs, vds) -> np.ndarray:
+    """Intrinsic current and its derivatives as a (6, n) array over flat biases.
+
+    Rows: drain current, d/d(vgs), d/d(vds), d/d(ss), d/d(gamma), d/d(lam).
+    The current depends on mu0 linearly and on vth through vgs - vth, so
+    d/d(mu0) = id/mu0 and d/d(vth) = -d/d(vgs) need no row of their own.
+    """
+    return _eval_batch(p, vgs, vds, rows=6)[0]
 
 
 def drain_current_with_contacts(p: OtftParams, vgs, vds, tol: float = 1e-14, max_iter: int = 100):

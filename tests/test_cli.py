@@ -90,9 +90,10 @@ def test_fit_needs_both_sweep_kinds(tmp_path, capsys):
     assert "transfer and output" in capsys.readouterr().err
 
 
-def test_fit_reference_device(tmp_path):
+def test_fit_reference_device(tmp_path, capsys):
     out = tmp_path / "o"
-    assert main(["fit", REFERENCE, "--out", str(out)]) == 0
+    assert main(["fit", REFERENCE, "--out", str(out), "-v"]) == 0
+    assert "iterations, at bound: gamma" in capsys.readouterr().err
     c = netlist.parse((out / "cards.cir").read_text())
     assert len(c.models) == 1
     card = c.models[0][1]

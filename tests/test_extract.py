@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import ref_params, synth_output, synth_transfer
-from ofetsim import extract
+from ofetsim import extract, fixtures, kernels
 from ofetsim.extract import (
     FitError,
     IvSweep,
@@ -27,7 +27,7 @@ from ofetsim.extract import (
     tlm_contact_resistance,
     write_iv_csv,
 )
-from ofetsim.model import drain_current_with_contacts
+from ofetsim.model import DeviceGeometry, OtftParams, drain_current_with_contacts
 
 
 # -- round trips -------------------------------------------------------------
@@ -85,6 +85,84 @@ def test_fit_with_held_threshold():
     sweeps = [synth_transfer(p, vds=-30.0), synth_output(p, vgs=-30.0)]
     res = fit_model(sweeps, polarity="p", vth=p.vth)
     assert res.params.vth == p.vth
+
+
+# finite-difference step floors for parameters that may sit at or near 0
+_FD_FLOOR = {"vth": 1.0, "gamma": 0.1, "rc": 1e4}
+
+
+@pytest.mark.parametrize("rc", [30e3, 0.0])
+@pytest.mark.parametrize("gamma", [0.0, 0.2])
+@pytest.mark.parametrize("held_vth", [False, True])
+def test_fit_jacobian_matches_differences(rc, gamma, held_vth):
+    # the implicit-differentiation Jacobian against differences of the
+    # residuals through the contact solve; two geometries make two batches
+    p = ref_params(rc=rc, gamma=gamma, mu0=2.2e-5, vth=-0.7, ss=0.2, lam=0.02)
+    short = p.replace(geom=DeviceGeometry(w=380e-6, l=10e-6, lov=5e-6))
+    sweeps = [synth_transfer(p, vds=-30.0), synth_transfer(p, vds=-2.0),
+              synth_output(p, vgs=-20.0), synth_output(short, vgs=-30.0)]
+    groups = extract._bias_groups(sweeps)
+    assert [g.vg.size for g in groups] == [303, 61]
+    fields = [f for f in extract.FIT_FIELDS if not (held_vth and f == "vth")]
+    r, im = extract._residuals(p, groups, 1e-9)
+    jac = extract._jacobian(p, fields, groups, im, 1e-9)
+    assert jac.shape == (r.size, len(fields))
+    for j, f in enumerate(fields):
+        x = getattr(p, f)
+        h = 1e-5 * max(abs(x), _FD_FLOOR.get(f, 0.0))
+
+        def res(d):
+            return extract._residuals(p.replace(**{f: x + d}), groups, 1e-9)[0]
+
+        if x == 0.0:  # on the lower bound: one-sided, second order
+            fd = (-3.0 * r + 4.0 * res(h) - res(2.0 * h)) / (2.0 * h)
+        else:
+            fd = (res(h) - res(-h)) / (2.0 * h)
+        assert np.abs(jac[:, j] - fd).max() <= 1e-6 * np.abs(fd).max(), f
+
+
+def test_fit_converges_where_gamma_trades_off_rc(tmp_path):
+    # gamma 0.26 and rc 22.75 kOhm with 0.5 % + 0.15 pA noise from stream 0:
+    # clamping after each step crawled along a bound and ran out of
+    # iterations here; holding bound-pinned parameters converges
+    card = OtftParams(polarity="p", mu0=2.2565e-5, vth=-0.69167, ss=0.18548,
+                      lam=0.016665, gamma=0.26478, rc=22750.0, cox=3.5e-4,
+                      geom=DeviceGeometry(w=380e-6, l=35e-6, lov=5e-6))
+    rng = np.random.default_rng(0)
+
+    def noisy(i):
+        return i * (1.0 + 0.005 * rng.standard_normal(i.shape)) \
+            + 1.5e-13 * rng.standard_normal(i.shape)
+
+    v = np.arange(0.0, -30.25, -0.25)
+    sweeps = [IvSweep("transfer", "d", card.geom, card.cox, -30.0, v,
+                      noisy(drain_current_with_contacts(card, v, -30.0)))]
+    v = np.arange(0.0, -30.5, -0.5)
+    for vgs in (-10.0, -20.0, -30.0):
+        sweeps.append(IvSweep("output", "d", card.geom, card.cox, vgs, v,
+                              noisy(drain_current_with_contacts(card, vgs, v))))
+    path = tmp_path / "iv.csv"
+    write_iv_csv(path, sweeps)
+    sweeps = read_iv_csv(path)
+    res = fit_model(sweeps, polarity="p")
+    assert res.converged and res.iterations < 20
+    r, _ = extract._residuals(card, extract._bias_groups(sweeps), 1e-9)
+    assert res.cost <= float(r @ r)
+
+
+def test_reference_fit_kernel_budget(monkeypatch):
+    calls = []
+    kernel = kernels.otft_eval
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "otft_eval", counted)
+    res = fit_model(read_iv_csv(fixtures.path("reference_p_iv.csv")), polarity="p")
+    assert len(calls) <= 200
+    assert res.converged
+    assert res.params.gamma == 0.0 and res.at_bound == ("gamma",)
 
 
 def test_scale_consistency():
