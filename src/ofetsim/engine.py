@@ -7,8 +7,9 @@ rc/2.  Each circuit is elaborated once into a stamp table: flat matrix and
 right-hand-side indices with sign patterns for conductors, voltage-source
 incidence, capacitor companions, the six transistor Jacobian entries and the
 drain-current injection, plus the node incidence of every branch current for
-the residual scale.  A Newton iteration applies it in three scatters, solves
-for the update and stops on that update: when every KCL residual at the point
+the residual scale.  A Newton iteration applies it in two scatters (and a
+third for the residual scale once the update is small), solves for the
+update and stops on that update: when every KCL residual at the point
 just evaluated is within abstol + reltol * (sum of |branch currents| at the
 node), or vntol + reltol * |V| on a voltage-source row, and every clipped node
 update is below vntol, it returns the point plus the update, with no further
@@ -21,6 +22,18 @@ polynomial through the last three accepted points, and each warm-started DC
 sweep point from that polynomial in the swept value; the start changes only
 the work of a solve, not its tolerances or the step control.
 
+Newton runs over a leading replica axis: B solves of one circuit, each with
+its own start, source values and capacitor companions, share every
+iteration's kernel call (over B x n_m devices), scatters, matrix product and
+stacked np.linalg.solve.  Each replica's entries keep the order of a lone
+solve, so its result is bit-identical to one; a replica leaves the stack when
+it converges or fails, and its failure record is its own.  Step doubling
+solves the full step and the first half step, which start from the same
+point, as one call of two replicas, then the second half step.  A DC sweep
+with a secondary source solves all its curves as replicas, one call per
+point; a curve whose warm start fails falls back alone to a cold DC solve.
+Every other solve is a lone call (B = 1).
+
 Waveforms serialize to CSV and to a compact little-endian binary table; both
 writers are bit-reproducible for identical inputs.
 """
@@ -29,7 +42,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -176,6 +189,7 @@ def effective_otft_params(card: OtftParams, e: Element) -> OtftParams:
 # Sign patterns of the per-element stamps, entry by entry.
 _G_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])   # conductance: (a,a) (b,b) (a,b) (b,a)
 _V_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])   # V-source: (a,k) (b,k) (k,a) (k,b)
+_I_SIGNS = np.array([-1.0, 1.0])              # I-source right-hand side: a, b
 
 
 def _ends(rows, width=2):
@@ -194,6 +208,37 @@ def _flat(dim, entries, by_element=True):
 def _pair_stamp(dim, a, b):
     """Flat indices of two-terminal conductance stamps, in _G_SIGNS order."""
     return _flat(dim, ((a, a), (b, b), (a, b), (b, a)))
+
+
+@dataclass(frozen=True)
+class _Replicas:
+    """Flat indices into the stacked arrays of nrep replicas of one circuit,
+    their card arrays and kernel output; see _System._replicas."""
+
+    m_dgs: np.ndarray        # (3, nrep * n_m) drain, gate, source
+    m_inj: np.ndarray
+    branch: np.ndarray
+    lin_a: np.ndarray
+    lin_b: np.ndarray
+    rhs_idx: np.ndarray
+    scale_idx: np.ndarray
+    m_jac: np.ndarray
+    cap_stamp: np.ndarray
+    m_par: tuple
+    out: np.ndarray          # (3, nrep * n_m) kernel output
+    cond_g: np.ndarray       # (nrep * n_g,) conductances
+    zero_g: np.ndarray       # (nrep * n_g,) zeros
+
+
+def _solve_each(a, b):
+    """Replica-by-replica solve of stacked systems, NaN for a singular one."""
+    dx = np.full(b.shape, np.nan)
+    for k in range(b.shape[0]):
+        try:
+            dx[k] = np.linalg.solve(a[k], b[k])
+        except np.linalg.LinAlgError:
+            pass
+    return dx
 
 
 class _System:
@@ -257,9 +302,10 @@ class _System:
         self.m_par = tuple(np.array(col) for col in zip(*(
             (p.sign, p.geom.w / p.geom.l * p.cox, p.mu0, p.sign * p.vth,
              p.ss, p.gamma, p.lam, p.order) for *_dgs, p in otfts)))
-        self._m_out = np.empty((3, len(otfts)))
-        # largest |residual| of the last failed Newton call, and its row
-        self.fail_residual, self.fail_row = math.nan, ""
+        self._stacks = {}
+        # per replica of the last Newton call: None, or the largest |residual|
+        # of a failed solve and its row
+        self.fail = []
 
         # The stamp table; ground is slot 0 and is sliced off at the solve.
         # Matrix and right-hand-side entries are laid out in the order the
@@ -274,101 +320,177 @@ class _System:
         self.cap_stamp = _pair_stamp(dim0, self.cap_a, self.cap_b)
         self.m_jac = _flat(dim0, ((d, d), (d, g), (d, s), (s, d), (s, g), (s, s)),
                            by_element=False)
-        self.m_inj = np.concatenate((d, s))
-        self.rhs_idx = np.concatenate((np.stack((ia, ib), axis=1).ravel(), k,
-                                       self.cap_a, self.cap_b))
-        # both ends of every branch current: conductors and capacitor
-        # companions, current sources, voltage sources, transistor channels
-        self.lin_a = np.concatenate((cond_a, self.cap_a))
-        self.lin_b = np.concatenate((cond_b, self.cap_b))
-        self.scale_idx = np.concatenate((self.lin_a, ia, va, d, self.lin_b, ib, vb, s))
+        # Vector index kinds.  A stack of replicas lays out each kind for
+        # every replica in turn, so a replica's entries keep a lone call's
+        # order and the lone call's arrays are the concatenated kinds.
+        self._kinds = dict(
+            m_inj=(d, s), branch=(k,),
+            lin_a=(cond_a, self.cap_a), lin_b=(cond_b, self.cap_b),
+            rhs_idx=(np.stack((ia, ib), axis=1).ravel(), k, self.cap_a, self.cap_b),
+            # both ends of every branch current: conductors and capacitor
+            # companions, current sources, voltage sources, transistor channels
+            scale_idx=(cond_a, self.cap_a, ia, va, d, cond_b, self.cap_b, ib, vb, s))
+        self.lin_a, self.lin_b = (np.concatenate(self._kinds[n]) for n in ("lin_a", "lin_b"))
 
-    # -- right-hand side and residual helpers --------------------------------
+    def _replicas(self, nrep):
+        """Stamp table and kernel arguments of a stack of nrep replicas.
 
-    def _source_values(self, t, alpha, overrides):
-        """Voltage-source and current-source values at t, scaled by alpha."""
-        vals = np.array([w.value(t) for w in self.waves], dtype=float)
-        for name, v in (overrides or {}).items():
-            vals[self.source_index[name]] = v
-        return alpha * vals[:self.n_branch], alpha * vals[self.n_branch:]
+        Replica r's indices move by r vectors of dim0 or r (dim0, dim0)
+        matrices into the flattened stacked arrays; the card arrays are
+        tiled, so the exponents stay arrays.
+        """
+        tab = self._stacks.get(nrep)
+        if tab is None:
+            def stack(kinds, step=self.dim0):
+                off = step * np.arange(nrep)[:, None]
+                return np.concatenate([(kind + off).ravel() for kind in kinds])
+
+            tab = self._stacks[nrep] = _Replicas(
+                **{name: stack(kinds) for name, kinds in self._kinds.items()},
+                m_dgs=np.stack([stack([m]) for m in (self.m_d, self.m_g, self.m_s)]),
+                m_jac=stack(self.m_jac.reshape(6, -1), self.dim0 ** 2),
+                cap_stamp=stack([self.cap_stamp], self.dim0 ** 2),
+                m_par=tuple(np.tile(col, nrep) for col in self.m_par),
+                out=np.empty((3, nrep * self.m_d.size)),
+                cond_g=np.tile(self.cond_g, nrep), zero_g=np.zeros(nrep * self.cond_g.size))
+        return tab
+
+    def _source_values(self, t, alpha, overrides, nrep):
+        """Voltage-source and current-source values, (nrep, n_v) and (nrep,
+        n_i), at time t scaled by alpha; t and overrides are shared or lists
+        with one entry per replica."""
+        ts = t if isinstance(t, list) else [t] * nrep
+        ovs = overrides if isinstance(overrides, list) else [overrides] * nrep
+        rows = []
+        for tk, ov in zip(ts, ovs):
+            row = [w.value(tk) for w in self.waves]
+            for name, v in (ov or {}).items():
+                row[self.source_index[name]] = v
+            rows.append(row)
+        vals = np.array(rows, dtype=float)
+        if alpha != 1.0:
+            vals *= alpha
+        return vals[:, :self.n_branch], vals[:, self.n_branch:]
 
     def newton(self, x0, t=None, alpha=1.0, gshunt=0.0,
                cap_geq=None, cap_ieq=None, src_overrides=None):
-        """Damped Newton; returns solution or None on failure.
+        """Damped Newton over a leading replica axis.
 
-        Stops on the update that converges and returns the point plus that
-        update, without evaluating the devices again.  Terms that do not
-        depend on the iterate (sources, shunts, capacitor companions,
-        branch-row tolerances) are stamped once per call; each iteration then
-        makes three scatters: drain-current injection, the residual scale and
-        the transistor Jacobian.
+        ``x0`` is one start (n,) or B starts (B, n) of this circuit.  With B
+        starts, ``t`` and ``src_overrides`` may be lists (one time, one
+        override dict per replica) and ``cap_geq``/``cap_ieq`` are (B, n_cap)
+        arrays; ``alpha`` and ``gshunt`` are shared.  Returns the solution or
+        None for one start, a list of B of them for stacked starts.
+
+        All active replicas share each iteration's work: one kernel call over
+        every replica's transistors, scatters over the stacked stamp table,
+        one stacked product and one stacked solve.  These act on each replica
+        alone and in a lone call's order, so a replica's result is
+        bit-identical to a lone call's.  A replica stops on the update that
+        converges and returns the point plus that update, without evaluating
+        the devices again; it leaves the stack then, as does a replica whose
+        solve fails.  Terms that do not depend on the iterate (sources,
+        shunts, capacitor companions, branch-row tolerances) are stamped once
+        per call, and the residual tolerances only once an update is small.
         """
         cfg = self.cfg
         dim0, nb0, nn = self.dim0, self.branch0, self.n_nodes
-        vs, cs = self._source_values(t, alpha, src_overrides)
+        x = x0 if x0.ndim == 2 else x0[None]
+        nrep = x.shape[0]
+        vs, cs = self._source_values(t, alpha, src_overrides, nrep)
+        tab = self._stacks.get(nrep) or self._replicas(nrep)
 
-        a_base = self.a_static.copy()
+        a_base = np.array([self.a_static] * nrep)
         if gshunt > 0.0:
             idx = np.arange(1, nb0)
-            a_base[idx, idx] += gshunt
+            a_base[:, idx, idx] += gshunt
         if cap_geq is None:
-            cap_geq = cap_ieq = np.zeros(self.cap_c.size)
+            cap_geq = cap_ieq = np.zeros((nrep, self.cap_c.size))
         else:
-            np.add.at(a_base.reshape(-1), self.cap_stamp,
-                      (cap_geq[:, None] * _G_SIGNS).ravel())
-        b_full = np.bincount(self.rhs_idx, np.concatenate(
-            (np.stack((-cs, cs), axis=1).ravel(), vs, cap_ieq, -cap_ieq)), dim0)
-        g_lin = np.concatenate((self.cond_g, cap_geq))
-        i0_lin = np.concatenate((np.zeros(self.cond_g.size), cap_ieq))
+            cap_geq, cap_ieq = cap_geq.reshape(nrep, -1), cap_ieq.reshape(nrep, -1)
+            np.add.at(a_base.reshape(-1), tab.cap_stamp,
+                      (cap_geq[:, :, None] * _G_SIGNS).ravel())
+        b_full = np.bincount(tab.rhs_idx, np.concatenate(
+            ((cs[:, :, None] * _I_SIGNS).ravel(), vs.ravel(), cap_ieq.ravel(),
+             -cap_ieq.ravel())), nrep * dim0).reshape(nrep, dim0, 1)
         # voltage-source rows are potential differences, not currents
         tol_branch = cfg.vntol + cfg.reltol * np.abs(vs)
 
-        x = x0
-        xfull = np.zeros(dim0)
-        idr, gm, gds = self._m_out  # rows filled in place by the kernel
+        live = range(nrep)   # replica of each stacked row
+        result = [None] * nrep
+        self.fail = [None] * nrep
+        xfull = np.zeros((nrep, dim0))
+        xfull[:, 1:] = x
+        xf, xcol = xfull.reshape(-1), xfull[:, :, None]
+        idr, gm, gds = tab.out   # rows filled in place by the kernel
         for _ in range(cfg.max_newton_iters):
-            xfull[1:] = x
             if idr.size:
-                kernels.otft_eval(xfull[self.m_g] - xfull[self.m_s],
-                                  xfull[self.m_d] - xfull[self.m_s],
-                                  *self.m_par, self._m_out)
-            f_full = a_base @ xfull - b_full
-            np.add.at(f_full, self.m_inj, np.concatenate((idr, -idr)))
-            i_br = np.concatenate((g_lin * (xfull[self.lin_a] - xfull[self.lin_b]) - i0_lin,
-                                   cs, xfull[nb0:], idr))
-            a_br = np.abs(i_br)
-            scale = np.bincount(self.scale_idx, np.concatenate((a_br, a_br)), dim0)
-            tol = cfg.abstol + cfg.reltol * scale
-            tol[nb0:] = tol_branch
+                v_d, v_g, v_s = xf[tab.m_dgs]
+                kernels.otft_eval(v_g - v_s, v_d - v_s, *tab.m_par, tab.out)
+            f_col = a_base @ xcol - b_full
+            np.add.at(f_col.reshape(-1), tab.m_inj, np.concatenate((idr, -idr)))
             jac = a_base.copy()
             gsum = gm + gds
-            np.add.at(jac.reshape(-1), self.m_jac,
+            np.add.at(jac.reshape(-1), tab.m_jac,
                       np.concatenate((gds, gm, -gsum, -gds, -gm, gsum)))
             try:
-                dx = np.linalg.solve(jac[1:, 1:], -f_full[1:])
+                dx = np.linalg.solve(jac[:, 1:, 1:], -f_col[:, 1:])[:, :, 0]
             except np.linalg.LinAlgError:
-                return self._failed(f_full)
-            if not np.isfinite(dx).all():
-                return self._failed(f_full)
-            dx[:nn] = np.minimum(np.maximum(dx[:nn], -cfg.damping), cfg.damping)
-            x = x + dx
-            if (np.abs(dx[:nn]) < cfg.vntol).all() and (np.abs(f_full[1:]) <= tol[1:]).all():
-                return x
-        return self._failed(f_full)
+                dx = _solve_each(jac[:, 1:, 1:], -f_col[:, 1:, 0])
+            finite = np.isfinite(dx).all(axis=1).tolist()
+            dxn = dx[:, :nn]
+            np.minimum(np.maximum(dxn, -cfg.damping, out=dxn), cfg.damping, out=dxn)
+            conv = (np.abs(dxn) < cfg.vntol).all(axis=1).tolist()
+            if True in conv:
+                # residuals at the point just evaluated, against their tolerances
+                g_lin = np.concatenate((tab.cond_g, cap_geq.ravel()))
+                i0_lin = np.concatenate((tab.zero_g, cap_ieq.ravel()))
+                i_br = np.concatenate((g_lin * (xf[tab.lin_a] - xf[tab.lin_b]) - i0_lin,
+                                       cs.ravel(), xf[tab.branch], idr))
+                a_br = np.abs(i_br)
+                scale = np.bincount(tab.scale_idx, np.concatenate((a_br, a_br)), xf.size)
+                tol = (cfg.abstol + cfg.reltol * scale).reshape(xfull.shape)
+                tol[:, nb0:] = tol_branch
+                within = (np.abs(f_col[:, 1:, 0]) <= tol[:, 1:]).all(axis=1).tolist()
+                conv = [a and b for a, b in zip(conv, within)]
+            xfull[:, 1:] += dx
+            if True in conv or False in finite:
+                keep = []
+                for k, (ok, fin) in enumerate(zip(conv, finite)):
+                    if not fin:
+                        self._failed(live[k], f_col[k, :, 0])
+                    elif ok:
+                        result[live[k]] = xfull[k, 1:]   # a row not written again
+                    else:
+                        keep.append(k)
+                if not keep:
+                    break
+                live = [live[k] for k in keep]
+                if keep[-1] - keep[0] == len(keep) - 1:   # a run of rows: views
+                    keep = slice(keep[0], keep[-1] + 1)
+                xfull, f_col, a_base, b_full, cs, cap_geq, cap_ieq, tol_branch = (
+                    a[keep] for a in (xfull, f_col, a_base, b_full, cs, cap_geq, cap_ieq,
+                                      tol_branch))
+                tab = self._replicas(len(live))
+                xf, xcol = xfull.reshape(-1), xfull[:, :, None]
+                idr, gm, gds = tab.out
+        else:
+            for k, rep in enumerate(live):
+                self._failed(rep, f_col[k, :, 0])
+        return result if x0.ndim == 2 else result[0]
 
-    def _failed(self, f_full):
-        """Record the largest |residual| of a failed Newton call and its row."""
+    def _failed(self, rep, f_full):
+        """Record the largest |residual| of a replica's failed Newton solve and its row."""
         r = int(np.argmax(np.abs(f_full[1:]))) + 1
-        self.fail_residual = float(abs(f_full[r]))
-        self.fail_row = (f"node {self.unknown_names[r]}" if r < self.branch0
-                         else f"i({self.vsource_names[r - self.branch0]})")
-        return None
+        self.fail[rep] = (float(abs(f_full[r])),
+                          f"node {self.unknown_names[r]}" if r < self.branch0
+                          else f"i({self.vsource_names[r - self.branch0]})")
 
     def error(self, message, at):
-        """ConvergenceError for the last failed Newton call."""
-        return ConvergenceError(
-            f"{message}; largest residual {self.fail_residual:.3g} at {self.fail_row}",
-            residual=self.fail_residual, at=at)
+        """ConvergenceError for the first replica that failed in the last Newton call."""
+        residual, row = next(f for f in self.fail if f is not None)
+        return ConvergenceError(f"{message}; largest residual {residual:.3g} at {row}",
+                                residual=residual, at=at)
 
     def solve_dc(self, x0=None, t=None, src_overrides=None, context="dc operating point"):
         """Newton with gmin-ladder and source-stepping fallbacks."""
@@ -450,39 +572,60 @@ def dc_sweep(c: Circuit, directive: DcSweep, cfg: SolverConfig | None = None):
     list of Waveforms (one per secondary value, labeled `src2=value`).
     """
     cfg = cfg or SolverConfig()
-    if directive.source2 is not None:
-        if directive.source2.lower() == directive.source.lower():
-            raise ValueError(
-                f"dc sweep: secondary source {directive.source2!r} is the swept source")
-        outer = _sweep_values(directive.start2, directive.stop2, directive.step2)
-        prim = replace(directive, source2=None, start2=None, stop2=None, step2=None)
-        return [_dc_sweep_single(c, prim, cfg, extra={directive.source2: float(val2)},
-                                 label=f"{directive.source2}={val2:g}")
-                for val2 in outer]
-    return _dc_sweep_single(c, directive, cfg)
+    if directive.source2 is None:
+        return _dc_sweep_curves(c, directive, cfg, [{}], [""])[0]
+    if directive.source2.lower() == directive.source.lower():
+        raise ValueError(
+            f"dc sweep: secondary source {directive.source2!r} is the swept source")
+    outer = _sweep_values(directive.start2, directive.stop2, directive.step2)
+    return _dc_sweep_curves(c, directive, cfg,
+                            [{directive.source2.lower(): float(v)} for v in outer],
+                            [f"{directive.source2}={v:g}" for v in outer])
 
 
-def _dc_sweep_single(c, d, cfg, extra=None, label=""):
+def _dc_sweep_curves(c, d, cfg, extras, labels):
+    """One Waveform per curve: d.source swept with that curve's fixed source
+    overrides.  The curves are the replicas of one Newton call per point; a
+    curve whose warm start fails falls back alone to a cold DC solve, and a
+    curve that fails there leaves the sweep, whose error is raised once the
+    other curves are done, so the first failing curve is the one reported."""
     sys = _System(c, cfg)
     src = d.source.lower()
-    extra = {k.lower(): v for k, v in (extra or {}).items()}
-    for name in (src, *extra):
+    for name in (src, *extras[0]):
         if name not in sys.source_index:
             raise KeyError(f"dc sweep: unknown source {name!r}")
     values = _sweep_values(d.start, d.stop, d.step)
-    rows = np.empty((values.size, sys.dim0 - 1))
-    for i, val in enumerate(values):
-        overrides = {src: float(val), **extra}
+    rows = np.zeros((values.size, len(extras), sys.dim0 - 1))
+    live = list(range(len(extras)))   # curves that have not failed
+    errors = {}
+    points = values.tolist()
+    for i, val in enumerate(points):
+        overrides = [{src: val, **extras[k]} for k in live]
         # start from the curve through the last points; cold DC solve on the
         # first point or on failure
-        x = sys.newton(_extrapolate(values[:i], rows[:i], val),
-                       src_overrides=overrides) if i else None
-        if x is None:
-            x = sys.solve_dc(src_overrides=overrides,
-                             context=f"dc sweep at {d.source}={val:g}")
-        rows[i] = x
-    return Waveform(axis_name=src, axis=values, columns=sys.columns_of(rows),
-                    label=label)
+        if i:
+            lo = max(i - 3, 0)
+            x0 = _extrapolate(points[lo:i], rows[lo:i], val)
+            xs = sys.newton(x0 if len(live) == len(extras) else x0[live],
+                            src_overrides=overrides)
+        else:
+            xs = [None] * len(live)
+        for k, ov, x in zip(list(live), overrides, xs):
+            if x is None:
+                try:
+                    x = sys.solve_dc(src_overrides=ov,
+                                     context=f"dc sweep at {d.source}={val:g}")
+                except ConvergenceError as e:
+                    errors[k] = e
+                    live.remove(k)
+                    continue
+            rows[i, k] = x
+        if not live:
+            break
+    if errors:
+        raise errors[min(errors)]
+    return [Waveform(axis_name=src, axis=values, columns=sys.columns_of(rows[:, k]),
+                     label=label) for k, label in enumerate(labels)]
 
 
 def transient(c: Circuit, directive: Tran, cfg: SolverConfig | None = None,
@@ -519,20 +662,26 @@ def transient(c: Circuit, directive: Tran, cfg: SolverConfig | None = None,
         xfull = np.concatenate(([0.0], xv))
         return xfull[sys.cap_a] - xfull[sys.cap_b]
 
-    def step_once(x_in, i_in, t_new, h, method):
+    def companion(x_in, i_in, h, method):
         if method == "be":
             geq = cap_c / h
-            ieq = geq * vab(x_in)
-        else:
-            geq = 2.0 * cap_c / h
-            ieq = geq * vab(x_in) + i_in
+            return geq, geq * vab(x_in)
+        geq = 2.0 * cap_c / h
+        return geq, geq * vab(x_in) + i_in
+
+    def steps_from(x_in, i_in, steps, method):
+        """Solve the steps [(t_new, h), ...] that all start at (x_in, i_in) as
+        replicas of one Newton call; (state, capacitor currents) or None each."""
+        comp = [companion(x_in, i_in, h, method) for _t, h in steps]
         # start from x_in moved along the curve through the accepted points
-        x0 = x_in + (_extrapolate(times, states, t_new)
-                     - _extrapolate(times, states, t_new - h))
-        xn = sys.newton(x0, t=t_new, cap_geq=geq, cap_ieq=ieq)
-        if xn is None:
-            return None, None
-        return xn, geq * vab(xn) - ieq
+        x0 = np.array([x_in + (_extrapolate(times, states, t_new)
+                               - _extrapolate(times, states, t_new - h))
+                       for t_new, h in steps])
+        xs = sys.newton(x0, t=[t_new for t_new, _h in steps],
+                        cap_geq=np.array([geq for geq, _ieq in comp]),
+                        cap_ieq=np.array([ieq for _geq, ieq in comp]))
+        return [None if xn is None else (xn, geq * vab(xn) - ieq)
+                for xn, (geq, ieq) in zip(xs, comp)]
 
     times = [0.0]
     states = [x.copy()]
@@ -544,38 +693,38 @@ def transient(c: Circuit, directive: Tran, cfg: SolverConfig | None = None,
         while t < stop - 1e-9 * h:
             h_eff = min(h, stop - t)
             method = "be" if (first_be and t == 0.0) else cfg.method
-            xn, cin = step_once(x, cap_i, t + h_eff, h_eff, method)
-            if xn is None:
+            (done,) = steps_from(x, cap_i, [(t + h_eff, h_eff)], method)
+            if done is None:
                 raise sys.error(f"transient: no convergence at t={t + h_eff:g}",
                                 at=t + h_eff)
-            x, cap_i = xn, cin
+            x, cap_i = done
             t += h_eff
             times.append(t)
             states.append(x.copy())
     else:
         h = min(directive.step, stop / 1000.0, max_h)
         order = 1 if cfg.method == "be" else 2
+        nn = sys.n_nodes
         while t < stop - 1e-15 * stop:
             h = min(max(h, cfg.min_step), max_h, stop - t)
             method = "be" if (first_be and t == 0.0) else cfg.method
-            # one full step and two half steps, each only if the last converged
-            xf, _ = step_once(x, cap_i, t + h, h, method)
-            xh1, ci1 = (None, None) if xf is None else step_once(
-                x, cap_i, t + 0.5 * h, 0.5 * h, method)
-            xh2, ci2 = (None, None) if xh1 is None else step_once(
-                xh1, ci1, t + h, 0.5 * h, method)
-            if xh2 is None:
+            # the full step and the first half step, both from x, as one
+            # call; then the second half step
+            full, half = steps_from(x, cap_i, [(t + h, h), (t + 0.5 * h, 0.5 * h)],
+                                    method)
+            if full is not None and half is not None:
+                (half,) = steps_from(*half, [(t + h, 0.5 * h)], method)
+            if full is None or half is None:
                 h *= 0.5
                 if h < cfg.min_step:
                     raise sys.error(f"transient: step underflow at t={t:g}", at=t)
                 continue
-            nn = sys.n_nodes
-            diff = np.abs(xh2[:nn] - xf[:nn])
-            denom = cfg.lte_tol * (1.0 + np.abs(xh2[:nn]))
-            eta = float(np.max(diff / denom)) if nn else 0.0
+            xf, xh2 = full[0], half[0]
+            ratio = np.abs(xh2[:nn] - xf[:nn]) / (cfg.lte_tol * (1.0 + np.abs(xh2[:nn])))
+            eta = float(np.max(ratio)) if nn else 0.0
             if eta <= 1.0:
                 t += h
-                x, cap_i = xh2, ci2
+                x, cap_i = half
                 first_be = False
                 times.append(t)
                 states.append(x.copy())
@@ -585,8 +734,10 @@ def transient(c: Circuit, directive: Tran, cfg: SolverConfig | None = None,
                 shrink = max(0.2, 0.9 * eta ** (-1.0 / (order + 1)))
                 h *= min(shrink, 0.9)
                 if h < cfg.min_step:
+                    worst = sys.unknown_names[int(np.argmax(ratio)) + 1]
                     raise ConvergenceError(
-                        f"transient: step underflow at t={t:g}", at=t)
+                        f"transient: step underflow at t={t:g}; largest LTE ratio "
+                        f"{eta:.3g} at node {worst}", at=t)
     xs = np.vstack(states)
     return Waveform(axis_name="time", axis=np.array(times), columns=sys.columns_of(xs))
 

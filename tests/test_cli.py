@@ -5,11 +5,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import ofetsim
 from ofetsim import analyses, fixtures, netlist
 from ofetsim.cli import main
 
@@ -263,7 +266,11 @@ def test_out_dir_is_only_write_target(tmp_path, monkeypatch):
 
 
 def test_module_entry_point():
+    # the child must import the same package, installed or not
+    src = str(pathlib.Path(ofetsim.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     r = subprocess.run([sys.executable, "-m", "ofetsim", "--help"],
-                       capture_output=True, text=True)
+                       capture_output=True, text=True, env=env)
     assert r.returncode == 0
     assert "extract" in r.stdout and "reproduce" in r.stdout

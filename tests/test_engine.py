@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -381,7 +382,9 @@ def test_ring_step_kernel_calls(kernel_calls):
     w = transient(c, netlist.Tran(step=1.0 / (50.0 * f), stop=2.0 / f), SolverConfig())
     steps = w.axis.size - 1
     assert steps == 193
-    assert kernel_calls[0] <= 11 * steps
+    # the full and first half steps share one stacked call: 6.83 per step,
+    # against 9.50 with three lone calls per attempt
+    assert kernel_calls[0] <= 8 * steps
 
 
 @pytest.mark.parametrize("name,sweep", [
@@ -394,6 +397,244 @@ def test_sweep_point_kernel_calls(name, sweep, kernel_calls):
     c = netlist.parse(fixtures.read(name))
     w = dc_sweep(c, sweep or c.analyses[0], SolverConfig())
     assert kernel_calls[0] <= 1.6 * w.axis.size
+
+
+def test_cmos_vdd_sweep_kernel_calls(kernel_calls):
+    # the three supply curves are replicas of one stacked call per point:
+    # 0.572 calls per point over all curves, against 1.35 curve by curve
+    c = netlist.parse(fixtures.read("inverter_cmos.cir"))
+    ws = dc_sweep(c, netlist.DcSweep("vin", 0.0, 7.0, 0.01, "vdd", 3.0, 7.0, 2.0))
+    points = sum(w.axis.size for w in ws)
+    assert points == 3 * 701
+    assert kernel_calls[0] <= 0.7 * points
+
+
+# -- replica axis: stacked solves against lone-call references ----------------
+
+
+def _same_waveform(a, b):
+    assert a.axis_name == b.axis_name and a.label == b.label
+    assert np.array_equal(a.axis, b.axis)
+    assert a.names == b.names
+    for name in a.names:
+        assert np.array_equal(a.columns[name], b.columns[name]), name
+
+
+def _serial_transient(c, d, cfg, ic=None):
+    """Adaptive step-doubling with its three Newton calls per attempt made
+    one at a time: the reference for the stacked full and first half step."""
+    sys = engine._System(c, cfg)
+    stop = d.stop
+    max_h = d.max_step if d.max_step is not None else d.step
+    if ic is None:
+        x, first_be = sys.solve_dc(t=0.0), False
+    else:
+        x, first_be = np.zeros(sys.dim0 - 1), True
+        for name, v in ic.items():
+            x[sys.node_index[name] - 1] = v
+    cap_i = np.zeros(sys.cap_c.size)
+
+    def vab(xv):
+        xfull = np.concatenate(([0.0], xv))
+        return xfull[sys.cap_a] - xfull[sys.cap_b]
+
+    def step_once(x_in, i_in, t_new, h, method):
+        if method == "be":
+            geq = sys.cap_c / h
+            ieq = geq * vab(x_in)
+        else:
+            geq = 2.0 * sys.cap_c / h
+            ieq = geq * vab(x_in) + i_in
+        x0 = x_in + (engine._extrapolate(times, states, t_new)
+                     - engine._extrapolate(times, states, t_new - h))
+        xn = sys.newton(x0, t=t_new, cap_geq=geq, cap_ieq=ieq)
+        return (None, None) if xn is None else (xn, geq * vab(xn) - ieq)
+
+    times, states, t = [0.0], [x.copy()], 0.0
+    h = min(d.step, stop / 1000.0, max_h)
+    order = 1 if cfg.method == "be" else 2
+    nn = sys.n_nodes
+    while t < stop - 1e-15 * stop:
+        h = min(max(h, cfg.min_step), max_h, stop - t)
+        method = "be" if (first_be and t == 0.0) else cfg.method
+        xf, _ = step_once(x, cap_i, t + h, h, method)
+        xh1, ci1 = (None, None) if xf is None else step_once(
+            x, cap_i, t + 0.5 * h, 0.5 * h, method)
+        xh2, ci2 = (None, None) if xh1 is None else step_once(
+            xh1, ci1, t + h, 0.5 * h, method)
+        if xh2 is None:
+            h *= 0.5
+            assert h >= cfg.min_step
+            continue
+        diff = np.abs(xh2[:nn] - xf[:nn])
+        eta = float(np.max(diff / (cfg.lte_tol * (1.0 + np.abs(xh2[:nn])))))
+        if eta <= 1.0:
+            t += h
+            x, cap_i = xh2, ci2
+            first_be = False
+            times.append(t)
+            states.append(x.copy())
+            grow = 2.0 if eta <= 0.0 else min(2.0, 0.9 * eta ** (-1.0 / (order + 1)))
+            h *= max(grow, 0.5)
+        else:
+            h *= min(max(0.2, 0.9 * eta ** (-1.0 / (order + 1))), 0.9)
+    return Waveform(axis_name="time", axis=np.array(times),
+                    columns=sys.columns_of(np.vstack(states)))
+
+
+def _serial_sweeps(c, d, cfg):
+    """One warm-started sweep per secondary value, each on its own system and
+    with lone Newton calls: the reference for the stacked secondary sweep."""
+    out = []
+    for val2 in engine._sweep_values(d.start2, d.stop2, d.step2):
+        sys = engine._System(c, cfg)
+        values = engine._sweep_values(d.start, d.stop, d.step)
+        rows = np.empty((values.size, sys.dim0 - 1))
+        for i, val in enumerate(values):
+            ov = {d.source.lower(): float(val), d.source2.lower(): float(val2)}
+            x = sys.newton(engine._extrapolate(values[:i], rows[:i], val),
+                           src_overrides=ov) if i else None
+            if x is None:
+                x = sys.solve_dc(src_overrides=ov)
+            rows[i] = x
+        out.append(Waveform(axis_name=d.source.lower(), axis=values,
+                            columns=sys.columns_of(rows), label=f"{d.source2}={val2:g}"))
+    return out
+
+
+def test_stacked_newton_matches_lone_calls(kernel_calls):
+    # with a budget of 5 iterations, from the DC point moved by dv: 0 V
+    # converges on iteration 1, 0.1 V on 3, 1.4 V on 5 (the last), 2 V runs
+    # out of iterations and a NaN start fails on its first update; the 1.4 V
+    # replica leaves the stack on the same update that exhausts the 2 V one
+    c = netlist.parse(fixtures.read("ro_pseudo_e.cir")).with_source_level("vdd", 24.0)
+    x = engine._System(c, SolverConfig()).solve_dc(t=0.0)
+    sys = engine._System(c, SolverConfig(max_newton_iters=5))
+    starts = np.stack([x + dv for dv in (1.4, 0.0, np.nan, 2.0, 0.1)])
+    lone, records, calls = [], [], []
+    for x0 in starts:
+        kernel_calls[0] = 0
+        lone.append(sys.newton(x0, t=0.0))
+        records += sys.fail
+        calls.append(kernel_calls[0])
+    assert calls == [5, 1, 1, 5, 3]
+    assert [r is None for r in lone] == [False, False, True, True, False]
+    kernel_calls[0] = 0
+    stacked = sys.newton(starts, t=[0.0] * 5)
+    assert kernel_calls[0] == 5
+    assert repr(sys.fail) == repr(records)   # the NaN start records residual nan
+    for a, b in zip(stacked, lone):
+        assert (a is None and b is None) or np.array_equal(a, b)
+
+
+def _ring24():
+    return (netlist.parse(fixtures.read("ro_pseudo_e.cir")).with_source_level("vdd", 24.0),
+            netlist.Tran(step=1.0 / (50.0 * 522.6), stop=2.0 / 522.6), None)
+
+
+@pytest.mark.parametrize("case", [
+    _ring24,
+    lambda: (netlist.parse(fixtures.read("ro_cmos.cir")),
+             netlist.Tran(step=8e-6, stop=1e-3), None),
+    lambda: (netlist.parse(fixtures.read("neuron.cir")),
+             netlist.Tran(step=5e-3, stop=0.05), None),
+    lambda: (netlist.parse(RC_NET), netlist.parse(RC_NET).analyses[0], {"out": 0.0}),
+], ids=["ro_pseudo_e_24v", "ro_cmos", "neuron", "rc"])
+def test_stacked_step_doubling_matches_serial(case):
+    c, d, ic = case()
+    cfg = SolverConfig()
+    _same_waveform(transient(c, d, cfg, ic=ic), _serial_transient(c, d, cfg, ic=ic))
+
+
+CMOS_VDDS = netlist.DcSweep("vin", 0.0, 7.0, 0.01, "vdd", 3.0, 7.0, 2.0)
+
+
+def test_stacked_secondary_sweep_matches_serial():
+    c = netlist.parse(fixtures.read("inverter_cmos.cir"))
+    got = dc_sweep(c, CMOS_VDDS, SolverConfig())
+    want = _serial_sweeps(c, CMOS_VDDS, SolverConfig())
+    assert [w.label for w in got] == ["vdd=3", "vdd=5", "vdd=7"]
+    for a, b in zip(got, want):
+        _same_waveform(a, b)
+
+
+def _diverge_first_start(monkeypatch, vdd, vin):
+    """Make the first Newton start at (vdd, vin) all NaN, stacked or lone;
+    the returned list records the replica it hit."""
+    newton = engine._System.newton
+    hit = []
+
+    def patched(self, x0, **kw):
+        ovs = kw.get("src_overrides")
+        for k, ov in enumerate(ovs if isinstance(ovs, list) else [ovs]):
+            if not hit and ov and ov.get("vdd") == vdd and ov.get("vin") == vin:
+                hit.append(k)
+                x0 = x0.copy()
+                x0[k if x0.ndim == 2 else slice(None)] = np.nan
+        return newton(self, x0, **kw)
+
+    monkeypatch.setattr(engine._System, "newton", patched)
+    return hit
+
+
+def test_failed_warm_start_falls_back_alone(monkeypatch):
+    # the 5 V curve's start at vin = 2 diverges while the 3 V and 7 V curves
+    # converge; it alone falls back to a cold solve and the stacked sweep
+    # still gives the serial answer
+    c = netlist.parse(fixtures.read("inverter_cmos.cir"))
+    d = replace(CMOS_VDDS, step=0.05)
+    hit = _diverge_first_start(monkeypatch, 5.0, 2.0)
+    want = _serial_sweeps(c, d, SolverConfig())
+    assert hit == [0]
+    hit.clear()
+    cold = []
+    solve_dc = engine._System.solve_dc
+    monkeypatch.setattr(engine._System, "solve_dc",
+                        lambda self, **kw: cold.append(kw["src_overrides"]) or solve_dc(self, **kw))
+    got = dc_sweep(c, d, SolverConfig())
+    assert hit == [1]
+    assert {"vin": 2.0, "vdd": 5.0} in cold
+    assert len(cold) == 4   # the first point of each curve, and this one
+    for a, b in zip(got, want):
+        _same_waveform(a, b)
+
+
+def test_first_failing_curve_is_reported(monkeypatch):
+    # curve order decides which failure is raised, as curve by curve
+    c = netlist.parse(fixtures.read("inverter_cmos.cir"))
+    d = replace(CMOS_VDDS, step=0.05)
+    for vdd, vin in ((7.0, 1.0), (5.0, 2.0)):
+        _diverge_first_start(monkeypatch, vdd, vin)
+    solve_dc = engine._System.solve_dc
+
+    def failing(self, src_overrides=None, **kw):
+        if src_overrides in ({"vin": 1.0, "vdd": 7.0}, {"vin": 2.0, "vdd": 5.0}):
+            raise ConvergenceError(f"failed at {src_overrides}")
+        return solve_dc(self, src_overrides=src_overrides, **kw)
+
+    monkeypatch.setattr(engine._System, "solve_dc", failing)
+    with pytest.raises(ConvergenceError, match="'vdd': 5.0"):
+        dc_sweep(c, d, SolverConfig())
+
+
+def test_step_failure_names_the_first_failed_solve():
+    # the full and first half steps fail in one stacked call; as with lone
+    # calls, the error carries the full step's residual, v2 at t = h = 1 us
+    c = netlist.parse("bad\nv1 a 0 dc 1\nv2 a 0 sin 2 1 1k\nc1 a 0 1n\n.end")
+    with pytest.raises(ConvergenceError, match=r"largest residual 2\.01 at i\(v2\)") as e:
+        transient(c, netlist.Tran(step=1e-4, stop=1e-3), SolverConfig(min_step=8e-7), ic={})
+    assert e.value.residual == 2.0 + math.sin(2.0 * math.pi * 1e3 * 1e-6)
+
+
+def test_lte_step_underflow_names_worst_node():
+    # every step fails the error test; the error names the node with the
+    # largest local-error ratio
+    c = netlist.parse(RC_NET)
+    with pytest.raises(ConvergenceError, match=r"step underflow at t=0; largest "
+                       r"LTE ratio [0-9.e+]+ at node out") as e:
+        transient(c, c.analyses[0], SolverConfig(lte_tol=1e-12, min_step=1e-6),
+                  ic={"out": 0.0})
+    assert e.value.at == 0.0
 
 
 # -- waveform container and files --------------------------------------------

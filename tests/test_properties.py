@@ -1,0 +1,120 @@
+"""Property tests for the replica axis of the Newton core.
+
+Random OTFT inverter chains (1-3 stages; n-type and p-type resistor-load
+stages and complementary stages; contact resistance 0 or not; gamma 0 or
+not) are swept with a secondary supply sweep.  The stacked sweep must equal
+one plain sweep per supply bit for bit, and every returned point must
+satisfy KCL.  The examples are derandomized and bounded, so every run tests
+the same chains.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ofetsim import netlist
+from ofetsim.engine import ConvergenceError, SolverConfig, dc_sweep
+from ofetsim.model import drain_current_with_contacts
+
+CFG = SolverConfig()
+
+card = st.fixed_dictionaries({
+    "mu0": st.floats(1e-5, 4e-5),
+    "vth": st.floats(0.3, 1.5),
+    "ss": st.floats(0.12, 0.3),
+    "lam": st.floats(0.0, 0.03),
+    "gamma": st.one_of(st.just(0.0), st.floats(0.05, 0.3)),
+    "rc": st.one_of(st.just(0.0), st.floats(1e4, 8e4)),
+})
+# resistor-load n-type, resistor-load p-type, or complementary pair
+stage = st.tuples(st.sampled_from("npc"), card, card, st.floats(1e6, 3e7))
+supplies = st.tuples(st.sampled_from([2.0, 3.0, 4.0, 5.0]),   # first supply
+                     st.sampled_from([1.0, 2.0]),             # supply step
+                     st.integers(2, 3))                       # supplies
+
+
+def _model(name, polarity, c):
+    vth = c["vth"] if polarity == "n" else -c["vth"]
+    return (f".model {name} otft{polarity} mu0={c['mu0']!r} vth={vth!r} ss={c['ss']!r} "
+            f"lambda={c['lam']!r} gamma={c['gamma']!r} rc={c['rc']!r} cox=3.5e-4 "
+            f"w=200u l=20u lov=5u")
+
+
+def _chain(stages):
+    """Netlist text of the chain in -> o0 -> o1 ..."""
+    lines = ["random inverter chain", "vdd vdd 0 dc 5", "vin in 0 dc 0"]
+    for k, (kind, c1, c2, r) in enumerate(stages):
+        vin, out = "in" if k == 0 else f"o{k - 1}", f"o{k}"
+        if kind in "nc":
+            lines += [_model(f"n{k}", "n", c1), f"mn{k} {out} {vin} 0 n{k}"]
+        if kind in "pc":
+            lines += [_model(f"p{k}", "p", c2), f"mp{k} {out} {vin} vdd p{k}"]
+        if kind == "n":
+            lines.append(f"rl{k} vdd {out} {r!r}")
+        elif kind == "p":
+            lines.append(f"rl{k} {out} 0 {r!r}")
+    return "\n".join(lines + [".end"])
+
+
+def _kcl_worst(c, w):
+    """Largest |KCL residual| / (abstol + reltol * sum of |currents|) over the
+    transistor-driven nodes of a returned sweep, from the device model."""
+    v = {n[2:-1]: col for n, col in w.columns.items() if n.startswith("v(")}
+    v["0"] = np.zeros(w.axis.size)
+    v["in"] = w.axis
+    out = {}   # node -> (sum of currents leaving, sum of their magnitudes)
+
+    def leave(node, i):
+        s, a = out.get(node, (0.0, 0.0))
+        out[node] = (s + i, a + np.abs(i))
+
+    for e in c.elements:
+        if e.kind == "R":
+            a, b = e.nodes
+            i = (v[a] - v[b]) / e.value
+            leave(a, i)
+            leave(b, -i)
+        elif e.kind == "M":
+            d, g, s = e.nodes
+            i = drain_current_with_contacts(c.model_card(e.model), v[g] - v[s], v[d] - v[s])
+            # the solver's gmin shunts, drain-source and gate-source
+            i_ds, i_gs = CFG.gmin * (v[d] - v[s]), CFG.gmin * (v[g] - v[s])
+            leave(d, i + i_ds)
+            leave(s, -i - i_ds - i_gs)
+            leave(g, i_gs)
+    return max(float(np.max(np.abs(s) / (CFG.abstol + CFG.reltol * a)))
+               for node, (s, a) in out.items() if node.startswith("o"))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(stages=st.lists(stage, min_size=1, max_size=3), vdds=supplies)
+def test_stacked_supply_sweep_equals_serial_and_satisfies_kcl(stages, vdds):
+    c = netlist.parse(_chain(stages))
+    first, step, count = vdds
+    last = first + step * (count - 1)
+    sweep = netlist.DcSweep("vin", 0.0, last, last / 20.0)
+    serial, failure = [], None
+    for k in range(count):
+        try:
+            serial.append(dc_sweep(c.with_source_level("vdd", first + step * k), sweep, CFG))
+        except ConvergenceError as e:
+            failure = str(e)
+            break
+    stacked = netlist.DcSweep("vin", 0.0, last, last / 20.0, "vdd", first, last, step)
+    if failure is not None:
+        with pytest.raises(ConvergenceError) as e:
+            dc_sweep(c, stacked, CFG)
+        assert str(e.value) == failure
+        return
+    got = dc_sweep(c, stacked, CFG)
+    assert len(got) == count
+    for w, want in zip(got, serial):
+        assert np.array_equal(w.axis, want.axis)
+        assert w.names == want.names
+        for name in w.names:
+            assert np.array_equal(w.columns[name], want.columns[name]), name
+        # within the Newton tolerance (the worst example reads 0.03)
+        assert _kcl_worst(c, w) <= 1.0
