@@ -220,7 +220,6 @@ def spike_train(w: Waveform, threshold: float, node: str = "out",
 def neuron_fi_curve(c: Circuit, i_ex: Sequence[float],
                     cfg: SolverConfig | None = None, node: str = "out",
                     source: str = "iex", supply: str = "vdd",
-                    refractory: float = 1e-3,
                     ) -> tuple[list[tuple[float, float]], list[SpikeTrain]]:
     """Firing rate vs injected current for the integrate-and-fire fixture.
 
@@ -243,7 +242,7 @@ def neuron_fi_curve(c: Circuit, i_ex: Sequence[float],
         d = Tran(step=stop / 500.0, stop=stop, max_step=None)
         cv = c.with_source_level(source, float(amp))
         wf = engine.transient(cv, d, cfg)
-        st = spike_train(wf, 0.5 * vdd, node, refractory)
+        st = spike_train(wf, 0.5 * vdd, node)
         rates.append((float(amp), st.rate))
         trains.append(st)
     return rates, trains
@@ -253,18 +252,17 @@ def neuron_fi_curve(c: Circuit, i_ex: Sequence[float],
 # logic
 
 
-def logic_truth_table(c: Circuit, vdd: float | None = None,
-                      inputs: Sequence[str] = ("va", "vb"),
-                      output: str = "out", low: float = 0.3, high: float = 0.7,
+def logic_truth_table(c: Circuit, inputs: Sequence[str] = ("va", "vb"),
+                      output: str = "out",
                       cfg: SolverConfig | None = None) -> dict[tuple[int, ...], int]:
     """DC truth table of a gate fixture.
 
-    Drives each input source to 0 or VDD for every combination and
-    classifies the output: LOW below low*VDD, HIGH above high*VDD.  An
-    output inside the forbidden band raises.
+    Drives each input source to 0 or VDD (the level of source ``vdd``) for
+    every combination and classifies the output: LOW below 0.3*VDD, HIGH
+    above 0.7*VDD.  An output inside the forbidden band raises.
     """
-    if vdd is None:
-        vdd = c.element("vdd").wave.level
+    vdd = c.element("vdd").wave.level
+    low, high = 0.3 * vdd, 0.7 * vdd
     table: dict[tuple[int, ...], int] = {}
     for combo in range(2 ** len(inputs)):
         bits = tuple((combo >> (len(inputs) - 1 - k)) & 1 for k in range(len(inputs)))
@@ -272,14 +270,14 @@ def logic_truth_table(c: Circuit, vdd: float | None = None,
         for name, b in zip(inputs, bits):
             cv = cv.with_source_level(name, vdd * b)
         vout = engine.dc_operating_point(cv, cfg)[output]
-        if vout < low * vdd:
+        if vout < low:
             table[bits] = 0
-        elif vout > high * vdd:
+        elif vout > high:
             table[bits] = 1
         else:
             raise AnalysisError(
                 f"output {vout:.3f} V for inputs {bits} is inside the "
-                f"forbidden band [{low * vdd:.2f}, {high * vdd:.2f}]")
+                f"forbidden band [{low:.2f}, {high:.2f}]")
     return table
 
 

@@ -48,15 +48,22 @@ def _parse_solver_overrides(argv: list[str]) -> tuple[list[str], dict]:
     return rest, overrides
 
 
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
+
+
 def _coerce(key: str, val: str):
-    t = _SOLVER_TYPES[key]
-    if "bool" in str(t):
-        return val.lower() in ("1", "true", "yes", "on")
-    if "int" in str(t):
-        return int(val)
-    if "str" in str(t):
-        return val
-    return float(val)
+    t = str(_SOLVER_TYPES[key])
+    try:
+        if "bool" in t:
+            return _BOOL_WORDS[val.lower()]
+        if "int" in t:
+            return int(val)
+        if "str" in t:
+            return val
+        return float(val)
+    except (KeyError, ValueError):
+        raise SystemExit_usage(f"bad value for solver option {key!r}: {val!r}") from None
 
 
 class SystemExit_usage(Exception):

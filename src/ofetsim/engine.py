@@ -492,11 +492,9 @@ class _System:
         return ConvergenceError(f"{message}; largest residual {residual:.3g} at {row}",
                                 residual=residual, at=at)
 
-    def solve_dc(self, x0=None, t=None, src_overrides=None, context="dc operating point"):
-        """Newton with gmin-ladder and source-stepping fallbacks."""
-        if x0 is None:
-            x0 = np.zeros(self.dim0 - 1)
-        x = self.newton(x0, t=t, src_overrides=src_overrides)
+    def solve_dc(self, t=None, src_overrides=None, context="dc operating point"):
+        """Newton from zero with gmin-ladder and source-stepping fallbacks."""
+        x = self.newton(np.zeros(self.dim0 - 1), t=t, src_overrides=src_overrides)
         if x is not None:
             return x
         # gmin ladder: decade continuation down to the configured gmin
@@ -740,14 +738,3 @@ def transient(c: Circuit, directive: Tran, cfg: SolverConfig | None = None,
                         f"{eta:.3g} at node {worst}", at=t)
     xs = np.vstack(states)
     return Waveform(axis_name="time", axis=np.array(times), columns=sys.columns_of(xs))
-
-
-def small_signal_gain(c: Circuit, source: str, output: str,
-                      bias: float, cfg: SolverConfig | None = None,
-                      delta: float = 1e-3) -> float:
-    """Central-difference dV(output)/dV(source) at the given source bias."""
-    cfg = cfg or SolverConfig()
-    lo = dc_operating_point(c.with_source_level(source, bias - delta), cfg)
-    hi = dc_operating_point(c.with_source_level(source, bias + delta), cfg)
-    key = output.lower()
-    return (hi[key] - lo[key]) / (2.0 * delta)

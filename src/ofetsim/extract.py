@@ -394,14 +394,13 @@ _BOUNDS = {
     "rc": (0.0, 1e12),
 }
 
-@dataclass(frozen=True)
-class FitConfig:
-    i_scale: float = 1e-9       # asinh knee current, A
-    max_iters: int = 200
-    lm_lambda0: float = 1e-3
-    lm_factor: float = 10.0
-    ftol: float = 1e-10
-    lm_lambda_max: float = 1e14
+# Levenberg-Marquardt constants of ``fit_model``
+I_SCALE = 1e-9          # asinh knee current, A
+MAX_ITERS = 200
+LM_LAMBDA0 = 1e-3       # starting damping
+LM_FACTOR = 10.0        # damping multiplier on a rejected step, divisor on an accepted one
+LM_LAMBDA_MAX = 1e14    # damping at which the search gives up on the iteration
+FTOL = 1e-10            # relative cost decrease counted as converged
 
 
 @dataclass(frozen=True)
@@ -501,8 +500,7 @@ def initial_guess(sweeps, polarity: str, vth: float | None) -> OtftParams:
 
 
 def fit_model(sweeps: list[IvSweep], polarity: str = "p",
-              vth: float | None = None,
-              config: FitConfig | None = None) -> FitResult:
+              vth: float | None = None) -> FitResult:
     """Fit {mu0, rc, ss, lambda, gamma} (+ vth unless fixed) to the sweeps.
 
     Levenberg-Marquardt on asinh-scaled residuals, with Marquardt's
@@ -514,13 +512,12 @@ def fit_model(sweeps: list[IvSweep], polarity: str = "p",
     solve (see ``_jacobian``).  A parameter on its bound whose descent
     direction points out of the box is held for that iteration (its column
     is zeroed); every other step is clipped to the bounds.  Converges on
-    two successive accepted steps that lower the cost by at most ``ftol``
+    two successive accepted steps that lower the cost by at most ``FTOL``
     relative, or on a rejected step whose linearized gain is at most
-    ``ftol`` relative (more damping cannot gain more); stagnates when no
+    ``FTOL`` relative (more damping cannot gain more); stagnates when no
     damping gives a lower cost.  Raises FitError with the best-so-far
-    result if ``max_iters`` iterations pass without convergence.
+    result if ``MAX_ITERS`` iterations pass without convergence.
     """
-    cfg = config or FitConfig()
     if not any(s.kind == "transfer" for s in sweeps):
         raise ExtractionError("fit needs at least one transfer sweep")
     if not any(s.kind == "output" for s in sweeps):
@@ -531,16 +528,16 @@ def fit_model(sweeps: list[IvSweep], polarity: str = "p",
     lo = np.array([_BOUNDS[f][0] for f in fields])
     hi = np.array([_BOUNDS[f][1] for f in fields])
 
-    sig = np.concatenate([np.arcsinh(s.i / cfg.i_scale) for s in sweeps])
+    sig = np.concatenate([np.arcsinh(s.i / I_SCALE) for s in sweeps])
     sig_rms = math.sqrt(float(np.mean(sig ** 2))) or 1.0
 
     def with_vec(vec):
         return params.replace(**{f: float(vec[j]) for j, f in enumerate(fields)})
 
     vec = np.clip(np.array([getattr(params, f) for f in fields]), lo, hi)
-    r, im = _residuals(with_vec(vec), groups, cfg.i_scale)
+    r, im = _residuals(with_vec(vec), groups, I_SCALE)
     cost = float(r @ r)
-    lam_lm = cfg.lm_lambda0
+    lam_lm = LM_LAMBDA0
     small_steps = 0
     iterations = 0
     history = [cost]
@@ -555,8 +552,8 @@ def fit_model(sweeps: list[IvSweep], polarity: str = "p",
                            if vec[j] <= lo[j] or vec[j] >= hi[j]),
         )
 
-    for iterations in range(1, cfg.max_iters + 1):
-        jac = _jacobian(with_vec(vec), fields, groups, im, cfg.i_scale)
+    for iterations in range(1, MAX_ITERS + 1):
+        jac = _jacobian(with_vec(vec), fields, groups, im, I_SCALE)
         jtr = jac.T @ r
         # hold each parameter on a bound that the descent direction -jtr leaves
         held = np.flatnonzero(((vec <= lo) & (jtr > 0.0)) | ((vec >= hi) & (jtr < 0.0)))
@@ -566,33 +563,33 @@ def fit_model(sweeps: list[IvSweep], polarity: str = "p",
         jtj[held, held] = 1.0
         diag = np.maximum(np.diag(jtj), 1e-300)
         accepted = False
-        while lam_lm <= cfg.lm_lambda_max:
+        while lam_lm <= LM_LAMBDA_MAX:
             try:
                 step = np.linalg.solve(jtj + lam_lm * np.diag(diag), -jtr)
             except np.linalg.LinAlgError:
-                lam_lm *= cfg.lm_factor
+                lam_lm *= LM_FACTOR
                 continue
             trial = np.clip(vec + step, lo, hi)
-            rt, it = _residuals(with_vec(trial), groups, cfg.i_scale)
+            rt, it = _residuals(with_vec(trial), groups, I_SCALE)
             ct = float(rt @ rt)
             if ct < cost:
                 gain = cost - ct
                 vec, r, im, cost = trial, rt, it, ct
                 history.append(cost)
-                lam_lm = max(lam_lm / cfg.lm_factor, 1e-14)
+                lam_lm = max(lam_lm / LM_FACTOR, 1e-14)
                 accepted = True
-                small_steps = small_steps + 1 if gain <= cfg.ftol * max(cost, 1e-300) else 0
+                small_steps = small_steps + 1 if gain <= FTOL * max(cost, 1e-300) else 0
                 break
             dv = trial - vec
-            if -(dv @ (2.0 * jtr + jtj @ dv)) <= cfg.ftol * cost:
+            if -(dv @ (2.0 * jtr + jtj @ dv)) <= FTOL * cost:
                 # more damping only shrinks the step, so no step can gain more
                 return result(True, "converged: predicted gain below ftol")
-            lam_lm *= cfg.lm_factor
+            lam_lm *= LM_FACTOR
         if not accepted:
             return result(True, "stagnated: no decreasing step")
         if small_steps >= 2:
             return result(True, "converged")
-    raise FitError(f"no convergence in {cfg.max_iters} iterations",
+    raise FitError(f"no convergence in {MAX_ITERS} iterations",
                    best=result(False, "iteration budget exhausted"))
 
 
@@ -614,7 +611,7 @@ class BatchSummary:
     metrics: dict  # name -> MetricStats
 
 
-def batch_statistics(reports: list[ExtractionReport], bins: int = 12) -> BatchSummary:
+def batch_statistics(reports: list[ExtractionReport]) -> BatchSummary:
     """Mean, population std and histogram per metric (log bins for on/off)."""
     if not reports:
         raise ValueError("need at least one report")
@@ -627,7 +624,7 @@ def batch_statistics(reports: list[ExtractionReport], bins: int = 12) -> BatchSu
         if data.size == 1 or np.ptp(data) <= 1e-12 * max(np.abs(data).max(), 1.0):
             counts, edges = np.histogram(data, bins=1)
         else:
-            counts, edges = np.histogram(data, bins=bins)
+            counts, edges = np.histogram(data, bins=12)
         if log_bins:
             edges = 10.0 ** edges
         out[name] = MetricStats(

@@ -15,6 +15,7 @@ device of either polarity.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -177,12 +178,13 @@ def sensitivities(p: OtftParams, vgs, vds) -> np.ndarray:
     return _eval_batch(p, vgs, vds, rows=6)[0]
 
 
-def drain_current_with_contacts(p: OtftParams, vgs, vds, tol: float = 1e-14, max_iter: int = 100):
+def drain_current_with_contacts(p: OtftParams, vgs, vds):
     """Drain current with rc split as two series contact resistors.
 
     Solves id = f(vgs - id*rc/2, vds - id*rc) by Newton on the current,
-    vectorized over bias arrays.  The update is clamped so the contact drop
-    never jumps by more than 2 V per iteration.
+    vectorized over bias arrays, until the largest update is at most 1e-14
+    relative or 100 iterations have run.  The update is clamped so the
+    contact drop never jumps by more than 2 V per iteration.
     """
     out, shape = _eval_batch(p, vgs, vds)
     if p.rc == 0.0:
@@ -192,13 +194,13 @@ def drain_current_with_contacts(p: OtftParams, vgs, vds, tol: float = 1e-14, max
     rs = 0.5 * p.rc
     clamp = 2.0 / p.rc
     i = out[0].copy()
-    for _ in range(max_iter):
+    for _ in range(100):
         out, _ = _eval_batch(p, vg - i * rs, vd - i * p.rc)
         g = out[0] - i
         dg = -(out[1] * rs + out[2] * p.rc) - 1.0
         step = np.clip(-g / dg, -clamp, clamp)
         i = i + step
-        if np.max(np.abs(step)) <= tol * (1.0 + np.max(np.abs(i))):
+        if np.max(np.abs(step)) <= 1e-14 * (1.0 + np.max(np.abs(i))):
             break
     return _shaped(i, shape)
 
@@ -268,19 +270,10 @@ class StrainTable:
         return self._interp(curve, strain.epsilon)
 
 
-_DEFAULT_TABLE: StrainTable | None = None
-
-
-def load_strain_table(path=None) -> StrainTable:
-    """Load a strain response table from JSON (package default when path is None)."""
-    global _DEFAULT_TABLE
-    if path is None and _DEFAULT_TABLE is not None:
-        return _DEFAULT_TABLE
-    if path is None:
-        text = resources.files("ofetsim").joinpath("data/strain_table.json").read_text()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+@functools.cache
+def load_strain_table() -> StrainTable:
+    """The package's strain response table (``data/strain_table.json``), read once."""
+    text = resources.files("ofetsim").joinpath("data/strain_table.json").read_text()
     raw = json.loads(text)
     if raw.get("version") != 1:
         raise ParameterError(f"unsupported strain table version {raw.get('version')!r}")
@@ -291,18 +284,15 @@ def load_strain_table(path=None) -> StrainTable:
             raise ParameterError(f"strain curve {section}.{key} needs >= 2 points")
         return tuple((float(x), float(y)) for x, y in pts)
 
-    table = StrainTable(
+    return StrainTable(
         length_parallel=curve("length_scale", "parallel"),
         length_perpendicular=curve("length_scale", "perpendicular"),
         mobility_parallel=curve("mobility_retention", "parallel"),
         mobility_perpendicular=curve("mobility_retention", "perpendicular"),
     )
-    if path is None:
-        _DEFAULT_TABLE = table
-    return table
 
 
-def apply_strain(p: OtftParams, strain: StrainState, table: StrainTable | None = None) -> OtftParams:
+def apply_strain(p: OtftParams, strain: StrainState) -> OtftParams:
     """Device card under uniaxial strain.
 
     Channel length and overlap stretch with the dimension multiplier along
@@ -310,8 +300,7 @@ def apply_strain(p: OtftParams, strain: StrainState, table: StrainTable | None =
     scaled by the orientation-resolved retention curve.  Zero strain returns
     a card with bit-identical values.
     """
-    if table is None:
-        table = load_strain_table()
+    table = load_strain_table()
     along, across = table.stretch_factors(strain.epsilon)
     if strain.orientation == "parallel":
         fl, fw = along, across

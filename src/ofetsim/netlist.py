@@ -24,6 +24,7 @@ count as whitespace; a bare identifier in a value position resolves against
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, replace
 from typing import Union
@@ -47,6 +48,10 @@ class NetlistError(Exception):
     def __init__(self, diagnostics: list[Diagnostic]):
         self.diagnostics = list(diagnostics)
         super().__init__("\n".join(str(d) for d in self.diagnostics))
+
+
+# position of the operating level in SourceWave.args, per kind
+_LEVEL_ARG = {"dc": 0, "pulse": 1, "sin": 0}
 
 
 @dataclass(frozen=True)
@@ -84,28 +89,17 @@ class SourceWave:
         vo, va, freq, td, theta = self.args
         if t is None or t <= td:
             return vo
-        import math
         return vo + va * math.exp(-(t - td) * theta) * math.sin(2.0 * math.pi * freq * (t - td))
 
     @property
     def level(self) -> float:
         """The operating level: DC value, pulse high value, or sine offset."""
-        if self.kind == "dc":
-            return self.args[0]
-        if self.kind == "pulse":
-            return self.args[1]
-        return self.args[0]
+        return self.args[_LEVEL_ARG[self.kind]]
 
     def with_level(self, level: float) -> "SourceWave":
-        if self.kind == "dc":
-            return SourceWave("dc", (float(level),))
-        if self.kind == "pulse":
-            a = list(self.args)
-            a[1] = float(level)
-            return SourceWave("pulse", tuple(a))
-        a = list(self.args)
-        a[0] = float(level)
-        return SourceWave("sin", tuple(a))
+        """The same wave with its operating level replaced."""
+        k = _LEVEL_ARG[self.kind]
+        return SourceWave(self.kind, self.args[:k] + (float(level),) + self.args[k + 1:])
 
 
 @dataclass(frozen=True)
@@ -699,7 +693,7 @@ def parse(text: str, params: dict | None = None) -> Circuit:
                 expand(bl, btoks, inner_prefix, inner_map, stack + (sname,))
             return
 
-        mapped = [local_name()] + [t if "=" in t else t for t in toks[1:]]
+        mapped = [local_name()] + toks[1:]
         if letter in ("r", "c"):
             if len(toks) == 4:
                 mapped = [local_name(), map_node(toks[1]), map_node(toks[2]), toks[3]]

@@ -106,7 +106,7 @@ def test_fit_reference_device(tmp_path, capsys):
 
 def test_fit_card_name_clash(tmp_path, capsys):
     # "ref-p" and "ref.p" both sanitize to the card name fit_ref_p
-    lines = open(REFERENCE).read().splitlines()
+    lines = pathlib.Path(REFERENCE).read_text().splitlines()
     clash = tmp_path / "clash.csv"
     clash.write_text("\n".join(lines + [ln.replace("ref-p", "ref.p", 1)
                                         for ln in lines[1:]]) + "\n")
@@ -241,6 +241,28 @@ def test_unknown_solver_key(tmp_path, capsys):
     assert main(["sim", str(fixtures.path("nand_pseudo_e.cir")),
                  "--out", str(tmp_path / "o"), "--solver.bogus=1"]) == 1
     assert "bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("opt", ["reltol=abc", "max_newton_iters=1.5",
+                                 "fixed_step=maybe", "fixed_step="])
+def test_malformed_solver_value(tmp_path, capsys, opt):
+    out = tmp_path / "o"
+    assert main(["sim", "x.cir", "--out", str(out), f"--solver.{opt}"]) == 1
+    key, val = opt.split("=")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and repr(key) in err[0] and repr(val) in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("word, value", [
+    ("1", True), ("TRUE", True), ("yes", True), ("On", True),
+    ("0", False), ("false", False), ("NO", False), ("off", False)])
+def test_solver_bool_words(tmp_path, word, value):
+    out = tmp_path / "o"
+    assert main(["sim", str(fixtures.path("nand_pseudo_e.cir")),
+                 "--out", str(out), f"--solver.fixed_step={word}"]) == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["solver"]["fixed_step"] is value
 
 
 def test_solver_override_recorded(tmp_path):

@@ -19,7 +19,6 @@ from ofetsim.engine import (
     dc_sweep,
     read_waveform_binary,
     read_waveform_csv,
-    small_signal_gain,
     transient,
     write_waveform_binary,
     write_waveform_csv,
@@ -305,12 +304,6 @@ def test_secondary_sweep_labels():
     # divider midpoint: (v1 + v2)/2
     np.testing.assert_allclose(out[1].columns["v(mid)"],
                                (out[1].axis + 1.0) / 2.0, atol=1e-9)
-
-
-def test_small_signal_gain_linear():
-    c = netlist.parse("divider\nv1 in 0 dc 3\nr1 in mid 1k\nr2 mid 0 3k\n.end")
-    g = small_signal_gain(c, "v1", "mid", bias=3.0)
-    assert g == pytest.approx(0.75, rel=1e-6)
 
 
 def test_unknown_sweep_source_raises():

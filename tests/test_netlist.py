@@ -167,6 +167,19 @@ def test_pulse_and_sin_sources():
     assert s.value(0.25e-3) == pytest.approx(1e-3, rel=1e-9)
 
 
+@pytest.mark.parametrize("card, k", [
+    ("dc 5", 0),
+    ("pulse 0 5 1u 2u 2u 10u 20u", 1),
+    ("sin 0.5 1m 1k 2u 10", 0),
+])
+def test_with_level_replaces_only_the_level(card, k):
+    w = parse(f"t\nv1 a 0 {card}\nr1 a 0 1k\n.end").element("v1").wave
+    w2 = w.with_level(7.25)
+    assert w2.kind == w.kind and w2.level == 7.25
+    assert w2.args[k] == 7.25
+    assert w2.args[:k] + w2.args[k + 1:] == w.args[:k] + w.args[k + 1:]
+
+
 def test_with_source_level_and_values():
     c = parse(SMALL)
     c2 = c.with_source_level("vdd", 9.0)
