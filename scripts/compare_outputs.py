@@ -1,9 +1,13 @@
 """Compare two ofetsim output directories file by file.
 
 Every file under either directory is reported on one line: "identical"
-(same bytes), "missing" (present on one side only), or the largest
-relative difference |a - b| / max(|a|, |b|) over the numeric cells of a
-CSV whose header and non-numeric cells match.  ``manifest.json`` files are
+(same bytes), "missing" (present on one side only), or, for a CSV whose
+header and non-numeric cells match, the largest relative difference
+|a - b| / max(|a|, |b|) over its numeric cells and the largest absolute
+difference |a - b| with the column it occurs in.  The absolute figure
+reads near-zero cells (gmin-level currents, say) whose relative difference
+says nothing.  A cell that is NaN or infinite on one side only differs by
+inf in both figures.  ``manifest.json`` files are
 skipped, since they record timings and input paths.  Exits 1 when a file
 is missing, a CSV header differs, or two files cannot be compared cell by
 cell (different row counts, differing text cells, non-CSV content).
@@ -29,15 +33,19 @@ def _rows(path: pathlib.Path) -> list[list[str]]:
         return list(csv.reader(fh))
 
 
-def _rel(a: str, b: str) -> float | None:
-    """Relative difference of two numeric cells, None if either is text."""
+def _diff(a: str, b: str) -> tuple[float, float] | None:
+    """(absolute, relative) difference of two numeric cells, None if either
+    is text."""
     try:
         x, y = float(a), float(b)
     except ValueError:
         return None
     if x == y or (math.isnan(x) and math.isnan(y)):
-        return 0.0
-    return abs(x - y) / max(abs(x), abs(y))
+        return 0.0, 0.0
+    d = abs(x - y)
+    if not math.isfinite(d):
+        return math.inf, math.inf
+    return d, d / max(abs(x), abs(y))
 
 
 def compare_csv(a: pathlib.Path, b: pathlib.Path) -> tuple[str, bool]:
@@ -47,16 +55,19 @@ def compare_csv(a: pathlib.Path, b: pathlib.Path) -> tuple[str, bool]:
         return "header differs", False
     if len(ra) != len(rb) or any(len(x) != len(y) for x, y in zip(ra, rb)):
         return "shape differs", False
-    worst = 0.0
+    worst_rel = worst_abs = 0.0
+    where = ""
     for row_a, row_b in zip(ra[1:], rb[1:]):
-        for x, y in zip(row_a, row_b):
+        for name, x, y in zip(ra[0], row_a, row_b):
             if x == y:
                 continue
-            rel = _rel(x, y)
-            if rel is None:
+            diff = _diff(x, y)
+            if diff is None:
                 return f"text cell differs ({x!r} vs {y!r})", False
-            worst = max(worst, rel)
-    return f"max rel diff {worst:.3e}", True
+            if diff[0] > worst_abs:
+                worst_abs, where = diff[0], f" in {name}"
+            worst_rel = max(worst_rel, diff[1])
+    return f"max rel diff {worst_rel:.3e}, max abs diff {worst_abs:.3e}{where}", True
 
 
 def main(argv: list[str] | None = None) -> int:

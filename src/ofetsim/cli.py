@@ -78,12 +78,12 @@ class Run:
     """Output-directory context: collects artifacts and writes the manifest."""
 
     def __init__(self, args, solver: dict, argv: list[str] | None = None):
+        self.cfg = SolverConfig(**solver)   # before the directory: bad input writes nothing
         root = args.out or os.environ.get("OFETSIM_OUT") or "ofetsim-out"
         self.dir = Path(root)
         self.dir.mkdir(parents=True, exist_ok=True)
         self.seed = args.seed
         self.fmt = getattr(args, "format", "csv")
-        self.cfg = SolverConfig(**solver)
         self.inputs: dict[str, str] = {}
         self.outputs: list[str] = []
         self.command = " ".join(sys.argv[1:] if argv is None else argv)

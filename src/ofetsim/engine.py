@@ -17,10 +17,11 @@ evaluation.  A failed call records its largest |residual| and that row for
 ConvergenceError.  DC falls back from plain damped Newton to a gmin ladder
 (1e-3 S down to gmin), then to source stepping (0.1 to 1.0); transient uses
 backward Euler or trapezoidal companions with step-doubling error control.
-Each transient step solve starts from its initial point moved along the
-polynomial through the last three accepted points, and each warm-started DC
-sweep point from that polynomial in the swept value; the start changes only
-the work of a solve, not its tolerances or the step control.
+The full step and the first half step start from the accepted point moved
+along the polynomial through the last three accepted points, and the second
+half step from the full step's solution at the same time; warm-started DC
+sweep points start from that polynomial in the swept value.  The start
+changes only the work of a solve, not its tolerances or the step control.
 
 Newton runs over a leading replica axis: B solves of one circuit, each with
 its own start, source values and capacitor companions, share every
@@ -30,9 +31,12 @@ solve, so its result is bit-identical to one; a replica leaves the stack when
 it converges or fails, and its failure record is its own.  Step doubling
 solves the full step and the first half step, which start from the same
 point, as one call of two replicas, then the second half step.  A DC sweep
-with a secondary source solves all its curves as replicas, one call per
-point; a curve whose warm start fails falls back alone to a cold DC solve.
-Every other solve is a lone call (B = 1).
+solves blocks of SWEEP_BLOCK consecutive values, one call per block whose
+replicas are every (value, curve) pair; each starts from its curve's
+polynomial through the last three points before the block.  A replica that
+fails is retried alone from the polynomial through its own three preceding
+points, then falls back to a cold DC solve.  Every other solve is a lone
+call (B = 1).
 
 Waveforms serialize to CSV and to a compact little-endian binary table; both
 writers are bit-reproducible for identical inputs.
@@ -76,9 +80,15 @@ class SolverConfig:
     fixed_step: bool = False     # integrate exactly at the directive step
 
     def __post_init__(self):
-        if min(self.abstol, self.reltol, self.vntol, self.gmin,
-               self.damping, self.lte_tol, self.min_step) <= 0.0:
-            raise ValueError("all solver tolerances must be positive")
+        positive = ["abstol", "reltol", "vntol", "gmin", "damping", "lte_tol", "min_step"]
+        for name in positive + ([] if self.max_step is None else ["max_step"]):
+            v = getattr(self, name)
+            # written so that NaN fails: every comparison with NaN is False
+            if not 0.0 < v < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {v!r}")
+        if self.max_newton_iters < 1:
+            raise ValueError(
+                f"max_newton_iters must be at least 1, got {self.max_newton_iters!r}")
         if self.method not in ("trap", "be"):
             raise ValueError(f"method must be trap or be, got {self.method!r}")
 
@@ -213,7 +223,8 @@ def _pair_stamp(dim, a, b):
 @dataclass(frozen=True)
 class _Replicas:
     """Flat indices into the stacked arrays of nrep replicas of one circuit,
-    their card arrays and kernel output; see _System._replicas."""
+    their card arrays and kernel output, replica after replica; see
+    _System._replicas."""
 
     m_dgs: np.ndarray        # (3, nrep * n_m) drain, gate, source
     m_inj: np.ndarray
@@ -226,8 +237,6 @@ class _Replicas:
     cap_stamp: np.ndarray
     m_par: tuple
     out: np.ndarray          # (3, nrep * n_m) kernel output
-    cond_g: np.ndarray       # (nrep * n_g,) conductances
-    zero_g: np.ndarray       # (nrep * n_g,) zeros
 
 
 def _solve_each(a, b):
@@ -302,7 +311,8 @@ class _System:
         self.m_par = tuple(np.array(col) for col in zip(*(
             (p.sign, p.geom.w / p.geom.l * p.cox, p.mu0, p.sign * p.vth,
              p.ss, p.gamma, p.lam, p.order) for *_dgs, p in otfts)))
-        self._stacks = {}
+        self._stacks = {}    # nrep -> _Replicas, views into self._full
+        self._full = None    # the stacked arrays of the largest stack yet
         # per replica of the last Newton call: None, or the largest |residual|
         # of a failed solve and its row
         self.fail = []
@@ -320,39 +330,50 @@ class _System:
         self.cap_stamp = _pair_stamp(dim0, self.cap_a, self.cap_b)
         self.m_jac = _flat(dim0, ((d, d), (d, g), (d, s), (s, d), (s, g), (s, s)),
                            by_element=False)
-        # Vector index kinds.  A stack of replicas lays out each kind for
-        # every replica in turn, so a replica's entries keep a lone call's
-        # order and the lone call's arrays are the concatenated kinds.
-        self._kinds = dict(
-            m_inj=(d, s), branch=(k,),
-            lin_a=(cond_a, self.cap_a), lin_b=(cond_b, self.cap_b),
-            rhs_idx=(np.stack((ia, ib), axis=1).ravel(), k, self.cap_a, self.cap_b),
+        self.lin_a = np.concatenate((cond_a, self.cap_a))
+        self.lin_b = np.concatenate((cond_b, self.cap_b))
+        # Each stamp-table array as a lone call's flat indices, and the size
+        # of the vector (dim0) or matrix (dim0 ** 2) they move by from one
+        # replica to the next.  A stack lays the lone array out replica after
+        # replica, so each replica's entries keep a lone call's order.
+        self._lone = dict(
+            m_dgs=(np.stack((d, g, s)), dim0), m_inj=(np.concatenate((d, s)), dim0),
+            branch=(k, dim0), lin_a=(self.lin_a, dim0), lin_b=(self.lin_b, dim0),
+            rhs_idx=(np.concatenate((np.stack((ia, ib), axis=1).ravel(), k,
+                                     self.cap_a, self.cap_b)), dim0),
             # both ends of every branch current: conductors and capacitor
             # companions, current sources, voltage sources, transistor channels
-            scale_idx=(cond_a, self.cap_a, ia, va, d, cond_b, self.cap_b, ib, vb, s))
-        self.lin_a, self.lin_b = (np.concatenate(self._kinds[n]) for n in ("lin_a", "lin_b"))
+            scale_idx=(np.concatenate((cond_a, self.cap_a, ia, va, d,
+                                       cond_b, self.cap_b, ib, vb, s)), dim0),
+            m_jac=(self.m_jac, dim0 * dim0), cap_stamp=(self.cap_stamp, dim0 * dim0))
 
     def _replicas(self, nrep):
         """Stamp table and kernel arguments of a stack of nrep replicas.
 
-        Replica r's indices move by r vectors of dim0 or r (dim0, dim0)
-        matrices into the flattened stacked arrays; the card arrays are
-        tiled, so the exponents stay arrays.
+        Replica r's entries are a lone call's, moved by r vectors of dim0 or
+        r (dim0, dim0) matrices into the flattened stacked arrays, and follow
+        replica r - 1's; the card arrays are tiled, so the exponents stay
+        arrays.  The table of nrep replicas is therefore the start of any
+        larger one: one table, of the largest stack yet, serves every
+        smaller stack through views.
         """
         tab = self._stacks.get(nrep)
         if tab is None:
-            def stack(kinds, step=self.dim0):
-                off = step * np.arange(nrep)[:, None]
-                return np.concatenate([(kind + off).ravel() for kind in kinds])
+            full = self._full
+            if full is None or nrep > full["out"].shape[1]:
+                off = np.arange(nrep)[:, None]
+                full = self._full = {name: lone[..., None, :] + step * off
+                                     for name, (lone, step) in self._lone.items()}
+                full.update(m_par=[np.tile(col, (nrep, 1)) for col in self.m_par],
+                            out=np.empty((3, nrep, self.m_d.size)))
+                self._stacks.clear()
+
+            def head(a):   # the first nrep replicas, flattened: a view
+                return a[..., :nrep, :].reshape(*a.shape[:-2], -1)
 
             tab = self._stacks[nrep] = _Replicas(
-                **{name: stack(kinds) for name, kinds in self._kinds.items()},
-                m_dgs=np.stack([stack([m]) for m in (self.m_d, self.m_g, self.m_s)]),
-                m_jac=stack(self.m_jac.reshape(6, -1), self.dim0 ** 2),
-                cap_stamp=stack([self.cap_stamp], self.dim0 ** 2),
-                m_par=tuple(np.tile(col, nrep) for col in self.m_par),
-                out=np.empty((3, nrep * self.m_d.size)),
-                cond_g=np.tile(self.cond_g, nrep), zero_g=np.zeros(nrep * self.cond_g.size))
+                **{name: head(full[name]) for name in (*self._lone, "out")},
+                m_par=tuple(head(col) for col in full["m_par"]))
         return tab
 
     def _source_values(self, t, alpha, overrides, nrep):
@@ -411,8 +432,8 @@ class _System:
             np.add.at(a_base.reshape(-1), tab.cap_stamp,
                       (cap_geq[:, :, None] * _G_SIGNS).ravel())
         b_full = np.bincount(tab.rhs_idx, np.concatenate(
-            ((cs[:, :, None] * _I_SIGNS).ravel(), vs.ravel(), cap_ieq.ravel(),
-             -cap_ieq.ravel())), nrep * dim0).reshape(nrep, dim0, 1)
+            ((cs[:, :, None] * _I_SIGNS).reshape(nrep, -1), vs, cap_ieq, -cap_ieq),
+            axis=1).ravel(), nrep * dim0).reshape(nrep, dim0, 1)
         # voltage-source rows are potential differences, not currents
         tol_branch = cfg.vntol + cfg.reltol * np.abs(vs)
 
@@ -422,17 +443,20 @@ class _System:
         xfull = np.zeros((nrep, dim0))
         xfull[:, 1:] = x
         xf, xcol = xfull.reshape(-1), xfull[:, :, None]
-        idr, gm, gds = tab.out   # rows filled in place by the kernel
+        n_g = self.cond_g.size
         for _ in range(cfg.max_newton_iters):
-            if idr.size:
+            if self.m_d.size:
                 v_d, v_g, v_s = xf[tab.m_dgs]
                 kernels.otft_eval(v_g - v_s, v_d - v_s, *tab.m_par, tab.out)
+            # the kernel's rows, one row per replica
+            idr, gm, gds = tab.out.reshape(3, xfull.shape[0], -1)
             f_col = a_base @ xcol - b_full
-            np.add.at(f_col.reshape(-1), tab.m_inj, np.concatenate((idr, -idr)))
+            np.add.at(f_col.reshape(-1), tab.m_inj,
+                      np.concatenate((idr, -idr), axis=1).ravel())
             jac = a_base.copy()
             gsum = gm + gds
             np.add.at(jac.reshape(-1), tab.m_jac,
-                      np.concatenate((gds, gm, -gsum, -gds, -gm, gsum)))
+                      np.concatenate((gds, gm, -gsum, -gds, -gm, gsum), axis=1).ravel())
             try:
                 dx = np.linalg.solve(jac[:, 1:, 1:], -f_col[:, 1:])[:, :, 0]
             except np.linalg.LinAlgError:
@@ -443,12 +467,13 @@ class _System:
             conv = (np.abs(dxn) < cfg.vntol).all(axis=1).tolist()
             if True in conv:
                 # residuals at the point just evaluated, against their tolerances
-                g_lin = np.concatenate((tab.cond_g, cap_geq.ravel()))
-                i0_lin = np.concatenate((tab.zero_g, cap_ieq.ravel()))
-                i_br = np.concatenate((g_lin * (xf[tab.lin_a] - xf[tab.lin_b]) - i0_lin,
-                                       cs.ravel(), xf[tab.branch], idr))
+                dv = (xf[tab.lin_a] - xf[tab.lin_b]).reshape(idr.shape[0], -1)
+                i_br = np.concatenate((self.cond_g * dv[:, :n_g],
+                                       cap_geq * dv[:, n_g:] - cap_ieq, cs,
+                                       xf[tab.branch].reshape(idr.shape[0], -1), idr), axis=1)
                 a_br = np.abs(i_br)
-                scale = np.bincount(tab.scale_idx, np.concatenate((a_br, a_br)), xf.size)
+                scale = np.bincount(tab.scale_idx, np.concatenate((a_br, a_br), axis=1).ravel(),
+                                    xf.size)
                 tol = (cfg.abstol + cfg.reltol * scale).reshape(xfull.shape)
                 tol[:, nb0:] = tol_branch
                 within = (np.abs(f_col[:, 1:, 0]) <= tol[:, 1:]).all(axis=1).tolist()
@@ -473,7 +498,6 @@ class _System:
                                       tol_branch))
                 tab = self._replicas(len(live))
                 xf, xcol = xfull.reshape(-1), xfull[:, :, None]
-                idr, gm, gds = tab.out
         else:
             for k, rep in enumerate(live):
                 self._failed(rep, f_col[k, :, 0])
@@ -546,7 +570,9 @@ def dc_operating_point(c: Circuit, cfg: SolverConfig | None = None) -> dict[str,
 
 def _extrapolate(ts, xs, t):
     """Value at t of the polynomial through the last three (or fewer) points
-    (ts[k], xs[k]): the predicted start of the next Newton solve."""
+    (ts[k], xs[k]): the predicted start of the next Newton solve.  An array
+    t broadcasts against the points' values: t of shape (m, 1, ..., 1) gives
+    the m values at once, each equal bit for bit to its own scalar call."""
     ts, xs = ts[-3:], xs[-3:]
     p = 0.0
     for j, (tj, xj) in enumerate(zip(ts, xs)):
@@ -581,12 +607,22 @@ def dc_sweep(c: Circuit, directive: DcSweep, cfg: SolverConfig | None = None):
                             [f"{directive.source2}={v:g}" for v in outer])
 
 
+# swept values per stacked Newton call of a DC sweep
+SWEEP_BLOCK = 32
+
+
 def _dc_sweep_curves(c, d, cfg, extras, labels):
     """One Waveform per curve: d.source swept with that curve's fixed source
-    overrides.  The curves are the replicas of one Newton call per point; a
-    curve whose warm start fails falls back alone to a cold DC solve, and a
-    curve that fails there leaves the sweep, whose error is raised once the
-    other curves are done, so the first failing curve is the one reported."""
+    overrides.
+
+    The first point of every curve is a cold DC solve.  After it, each block
+    of up to SWEEP_BLOCK consecutive values is one Newton call whose replicas
+    are every (value, live curve) pair; a replica starts from its curve's
+    polynomial through the last three points before the block.  A replica
+    that fails is retried alone from the polynomial through its own three
+    preceding points, then falls back to a cold DC solve.  A curve that fails
+    there leaves the sweep, whose error is raised once the other curves are
+    done, so the first failing curve is the one reported."""
     sys = _System(c, cfg)
     src = d.source.lower()
     for name in (src, *extras[0]):
@@ -597,29 +633,40 @@ def _dc_sweep_curves(c, d, cfg, extras, labels):
     live = list(range(len(extras)))   # curves that have not failed
     errors = {}
     points = values.tolist()
-    for i, val in enumerate(points):
-        overrides = [{src: val, **extras[k]} for k in live]
-        # start from the curve through the last points; cold DC solve on the
-        # first point or on failure
+    i = 0
+    while i < values.size and live:
+        end = min(i + SWEEP_BLOCK, values.size) if i else 1
+        called = list(live)
         if i:
             lo = max(i - 3, 0)
-            x0 = _extrapolate(points[lo:i], rows[lo:i], val)
-            xs = sys.newton(x0 if len(live) == len(extras) else x0[live],
-                            src_overrides=overrides)
+            x0 = _extrapolate(points[lo:i], rows[lo:i, called], values[i:end, None, None])
+            # (values, curves, unknowns); one point before the block is one start
+            x0 = np.broadcast_to(x0, (end - i, *x0.shape[-2:])).reshape(-1, x0.shape[-1])
+            xs = sys.newton(x0, src_overrides=[
+                {src: val, **extras[k]} for val in points[i:end] for k in called])
         else:
-            xs = [None] * len(live)
-        for k, ov, x in zip(list(live), overrides, xs):
-            if x is None:
-                try:
-                    x = sys.solve_dc(src_overrides=ov,
-                                     context=f"dc sweep at {d.source}={val:g}")
-                except ConvergenceError as e:
-                    errors[k] = e
-                    live.remove(k)
+            xs = [None] * len(called)
+        for j, val in enumerate(points[i:end]):
+            for k, x in zip(called, xs[j * len(called):(j + 1) * len(called)]):
+                if k not in live:
                     continue
-            rows[i, k] = x
-        if not live:
-            break
+                ov = {src: val, **extras[k]}
+                # retry alone, except at a block's first value: its block
+                # start was this very polynomial
+                if x is None and j:
+                    lo = max(i + j - 3, 0)
+                    x = sys.newton(_extrapolate(points[lo:i + j], rows[lo:i + j, k], val),
+                                   src_overrides=ov)
+                if x is None:
+                    try:
+                        x = sys.solve_dc(src_overrides=ov,
+                                         context=f"dc sweep at {d.source}={val:g}")
+                    except ConvergenceError as e:
+                        errors[k] = e
+                        live.remove(k)
+                        continue
+                rows[i + j, k] = x
+        i = end
     if errors:
         raise errors[min(errors)]
     return [Waveform(axis_name=src, axis=values, columns=sys.columns_of(rows[:, k]),
@@ -667,14 +714,16 @@ def transient(c: Circuit, directive: Tran, cfg: SolverConfig | None = None,
         geq = 2.0 * cap_c / h
         return geq, geq * vab(x_in) + i_in
 
-    def steps_from(x_in, i_in, steps, method):
+    def steps_from(x_in, i_in, steps, method, x0=None):
         """Solve the steps [(t_new, h), ...] that all start at (x_in, i_in) as
-        replicas of one Newton call; (state, capacitor currents) or None each."""
+        replicas of one Newton call; (state, capacitor currents) or None each.
+        Without Newton starts x0, (len(steps), n), each starts from x_in moved
+        along the curve through the accepted points."""
         comp = [companion(x_in, i_in, h, method) for _t, h in steps]
-        # start from x_in moved along the curve through the accepted points
-        x0 = np.array([x_in + (_extrapolate(times, states, t_new)
-                               - _extrapolate(times, states, t_new - h))
-                       for t_new, h in steps])
+        if x0 is None:
+            x0 = np.array([x_in + (_extrapolate(times, states, t_new)
+                                   - _extrapolate(times, states, t_new - h))
+                           for t_new, h in steps])
         xs = sys.newton(x0, t=[t_new for t_new, _h in steps],
                         cap_geq=np.array([geq for geq, _ieq in comp]),
                         cap_ieq=np.array([ieq for _geq, ieq in comp]))
@@ -707,11 +756,12 @@ def transient(c: Circuit, directive: Tran, cfg: SolverConfig | None = None,
             h = min(max(h, cfg.min_step), max_h, stop - t)
             method = "be" if (first_be and t == 0.0) else cfg.method
             # the full step and the first half step, both from x, as one
-            # call; then the second half step
+            # call; then the second half step, started from the full step's
+            # solution at the same time t + h
             full, half = steps_from(x, cap_i, [(t + h, h), (t + 0.5 * h, 0.5 * h)],
                                     method)
             if full is not None and half is not None:
-                (half,) = steps_from(*half, [(t + h, 0.5 * h)], method)
+                (half,) = steps_from(*half, [(t + h, 0.5 * h)], method, x0=full[0][None])
             if full is None or half is None:
                 h *= 0.5
                 if h < cfg.min_step:

@@ -254,6 +254,20 @@ def test_malformed_solver_value(tmp_path, capsys, opt):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("opt", ["reltol=nan", "abstol=inf", "max_step=nan",
+                                 "max_step=-1", "min_step=inf", "max_newton_iters=0"])
+def test_invalid_solver_setting(tmp_path, capsys, opt):
+    # well-formed values that no solve can use are bad input, not a numerics
+    # failure, a crash or a run
+    out = tmp_path / "o"
+    assert main(["sim", str(fixtures.path("nand_pseudo_e.cir")),
+                 "--out", str(out), f"--solver.{opt}"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("bad solver configuration: ")
+    assert opt.split("=")[0] in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("word, value", [
     ("1", True), ("TRUE", True), ("yes", True), ("On", True),
     ("0", False), ("false", False), ("NO", False), ("off", False)])

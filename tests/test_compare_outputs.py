@@ -35,7 +35,21 @@ def test_verdicts(tmp_path, compare, capsys):
                                "x/manifest.json": "{\"t\": 1}"})
     assert compare([str(a), str(b)]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out == ["x/num.csv: max rel diff 3.333e-01", "x/same.csv: identical"]
+    assert out == ["x/num.csv: max rel diff 3.333e-01, max abs diff 5.000e-01 in v",
+                   "x/same.csv: identical"]
+
+
+def test_absolute_difference_names_its_column(tmp_path, compare, capsys):
+    # the largest relative difference sits in a near-zero current cell, the
+    # largest absolute one in the voltage column; a one-sided NaN is inf
+    a = _tree(tmp_path / "a", {"s.csv": "vin,v(out),i(vin)\n0.0,5.0,1e-21\n1.0,4.0,-2e-21\n",
+                               "t.csv": "t,v\n0,1.0\n"})
+    b = _tree(tmp_path / "b", {"s.csv": "vin,v(out),i(vin)\n0.0,5.0,3e-21\n1.0,4.002,-2e-21\n",
+                               "t.csv": "t,v\n0,nan\n"})
+    assert compare([str(a), str(b)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "s.csv: max rel diff 6.667e-01, max abs diff 2.000e-03 in v(out)",
+        "t.csv: max rel diff inf, max abs diff inf in v"]
 
 
 @pytest.mark.parametrize("a_files,b_files,verdict", [
