@@ -38,6 +38,16 @@ fails is retried alone from the polynomial through its own three preceding
 points, then falls back to a cold DC solve.  Every other solve is a lone
 call (B = 1).
 
+Transients stack 1-2 replicas of 12-24 transistors, so an iteration costs
+numpy calls, not arithmetic.  The stamp table of a stack therefore also
+holds what the iterations reuse: the card constants of its transistors
+(kernels.card_constants, computed once per table instead of on every
+kernel call) and workspaces for the per-call matrix, the Jacobian, the
+residual, the scatter values and the residual-scale gather, which every
+iteration fills in place instead of allocating.  Like the table, they are
+views into the arrays of the largest stack yet.  A transient step computes
+its companions and the predicted starts of all its replicas at once.
+
 Waveforms serialize to CSV and to a compact little-endian binary table; both
 writers are bit-reproducible for identical inputs.
 """
@@ -56,12 +66,19 @@ from .netlist import Circuit, DcSweep, Element, Tran, card_with
 
 
 class ConvergenceError(Exception):
-    """Newton iteration failed after all fallbacks; carries context."""
+    """Newton iteration failed after all fallbacks; carries context.
+
+    ``residual`` is the largest |residual| of the failed Newton solve and
+    ``row`` names where it was ("node x" or "i(vsrc)"); for a step underflow
+    of the error test, ``row`` names the node with the largest local-error
+    ratio.  ``at`` is the time or source-stepping level of the failure.
+    """
 
     def __init__(self, message: str, residual: float | None = None,
-                 at: float | None = None):
+                 at: float | None = None, row: str | None = None):
         self.residual = residual
         self.at = at
+        self.row = row
         super().__init__(message)
 
 
@@ -123,14 +140,20 @@ class Waveform:
         return list(self.columns)
 
 
+# rows per block of a CSV write: one tolist() call converts a block, and the
+# block bounds the memory its Python floats take
+_CSV_BLOCK = 32
+
+
 def write_waveform_csv(w: Waveform, path) -> None:
+    """Header, then one row per axis value; every number is repr() of a float."""
+    names = w.names
+    cols = [w.axis] + [w.columns[n] for n in names]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        names = w.names
         fh.write(",".join([w.axis_name] + names) + "\n")
-        cols = [w.columns[n] for n in names]
-        for k in range(w.axis.size):
-            fh.write(",".join(repr(float(v)) for v in [w.axis[k]] + [c[k] for c in cols]))
-            fh.write("\n")
+        for k in range(0, w.axis.size, _CSV_BLOCK):
+            rows = np.column_stack([c[k:k + _CSV_BLOCK] for c in cols]).tolist()
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def read_waveform_csv(path) -> Waveform:
@@ -223,20 +246,26 @@ def _pair_stamp(dim, a, b):
 @dataclass(frozen=True)
 class _Replicas:
     """Flat indices into the stacked arrays of nrep replicas of one circuit,
-    their card arrays and kernel output, replica after replica; see
-    _System._replicas."""
+    their card arrays and card constants, and the workspaces one Newton
+    iteration fills, replica after replica; see _System._replicas."""
 
     m_dgs: np.ndarray        # (3, nrep * n_m) drain, gate, source
     m_inj: np.ndarray
-    branch: np.ndarray
-    lin_a: np.ndarray
-    lin_b: np.ndarray
+    res_idx: np.ndarray
     rhs_idx: np.ndarray
     scale_idx: np.ndarray
     m_jac: np.ndarray
     cap_stamp: np.ndarray
     m_par: tuple
+    card: kernels.Card
+    # workspaces, overwritten by every Newton iteration on this stack
     out: np.ndarray          # (3, nrep * n_m) kernel output
+    a_base: np.ndarray       # (nrep, dim0, dim0) iterate-free matrix of a call
+    jac: np.ndarray          # (nrep, dim0, dim0)
+    f_col: np.ndarray        # (nrep, dim0, 1) residual
+    inj: np.ndarray          # (nrep, 2 * n_m) drain-current injections
+    jac_vals: np.ndarray     # (nrep, 6 * n_m) transistor Jacobian entries
+    i_br: np.ndarray         # (nrep, 2 * n_br) |branch currents|, twice
 
 
 def _solve_each(a, b):
@@ -308,9 +337,9 @@ class _System:
         ia, ib = _ends(isrc)
         self.m_d, self.m_g, self.m_s = d, g, s = _ends(otfts, 3)
         # kernel arguments after vgs and vds, one array per card quantity
-        self.m_par = tuple(np.array(col) for col in zip(*(
+        self.m_par = tuple(np.array([
             (p.sign, p.geom.w / p.geom.l * p.cox, p.mu0, p.sign * p.vth,
-             p.ss, p.gamma, p.lam, p.order) for *_dgs, p in otfts)))
+             p.ss, p.gamma, p.lam, p.order) for *_dgs, p in otfts], dtype=float).reshape(-1, 8).T)
         self._stacks = {}    # nrep -> _Replicas, views into self._full
         self._full = None    # the stacked arrays of the largest stack yet
         # per replica of the last Newton call: None, or the largest |residual|
@@ -338,7 +367,9 @@ class _System:
         # replica, so each replica's entries keep a lone call's order.
         self._lone = dict(
             m_dgs=(np.stack((d, g, s)), dim0), m_inj=(np.concatenate((d, s)), dim0),
-            branch=(k, dim0), lin_a=(self.lin_a, dim0), lin_b=(self.lin_b, dim0),
+            # the unknowns the residual scale reads: both ends of every
+            # conductor and capacitor, then the branch currents
+            res_idx=(np.concatenate((self.lin_a, self.lin_b, k)), dim0),
             rhs_idx=(np.concatenate((np.stack((ia, ib), axis=1).ravel(), k,
                                      self.cap_a, self.cap_b)), dim0),
             # both ends of every branch current: conductors and capacitor
@@ -346,49 +377,71 @@ class _System:
             scale_idx=(np.concatenate((cond_a, self.cap_a, ia, va, d,
                                        cond_b, self.cap_b, ib, vb, s)), dim0),
             m_jac=(self.m_jac, dim0 * dim0), cap_stamp=(self.cap_stamp, dim0 * dim0))
+        # per-replica shapes of the Newton workspaces (see _Replicas)
+        n_m, n_br = d.size, self._lone["scale_idx"][0].size // 2
+        self._work = dict(a_base=(dim0, dim0), jac=(dim0, dim0), f_col=(dim0, 1),
+                          inj=(2 * n_m,), jac_vals=(6 * n_m,), i_br=(2 * n_br,))
 
     def _replicas(self, nrep):
-        """Stamp table and kernel arguments of a stack of nrep replicas.
+        """Stamp table, kernel arguments and workspaces of a stack of nrep
+        replicas.
 
         Replica r's entries are a lone call's, moved by r vectors of dim0 or
         r (dim0, dim0) matrices into the flattened stacked arrays, and follow
         replica r - 1's; the card arrays are tiled, so the exponents stay
-        arrays.  The table of nrep replicas is therefore the start of any
-        larger one: one table, of the largest stack yet, serves every
-        smaller stack through views.
+        arrays, and their card constants are computed once here.  The table
+        and workspaces of nrep replicas are therefore the start of any larger
+        stack's: one set, of the largest stack yet, serves every smaller
+        stack through views.
         """
         tab = self._stacks.get(nrep)
         if tab is None:
             full = self._full
-            if full is None or nrep > full["out"].shape[1]:
+            if full is None or nrep > full["a_base"].shape[0]:
+                # each array flattened over (replica, entry): a stack's part
+                # is a slice of it
                 off = np.arange(nrep)[:, None]
-                full = self._full = {name: lone[..., None, :] + step * off
-                                     for name, (lone, step) in self._lone.items()}
-                full.update(m_par=[np.tile(col, (nrep, 1)) for col in self.m_par],
-                            out=np.empty((3, nrep, self.m_d.size)))
+                full = self._full = {
+                    name: (lone[..., None, :] + step * off).reshape(*lone.shape[:-1], -1)
+                    for name, (lone, step) in self._lone.items()}
+                m_par = [np.tile(col, nrep) for col in self.m_par]
+                _sign, _kwl, mu0, _vthn, ss, gamma, _lam, order = m_par
+                full.update(m_par=m_par, card=kernels.card_constants(mu0, ss, gamma, order),
+                            out=np.empty((3, nrep * self.m_d.size)))
+                full.update((name, np.empty((nrep, *shape))) for name, shape in self._work.items())
                 self._stacks.clear()
-
-            def head(a):   # the first nrep replicas, flattened: a view
-                return a[..., :nrep, :].reshape(*a.shape[:-2], -1)
-
+            n = nrep * self.m_d.size   # devices of the stack
             tab = self._stacks[nrep] = _Replicas(
-                **{name: head(full[name]) for name in (*self._lone, "out")},
-                m_par=tuple(head(col) for col in full["m_par"]))
+                **{name: full[name][..., :nrep * lone.shape[-1]]
+                   for name, (lone, _step) in self._lone.items()},
+                **{name: full[name][:nrep] for name in self._work},
+                m_par=tuple(col[:n] for col in full["m_par"]), out=full["out"][:, :n],
+                card=kernels.Card(*(f[:n] if isinstance(f, np.ndarray) else f
+                                    for f in full["card"])))
         return tab
 
     def _source_values(self, t, alpha, overrides, nrep):
         """Voltage-source and current-source values, (nrep, n_v) and (nrep,
         n_i), at time t scaled by alpha; t and overrides are shared or lists
-        with one entry per replica."""
+        with one entry per replica.  Each wave is evaluated once per distinct
+        time, and each overridden source is set column by column."""
         ts = t if isinstance(t, list) else [t] * nrep
-        ovs = overrides if isinstance(overrides, list) else [overrides] * nrep
-        rows = []
-        for tk, ov in zip(ts, ovs):
-            row = [w.value(tk) for w in self.waves]
-            for name, v in (ov or {}).items():
-                row[self.source_index[name]] = v
-            rows.append(row)
-        vals = np.array(rows, dtype=float)
+        at = {}    # row of each distinct time
+        for tk in ts:
+            if tk not in at:
+                at[tk] = len(at)
+        vals = np.array([[w.value(tk) for w in self.waves] for tk in at], dtype=float)
+        if len(at) < nrep:
+            vals = vals[[at[tk] for tk in ts]]
+        if overrides:
+            ovs = overrides if isinstance(overrides, list) else [overrides] * nrep
+            for name in set().union(*filter(None, ovs)):
+                col = [ov.get(name) if ov else None for ov in ovs]
+                if None in col:   # replicas without this override keep the wave
+                    reps = [k for k, v in enumerate(col) if v is not None]
+                    vals[reps, self.source_index[name]] = [col[k] for k in reps]
+                else:
+                    vals[:, self.source_index[name]] = col
         if alpha != 1.0:
             vals *= alpha
         return vals[:, :self.n_branch], vals[:, self.n_branch:]
@@ -413,6 +466,8 @@ class _System:
         solve fails.  Terms that do not depend on the iterate (sources,
         shunts, capacitor companions, branch-row tolerances) are stamped once
         per call, and the residual tolerances only once an update is small.
+        The matrices, residuals and scatter values live in the stack's
+        workspaces (see _System._replicas); the returned solutions do not.
         """
         cfg = self.cfg
         dim0, nb0, nn = self.dim0, self.branch0, self.n_nodes
@@ -421,7 +476,8 @@ class _System:
         vs, cs = self._source_values(t, alpha, src_overrides, nrep)
         tab = self._stacks.get(nrep) or self._replicas(nrep)
 
-        a_base = np.array([self.a_static] * nrep)
+        a_base = tab.a_base
+        a_base[...] = self.a_static
         if gshunt > 0.0:
             idx = np.arange(1, nb0)
             a_base[:, idx, idx] += gshunt
@@ -443,20 +499,23 @@ class _System:
         xfull = np.zeros((nrep, dim0))
         xfull[:, 1:] = x
         xf, xcol = xfull.reshape(-1), xfull[:, :, None]
-        n_g = self.cond_g.size
+        n_g, n_lin = self.cond_g.size, self.lin_a.size
         for _ in range(cfg.max_newton_iters):
+            nrow = xfull.shape[0]
             if self.m_d.size:
                 v_d, v_g, v_s = xf[tab.m_dgs]
-                kernels.otft_eval(v_g - v_s, v_d - v_s, *tab.m_par, tab.out)
+                kernels.otft_eval(v_g - v_s, v_d - v_s, *tab.m_par, tab.out, card=tab.card)
             # the kernel's rows, one row per replica
-            idr, gm, gds = tab.out.reshape(3, xfull.shape[0], -1)
-            f_col = a_base @ xcol - b_full
+            idr, gm, gds = tab.out.reshape(3, nrow, -1)
+            f_col = np.matmul(a_base, xcol, out=tab.f_col)
+            f_col -= b_full
             np.add.at(f_col.reshape(-1), tab.m_inj,
-                      np.concatenate((idr, -idr), axis=1).ravel())
-            jac = a_base.copy()
+                      np.concatenate((idr, -idr), axis=1, out=tab.inj).reshape(-1))
+            jac = tab.jac
+            jac[...] = a_base
             gsum = gm + gds
-            np.add.at(jac.reshape(-1), tab.m_jac,
-                      np.concatenate((gds, gm, -gsum, -gds, -gm, gsum), axis=1).ravel())
+            np.add.at(jac.reshape(-1), tab.m_jac, np.concatenate(
+                (gds, gm, -gsum, -gds, -gm, gsum), axis=1, out=tab.jac_vals).reshape(-1))
             try:
                 dx = np.linalg.solve(jac[:, 1:, 1:], -f_col[:, 1:])[:, :, 0]
             except np.linalg.LinAlgError:
@@ -466,14 +525,15 @@ class _System:
             np.minimum(np.maximum(dxn, -cfg.damping, out=dxn), cfg.damping, out=dxn)
             conv = (np.abs(dxn) < cfg.vntol).all(axis=1).tolist()
             if True in conv:
-                # residuals at the point just evaluated, against their tolerances
-                dv = (xf[tab.lin_a] - xf[tab.lin_b]).reshape(idr.shape[0], -1)
-                i_br = np.concatenate((self.cond_g * dv[:, :n_g],
-                                       cap_geq * dv[:, n_g:] - cap_ieq, cs,
-                                       xf[tab.branch].reshape(idr.shape[0], -1), idr), axis=1)
-                a_br = np.abs(i_br)
-                scale = np.bincount(tab.scale_idx, np.concatenate((a_br, a_br), axis=1).ravel(),
-                                    xf.size)
+                # residuals at the point just evaluated, against their tolerances;
+                # each |branch current| counts at both ends of its branch
+                v = xf[tab.res_idx].reshape(nrow, -1)
+                dv = v[:, :n_lin] - v[:, n_lin:2 * n_lin]
+                a_br = np.abs(np.concatenate((self.cond_g * dv[:, :n_g],
+                                              cap_geq * dv[:, n_g:] - cap_ieq, cs,
+                                              v[:, 2 * n_lin:], idr), axis=1))
+                scale = np.bincount(tab.scale_idx, np.concatenate(
+                    (a_br, a_br), axis=1, out=tab.i_br).reshape(-1), xf.size)
                 tol = (cfg.abstol + cfg.reltol * scale).reshape(xfull.shape)
                 tol[:, nb0:] = tol_branch
                 within = (np.abs(f_col[:, 1:, 0]) <= tol[:, 1:]).all(axis=1).tolist()
@@ -514,7 +574,7 @@ class _System:
         """ConvergenceError for the first replica that failed in the last Newton call."""
         residual, row = next(f for f in self.fail if f is not None)
         return ConvergenceError(f"{message}; largest residual {residual:.3g} at {row}",
-                                residual=residual, at=at)
+                                residual=residual, at=at, row=row)
 
     def solve_dc(self, t=None, src_overrides=None, context="dc operating point"):
         """Newton from zero with gmin-ladder and source-stepping fallbacks."""
@@ -568,19 +628,31 @@ def dc_operating_point(c: Circuit, cfg: SolverConfig | None = None) -> dict[str,
     return sys.node_voltages(x)
 
 
-def _extrapolate(ts, xs, t):
-    """Value at t of the polynomial through the last three (or fewer) points
-    (ts[k], xs[k]): the predicted start of the next Newton solve.  An array
-    t broadcasts against the points' values: t of shape (m, 1, ..., 1) gives
-    the m values at once, each equal bit for bit to its own scalar call."""
-    ts, xs = ts[-3:], xs[-3:]
-    p = 0.0
-    for j, (tj, xj) in enumerate(zip(ts, xs)):
+def _lagrange_weights(ts, t):
+    """Weights of the points ts in the polynomial through them, at the float t."""
+    ws = []
+    for j, tj in enumerate(ts):
         w = 1.0
         for k, tk in enumerate(ts):
             if k != j:
                 w *= (t - tk) / (tj - tk)
-        p = p + w * xj
+        ws.append(w)
+    return ws
+
+
+def _extrapolate(ts, xs, t):
+    """Value at t of the polynomial through the last three (or fewer) points
+    (ts[k], xs[k]): the predicted start of the next Newton solve.  An array
+    t broadcasts against the points' values: t of shape (m, 1, ..., 1) gives
+    the m values at once, also through a single point.  The weights are
+    computed in floats, value by value, so each value equals its own scalar
+    call bit for bit."""
+    ts, xs = ts[-3:], xs[-3:]
+    t = np.asarray(t, dtype=float)
+    w = np.array([_lagrange_weights(ts, v) for v in t.ravel().tolist()])
+    p = 0.0
+    for wj, xj in zip(w.T.reshape(len(ts), *t.shape), xs):
+        p = p + wj * xj
     return p
 
 
@@ -639,9 +711,9 @@ def _dc_sweep_curves(c, d, cfg, extras, labels):
         called = list(live)
         if i:
             lo = max(i - 3, 0)
+            # (values, curves, unknowns)
             x0 = _extrapolate(points[lo:i], rows[lo:i, called], values[i:end, None, None])
-            # (values, curves, unknowns); one point before the block is one start
-            x0 = np.broadcast_to(x0, (end - i, *x0.shape[-2:])).reshape(-1, x0.shape[-1])
+            x0 = x0.reshape(-1, x0.shape[-1])
             xs = sys.newton(x0, src_overrides=[
                 {src: val, **extras[k]} for val in points[i:end] for k in called])
         else:
@@ -701,35 +773,42 @@ def transient(c: Circuit, directive: Tran, cfg: SolverConfig | None = None,
             if key != "0":
                 x[sys.node_index[key] - 1] = float(v)
         first_be = True
-    cap_i = np.zeros(cap_c.size)
 
     def vab(xv):
         xfull = np.concatenate(([0.0], xv))
         return xfull[sys.cap_a] - xfull[sys.cap_b]
 
-    def companion(x_in, i_in, h, method):
+    def steps_from(state, steps, method, x0=None):
+        """Solve the steps [(t_new, h), ...] that all start at state (x,
+        capacitor currents, capacitor voltages) as replicas of one Newton
+        call; a state or None each.  Without Newton starts x0, (len(steps),
+        n), each starts from x moved along the curve through the accepted
+        points, all from one _extrapolate call."""
+        x_in, i_in, v_in = state
+        t_new = [tn for tn, _h in steps]
+        h = np.array([hk for _tn, hk in steps])[:, None]
         if method == "be":
             geq = cap_c / h
-            return geq, geq * vab(x_in)
-        geq = 2.0 * cap_c / h
-        return geq, geq * vab(x_in) + i_in
-
-    def steps_from(x_in, i_in, steps, method, x0=None):
-        """Solve the steps [(t_new, h), ...] that all start at (x_in, i_in) as
-        replicas of one Newton call; (state, capacitor currents) or None each.
-        Without Newton starts x0, (len(steps), n), each starts from x_in moved
-        along the curve through the accepted points."""
-        comp = [companion(x_in, i_in, h, method) for _t, h in steps]
+            ieq = geq * v_in
+        else:
+            geq = 2.0 * cap_c / h
+            ieq = geq * v_in + i_in
         if x0 is None:
-            x0 = np.array([x_in + (_extrapolate(times, states, t_new)
-                                   - _extrapolate(times, states, t_new - h))
-                           for t_new, h in steps])
-        xs = sys.newton(x0, t=[t_new for t_new, _h in steps],
-                        cap_geq=np.array([geq for geq, _ieq in comp]),
-                        cap_ieq=np.array([ieq for _geq, ieq in comp]))
-        return [None if xn is None else (xn, geq * vab(xn) - ieq)
-                for xn, (geq, ieq) in zip(xs, comp)]
+            m = len(steps)
+            t_pred = t_new + [tn - hk for tn, hk in steps]
+            p = _extrapolate(times, states, np.array(t_pred)[:, None])
+            x0 = x_in + (p[:m] - p[m:])
+        done = []
+        xs = sys.newton(x0, t=t_new, cap_geq=geq, cap_ieq=ieq)
+        for xn, g, ie in zip(xs, geq, ieq):
+            if xn is None:
+                done.append(None)
+            else:
+                v = vab(xn)
+                done.append((xn, g * v - ie, v))
+        return done
 
+    state = (x, np.zeros(cap_c.size), vab(x))
     times = [0.0]
     states = [x.copy()]
     t = 0.0
@@ -740,14 +819,13 @@ def transient(c: Circuit, directive: Tran, cfg: SolverConfig | None = None,
         while t < stop - 1e-9 * h:
             h_eff = min(h, stop - t)
             method = "be" if (first_be and t == 0.0) else cfg.method
-            (done,) = steps_from(x, cap_i, [(t + h_eff, h_eff)], method)
-            if done is None:
+            (state,) = steps_from(state, [(t + h_eff, h_eff)], method)
+            if state is None:
                 raise sys.error(f"transient: no convergence at t={t + h_eff:g}",
                                 at=t + h_eff)
-            x, cap_i = done
             t += h_eff
             times.append(t)
-            states.append(x.copy())
+            states.append(state[0].copy())
     else:
         h = min(directive.step, stop / 1000.0, max_h)
         order = 1 if cfg.method == "be" else 2
@@ -755,13 +833,12 @@ def transient(c: Circuit, directive: Tran, cfg: SolverConfig | None = None,
         while t < stop - 1e-15 * stop:
             h = min(max(h, cfg.min_step), max_h, stop - t)
             method = "be" if (first_be and t == 0.0) else cfg.method
-            # the full step and the first half step, both from x, as one
-            # call; then the second half step, started from the full step's
-            # solution at the same time t + h
-            full, half = steps_from(x, cap_i, [(t + h, h), (t + 0.5 * h, 0.5 * h)],
-                                    method)
+            # the full step and the first half step, both from the accepted
+            # state, as one call; then the second half step, started from the
+            # full step's solution at the same time t + h
+            full, half = steps_from(state, [(t + h, h), (t + 0.5 * h, 0.5 * h)], method)
             if full is not None and half is not None:
-                (half,) = steps_from(*half, [(t + h, 0.5 * h)], method, x0=full[0][None])
+                (half,) = steps_from(half, [(t + h, 0.5 * h)], method, x0=full[0][None])
             if full is None or half is None:
                 h *= 0.5
                 if h < cfg.min_step:
@@ -772,19 +849,19 @@ def transient(c: Circuit, directive: Tran, cfg: SolverConfig | None = None,
             eta = float(np.max(ratio)) if nn else 0.0
             if eta <= 1.0:
                 t += h
-                x, cap_i = half
+                state = half
                 first_be = False
                 times.append(t)
-                states.append(x.copy())
+                states.append(xh2.copy())
                 grow = 2.0 if eta <= 0.0 else min(2.0, 0.9 * eta ** (-1.0 / (order + 1)))
                 h *= max(grow, 0.5)
             else:
                 shrink = max(0.2, 0.9 * eta ** (-1.0 / (order + 1)))
                 h *= min(shrink, 0.9)
                 if h < cfg.min_step:
-                    worst = sys.unknown_names[int(np.argmax(ratio)) + 1]
+                    worst = f"node {sys.unknown_names[int(np.argmax(ratio)) + 1]}"
                     raise ConvergenceError(
                         f"transient: step underflow at t={t:g}; largest LTE ratio "
-                        f"{eta:.3g} at node {worst}", at=t)
+                        f"{eta:.3g} at {worst}", at=t, row=worst)
     xs = np.vstack(states)
     return Waveform(axis_name="time", axis=np.array(times), columns=sys.columns_of(xs))

@@ -326,6 +326,7 @@ def test_conflicting_sources_raise():
         dc_operating_point(c)
     assert e.value.residual == pytest.approx(0.2)
     assert e.value.at == pytest.approx(0.1)
+    assert e.value.row == "i(v2)"
     # a transient names the residual of the step solve that failed
     c = netlist.parse("bad\nv1 a 0 dc 1\nv2 a 0 dc 2\nc1 a 0 1n\n.end")
     for fixed in (True, False):
@@ -333,6 +334,7 @@ def test_conflicting_sources_raise():
             transient(c, netlist.Tran(step=1e-6, stop=1e-5),
                       SolverConfig(fixed_step=fixed), ic={})
         assert e.value.residual == 2.0
+        assert e.value.row == "i(v2)"
 
 
 # -- Newton work per solve ----------------------------------------------------
@@ -417,6 +419,38 @@ def _same_waveform(a, b):
         assert np.array_equal(a.columns[name], b.columns[name]), name
 
 
+def _extrapolate_reference(ts, xs, t):
+    """The loop that forms each Lagrange weight from a scalar t, kept as the
+    reference the vectorized engine._extrapolate must match bit for bit."""
+    ts, xs = ts[-3:], xs[-3:]
+    p = 0.0
+    for j, (tj, xj) in enumerate(zip(ts, xs)):
+        w = 1.0
+        for k, tk in enumerate(ts):
+            if k != j:
+                w *= (t - tk) / (tj - tk)
+        p = p + w * xj
+    return p
+
+
+def test_extrapolate_matches_scalar_loop():
+    # 1-3 points, times from ns to s apart, points of shape (n,) and
+    # (curves, n), scalar t and t of shape (m, 1) or (m, 1, 1)
+    rng = np.random.default_rng(4)
+    for trial in range(200):
+        npts = 1 + trial % 3
+        ts = np.cumsum(rng.random(npts) * 10.0 ** rng.uniform(-9.0, 0.0)).tolist()
+        xs = rng.standard_normal((npts, 3, 7) if trial % 2 else (npts, 38))
+        tv = ts[-1] + rng.random(1 + trial % 33) * 10.0 ** rng.uniform(-9.0, 0.0)
+        got = engine._extrapolate(ts, xs, tv.reshape(-1, *[1] * (xs.ndim - 1)))
+        assert got.shape == (tv.size, *xs.shape[1:])
+        for k, v in enumerate(tv.tolist()):
+            ref = _extrapolate_reference(ts, list(xs), v)
+            assert np.array_equal(got[k].view(np.int64), ref.view(np.int64))
+            assert np.array_equal(engine._extrapolate(ts, xs, v).view(np.int64),
+                                  ref.view(np.int64))
+
+
 def _serial_transient(c, d, cfg, ic=None):
     """Adaptive step-doubling with its three Newton calls per attempt made
     one at a time: the reference for the stacked full and first half step.
@@ -444,8 +478,8 @@ def _serial_transient(c, d, cfg, ic=None):
             geq = 2.0 * sys.cap_c / h
             ieq = geq * vab(x_in) + i_in
         if x0 is None:
-            x0 = x_in + (engine._extrapolate(times, states, t_new)
-                         - engine._extrapolate(times, states, t_new - h))
+            x0 = x_in + (_extrapolate_reference(times, states, t_new)
+                         - _extrapolate_reference(times, states, t_new - h))
         xn = sys.newton(x0, t=t_new, cap_geq=geq, cap_ieq=ieq)
         return (None, None) if xn is None else (xn, geq * vab(xn) - ieq)
 
@@ -503,7 +537,7 @@ def _sweeps(c, d, cfg, starts):
             ov = {d.source.lower(): float(val), **extra}
             x = None
             for end in starts(i) if i else ():
-                x = sys.newton(engine._extrapolate(values[:end], rows[:end], val),
+                x = sys.newton(_extrapolate_reference(values[:end], rows[:end], val),
                                src_overrides=ov)
                 if x is not None:
                     break
@@ -710,6 +744,7 @@ def test_step_failure_names_the_first_failed_solve():
     with pytest.raises(ConvergenceError, match=r"largest residual 2\.01 at i\(v2\)") as e:
         transient(c, netlist.Tran(step=1e-4, stop=1e-3), SolverConfig(min_step=8e-7), ic={})
     assert e.value.residual == 2.0 + math.sin(2.0 * math.pi * 1e3 * 1e-6)
+    assert e.value.row == "i(v2)"
 
 
 def test_lte_step_underflow_names_worst_node():
@@ -721,6 +756,7 @@ def test_lte_step_underflow_names_worst_node():
         transient(c, c.analyses[0], SolverConfig(lte_tol=1e-12, min_step=1e-6),
                   ic={"out": 0.0})
     assert e.value.at == 0.0
+    assert e.value.row == "node out" and e.value.residual is None
 
 
 # -- waveform container and files --------------------------------------------
@@ -746,6 +782,58 @@ def test_waveform_csv_round_trip(tmp_path):
     assert np.array_equal(back.axis, w.axis)
     for k in w.columns:
         assert np.array_equal(back.columns[k], w.columns[k])
+
+
+def _write_waveform_csv_reference(w, path):
+    """The row-by-row CSV writer the blocked one replaced, kept as its reference."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        names = w.names
+        fh.write(",".join([w.axis_name] + names) + "\n")
+        cols = [w.columns[n] for n in names]
+        for k in range(w.axis.size):
+            fh.write(",".join(repr(float(v)) for v in [w.axis[k]] + [c[k] for c in cols]))
+            fh.write("\n")
+
+
+@pytest.mark.parametrize("rows", [0, 1, 7, engine._CSV_BLOCK, 2 * engine._CSV_BLOCK + 3])
+def test_waveform_csv_matches_row_writer(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    special = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 1e-300, -5e-324, 1.0 / 3.0])
+    cols = {"v(a)": np.resize(special, rows), "i(v1)": rng.standard_normal(rows) * 1e-9,
+            "v(b)": np.resize(special[::-1], rows)}
+    w = Waveform(axis_name="time", axis=np.cumsum(rng.random(rows)), columns=cols)
+    write_waveform_csv(w, tmp_path / "new.csv")
+    _write_waveform_csv_reference(w, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_source_values_match_row_by_row():
+    # shared and per-replica times (some repeated), overrides on some
+    # replicas only, on none, and scaled by alpha, against one row per replica
+    c = netlist.parse("srcs\nv1 a 0 pulse 0 5 1u 1u 1u 3u 10u\nv2 b 0 sin 1 2 50k\n"
+                      "i1 a b dc 1m\nr1 a b 1k\nr2 b 0 1k\n.end")
+    sys = engine._System(c, SolverConfig())
+
+    def rows(t, alpha, overrides, nrep):
+        ts = t if isinstance(t, list) else [t] * nrep
+        ovs = overrides if isinstance(overrides, list) else [overrides] * nrep
+        out = []
+        for tk, ov in zip(ts, ovs):
+            row = [wv.value(tk) for wv in sys.waves]
+            for name, v in (ov or {}).items():
+                row[sys.source_index[name]] = v
+            out.append(row)
+        vals = np.array(out, dtype=float)
+        if alpha != 1.0:
+            vals *= alpha
+        return vals[:, :sys.n_branch], vals[:, sys.n_branch:]
+
+    times = [2.5e-6, 1.3e-5, 2.5e-6, None, 4e-6]
+    overrides = [{"v1": 3.0}, None, {"v1": 1.5, "i1": 2e-3}, {}, {"i1": -1}]
+    for args in ((None, 1.0, None, 1), (3e-6, 0.3, {"v2": 7.0}, 4), (times, 1.0, None, 5),
+                 (times, 0.7, overrides, 5), (None, 1.0, [{"v2": 0.1 * k} for k in range(6)], 6)):
+        for got, ref in zip(sys._source_values(*args), rows(*args)):
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64)), args
 
 
 def test_waveform_binary_round_trip(tmp_path):
