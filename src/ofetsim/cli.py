@@ -307,12 +307,18 @@ def _fig4h(run: Run) -> None:
                    [(v, f20[v], f10[v]) for v in vdds])
 
 
-def _fig5d(run: Run) -> None:
-    c = _load(run, "inverter_cmos.cir")
+def _cmos_supplies(c, cfg):
+    """(vdd, VTC) of the CMOS inverter at each of its three supplies, vin
+    swept from 0 to vdd in 10 mV steps."""
     for vdd in (3.0, 5.0, 7.0):
         cv = c.with_source_level("vdd", vdd).with_analyses(
             [netlist.DcSweep("vin", 0.0, vdd, 0.01)])
-        w = _vtc(cv, run.cfg)
+        yield vdd, _vtc(cv, cfg)
+
+
+def _fig5d(run: Run) -> None:
+    c = _load(run, "inverter_cmos.cir")
+    for vdd, w in _cmos_supplies(c, run.cfg):
         run.write_rows(f"fig5d_vdd{int(vdd)}.csv", ["vin_V", "vout_V"],
                        zip(w.axis, w.columns["v(out)"]))
     curves = analyses.strain_study(
@@ -324,10 +330,7 @@ def _fig5d(run: Run) -> None:
 
 def _fig5e(run: Run) -> None:
     c = _load(run, "inverter_cmos.cir")
-    for vdd in (3.0, 5.0, 7.0):
-        cv = c.with_source_level("vdd", vdd).with_analyses(
-            [netlist.DcSweep("vin", 0.0, vdd, 0.01)])
-        w = _vtc(cv, run.cfg)
+    for vdd, w in _cmos_supplies(c, run.cfg):
         gain = -np.gradient(w.columns["v(out)"], w.axis)
         run.write_rows(f"fig5e_vdd{int(vdd)}.csv", ["vin_V", "gain"],
                        zip(w.axis, gain))
@@ -451,10 +454,16 @@ def main(argv: list[str] | None = None) -> int:
     except (TypeError, ValueError) as e:
         print(f"bad solver configuration: {e}", file=sys.stderr)
         return E_USAGE
+    except OSError as e:   # the output directory: an existing file, say
+        print(f"cannot create output directory: {e}", file=sys.stderr)
+        return E_USAGE
     try:
         return args.fn(args, run)
-    except FileNotFoundError as e:
+    except (FileNotFoundError, IsADirectoryError) as e:
         print(str(e), file=sys.stderr)
+        return E_INPUT
+    except UnicodeDecodeError as e:
+        print(f"input is not UTF-8 text: {e}", file=sys.stderr)
         return E_INPUT
     except (extract.SchemaError, netlist.NetlistError, ParameterError) as e:
         print(str(e), file=sys.stderr)

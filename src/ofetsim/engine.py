@@ -40,13 +40,13 @@ call (B = 1).
 
 Transients stack 1-2 replicas of 12-24 transistors, so an iteration costs
 numpy calls, not arithmetic.  The stamp table of a stack therefore also
-holds what the iterations reuse: the card constants of its transistors
+holds the tiled card arrays of its transistors and their card constants
 (kernels.card_constants, computed once per table instead of on every
-kernel call) and workspaces for the per-call matrix, the Jacobian, the
-residual, the scatter values and the residual-scale gather, which every
-iteration fills in place instead of allocating.  Like the table, they are
-views into the arrays of the largest stack yet.  A transient step computes
-its companions and the predicted starts of all its replicas at once.
+kernel call), all views into the arrays of the largest stack yet.  The
+matrices, residuals and scatter values are allocated by each call and
+iteration: at this size an allocation costs about what filling a kept
+array in place does.  A transient step computes its companions and the
+predicted starts of all its replicas at once.
 
 Waveforms serialize to CSV and to a compact little-endian binary table; both
 writers are bit-reproducible for identical inputs.
@@ -246,8 +246,8 @@ def _pair_stamp(dim, a, b):
 @dataclass(frozen=True)
 class _Replicas:
     """Flat indices into the stacked arrays of nrep replicas of one circuit,
-    their card arrays and card constants, and the workspaces one Newton
-    iteration fills, replica after replica; see _System._replicas."""
+    their card arrays and card constants, replica after replica; see
+    _System._replicas."""
 
     m_dgs: np.ndarray        # (3, nrep * n_m) drain, gate, source
     m_inj: np.ndarray
@@ -258,14 +258,6 @@ class _Replicas:
     cap_stamp: np.ndarray
     m_par: tuple
     card: kernels.Card
-    # workspaces, overwritten by every Newton iteration on this stack
-    out: np.ndarray          # (3, nrep * n_m) kernel output
-    a_base: np.ndarray       # (nrep, dim0, dim0) iterate-free matrix of a call
-    jac: np.ndarray          # (nrep, dim0, dim0)
-    f_col: np.ndarray        # (nrep, dim0, 1) residual
-    inj: np.ndarray          # (nrep, 2 * n_m) drain-current injections
-    jac_vals: np.ndarray     # (nrep, 6 * n_m) transistor Jacobian entries
-    i_br: np.ndarray         # (nrep, 2 * n_br) |branch currents|, twice
 
 
 def _solve_each(a, b):
@@ -280,7 +272,7 @@ def _solve_each(a, b):
 
 
 class _System:
-    """Assembled arrays and stamp table for one circuit; owns its Newton workspace."""
+    """Assembled arrays and stamp table for one circuit, and its Newton solver."""
 
     def __init__(self, circuit: Circuit, cfg: SolverConfig):
         self.circuit = circuit
@@ -377,27 +369,22 @@ class _System:
             scale_idx=(np.concatenate((cond_a, self.cap_a, ia, va, d,
                                        cond_b, self.cap_b, ib, vb, s)), dim0),
             m_jac=(self.m_jac, dim0 * dim0), cap_stamp=(self.cap_stamp, dim0 * dim0))
-        # per-replica shapes of the Newton workspaces (see _Replicas)
-        n_m, n_br = d.size, self._lone["scale_idx"][0].size // 2
-        self._work = dict(a_base=(dim0, dim0), jac=(dim0, dim0), f_col=(dim0, 1),
-                          inj=(2 * n_m,), jac_vals=(6 * n_m,), i_br=(2 * n_br,))
 
     def _replicas(self, nrep):
-        """Stamp table, kernel arguments and workspaces of a stack of nrep
-        replicas.
+        """Stamp table and kernel arguments of a stack of nrep replicas.
 
         Replica r's entries are a lone call's, moved by r vectors of dim0 or
         r (dim0, dim0) matrices into the flattened stacked arrays, and follow
         replica r - 1's; the card arrays are tiled, so the exponents stay
         arrays, and their card constants are computed once here.  The table
-        and workspaces of nrep replicas are therefore the start of any larger
-        stack's: one set, of the largest stack yet, serves every smaller
-        stack through views.
+        of nrep replicas is therefore the start of any larger stack's: one
+        table, of the largest stack yet, serves every smaller stack through
+        views.
         """
         tab = self._stacks.get(nrep)
         if tab is None:
             full = self._full
-            if full is None or nrep > full["a_base"].shape[0]:
+            if full is None or nrep > full["nrep"]:
                 # each array flattened over (replica, entry): a stack's part
                 # is a slice of it
                 off = np.arange(nrep)[:, None]
@@ -406,16 +393,14 @@ class _System:
                     for name, (lone, step) in self._lone.items()}
                 m_par = [np.tile(col, nrep) for col in self.m_par]
                 _sign, _kwl, mu0, _vthn, ss, gamma, _lam, order = m_par
-                full.update(m_par=m_par, card=kernels.card_constants(mu0, ss, gamma, order),
-                            out=np.empty((3, nrep * self.m_d.size)))
-                full.update((name, np.empty((nrep, *shape))) for name, shape in self._work.items())
+                full.update(nrep=nrep, m_par=m_par,
+                            card=kernels.card_constants(mu0, ss, gamma, order))
                 self._stacks.clear()
             n = nrep * self.m_d.size   # devices of the stack
             tab = self._stacks[nrep] = _Replicas(
                 **{name: full[name][..., :nrep * lone.shape[-1]]
                    for name, (lone, _step) in self._lone.items()},
-                **{name: full[name][:nrep] for name in self._work},
-                m_par=tuple(col[:n] for col in full["m_par"]), out=full["out"][:, :n],
+                m_par=tuple(col[:n] for col in full["m_par"]),
                 card=kernels.Card(*(f[:n] if isinstance(f, np.ndarray) else f
                                     for f in full["card"])))
         return tab
@@ -466,8 +451,6 @@ class _System:
         solve fails.  Terms that do not depend on the iterate (sources,
         shunts, capacitor companions, branch-row tolerances) are stamped once
         per call, and the residual tolerances only once an update is small.
-        The matrices, residuals and scatter values live in the stack's
-        workspaces (see _System._replicas); the returned solutions do not.
         """
         cfg = self.cfg
         dim0, nb0, nn = self.dim0, self.branch0, self.n_nodes
@@ -476,8 +459,7 @@ class _System:
         vs, cs = self._source_values(t, alpha, src_overrides, nrep)
         tab = self._stacks.get(nrep) or self._replicas(nrep)
 
-        a_base = tab.a_base
-        a_base[...] = self.a_static
+        a_base = np.array([self.a_static] * nrep)
         if gshunt > 0.0:
             idx = np.arange(1, nb0)
             a_base[:, idx, idx] += gshunt
@@ -502,20 +484,16 @@ class _System:
         n_g, n_lin = self.cond_g.size, self.lin_a.size
         for _ in range(cfg.max_newton_iters):
             nrow = xfull.shape[0]
-            if self.m_d.size:
-                v_d, v_g, v_s = xf[tab.m_dgs]
-                kernels.otft_eval(v_g - v_s, v_d - v_s, *tab.m_par, tab.out, card=tab.card)
+            v_d, v_g, v_s = xf[tab.m_dgs]
             # the kernel's rows, one row per replica
-            idr, gm, gds = tab.out.reshape(3, nrow, -1)
-            f_col = np.matmul(a_base, xcol, out=tab.f_col)
-            f_col -= b_full
-            np.add.at(f_col.reshape(-1), tab.m_inj,
-                      np.concatenate((idr, -idr), axis=1, out=tab.inj).reshape(-1))
-            jac = tab.jac
-            jac[...] = a_base
+            idr, gm, gds = kernels.otft_eval(
+                v_g - v_s, v_d - v_s, *tab.m_par, card=tab.card).reshape(3, nrow, -1)
+            f_col = a_base @ xcol - b_full
+            np.add.at(f_col.reshape(-1), tab.m_inj, np.concatenate((idr, -idr), axis=1).ravel())
+            jac = a_base.copy()
             gsum = gm + gds
-            np.add.at(jac.reshape(-1), tab.m_jac, np.concatenate(
-                (gds, gm, -gsum, -gds, -gm, gsum), axis=1, out=tab.jac_vals).reshape(-1))
+            np.add.at(jac.reshape(-1), tab.m_jac,
+                      np.concatenate((gds, gm, -gsum, -gds, -gm, gsum), axis=1).ravel())
             try:
                 dx = np.linalg.solve(jac[:, 1:, 1:], -f_col[:, 1:])[:, :, 0]
             except np.linalg.LinAlgError:
@@ -532,8 +510,8 @@ class _System:
                 a_br = np.abs(np.concatenate((self.cond_g * dv[:, :n_g],
                                               cap_geq * dv[:, n_g:] - cap_ieq, cs,
                                               v[:, 2 * n_lin:], idr), axis=1))
-                scale = np.bincount(tab.scale_idx, np.concatenate(
-                    (a_br, a_br), axis=1, out=tab.i_br).reshape(-1), xf.size)
+                scale = np.bincount(tab.scale_idx, np.concatenate((a_br, a_br), axis=1).ravel(),
+                                    xf.size)
                 tol = (cfg.abstol + cfg.reltol * scale).reshape(xfull.shape)
                 tol[:, nb0:] = tol_branch
                 within = (np.abs(f_col[:, 1:, 0]) <= tol[:, 1:]).all(axis=1).tolist()

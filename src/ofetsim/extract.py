@@ -147,7 +147,7 @@ def read_iv_csv(path) -> list[IvSweep]:
         except ValueError:
             raise SchemaError(f"column {col}: not a number: {text!r}", lineno) from None
 
-    groups: list[tuple[tuple, list, list]] = []
+    groups: list[tuple[tuple, int, list, list]] = []   # key, first line, v, i
     for lineno, cells in rows:
         kind = cells[idx["kind"]].strip().lower()
         if kind not in ("transfer", "output"):
@@ -164,12 +164,12 @@ def read_iv_csv(path) -> list[IvSweep]:
         v = fval(cells, "v_V", lineno)
         i = fval(cells, "id_A", lineno)
         if not groups or groups[-1][0] != key:
-            groups.append((key, [], []))
-        groups[-1][1].append(v)
-        groups[-1][2].append(i)
+            groups.append((key, lineno, [], []))
+        groups[-1][2].append(v)
+        groups[-1][3].append(i)
 
     sweeps = []
-    for (dev, kind, w, l, lov, cox, fb), vs, cs in groups:
+    for (dev, kind, w, l, lov, cox, fb), first, vs, cs in groups:
         v = np.array(vs)
         i = np.array(cs)
         dv = np.diff(v)
@@ -178,12 +178,13 @@ def read_iv_csv(path) -> list[IvSweep]:
             sgn = np.sign(dv[0])
             turn = int(np.argmax(np.sign(dv) != sgn)) + 1
             v, i = v[:turn], i[:turn]
-        sweeps.append(IvSweep(
-            kind=kind, device_id=dev,
-            geom=DeviceGeometry(w=w * 1e-6, l=l * 1e-6, lov=lov * 1e-6),
-            cox=cox * 1e-5,  # nF/cm^2 -> F/m^2
-            fixed_bias=fb, v=v, i=i,
-        ))
+        geom = DeviceGeometry(w=w * 1e-6, l=l * 1e-6, lov=lov * 1e-6)
+        try:
+            sweeps.append(IvSweep(kind=kind, device_id=dev, geom=geom,
+                                  cox=cox * 1e-5,  # nF/cm^2 -> F/m^2
+                                  fixed_bias=fb, v=v, i=i))
+        except ValueError as e:
+            raise SchemaError(f"{kind} sweep of {dev!r}: {e}", first) from None
     return sweeps
 
 

@@ -27,8 +27,6 @@ from . import kernels
 
 EPS0 = 8.8541878128e-12  # F/m
 
-LN10 = math.log(10.0)
-
 
 class ParameterError(ValueError):
     """Physically invalid device, stack or strain parameters."""

@@ -504,6 +504,9 @@ class _Parser:
             if nums[0] <= 0 or nums[1] <= 0:
                 self.error(line, ".tran needs positive step and stop")
                 return
+            if len(nums) > 2 and nums[2] <= 0:
+                self.error(line, ".tran needs a positive maxstep")
+                return
             self.analyses.append(Tran(step=nums[0], stop=nums[1],
                                       max_step=nums[2] if len(nums) > 2 else None))
             return

@@ -85,6 +85,37 @@ def test_extract_missing_file(tmp_path, capsys):
                  "--out", str(tmp_path / "o")]) == 2
 
 
+def test_sweep_schema_error_exits_2(tmp_path, capsys):
+    # a seven-point sweep is bad input, named by its first line
+    short = tmp_path / "short.csv"
+    short.write_text("device_id,kind,W_um,L_um,LOV_um,cox_nF_cm2,fixed_bias_V,v_V,id_A\n"
+                     + "".join(f"d,transfer,380,35,5,35,-30,{-0.5 * k},-1e-9\n"
+                               for k in range(7)))
+    for cmd in ("extract", "fit"):
+        assert main([cmd, str(short), "--out", str(tmp_path / cmd)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["line 2: transfer sweep of 'd': sweep needs >= 8 points, got 7"]
+
+
+@pytest.mark.parametrize("cmd", ["extract", "sim"])
+def test_unreadable_input_exits_2(tmp_path, capsys, cmd):
+    binary = tmp_path / "binary.in"
+    binary.write_bytes(b"\xff\xfe not text\n")
+    for path, needle in ((tmp_path, "Is a directory"), (binary, "not UTF-8 text")):
+        assert main([cmd, str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and needle in err[0]
+
+
+def test_out_naming_a_file_is_usage_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    assert main(["sim", str(fixtures.path("nand_pseudo_e.cir")), "--out", str(taken)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "output directory" in err[0]
+    assert taken.read_text() == "keep\n"
+
+
 # -- fit ---------------------------------------------------------------------
 
 

@@ -305,12 +305,26 @@ def test_csv_round_trip(tmp_path):
 _HEADER = "device_id,kind,W_um,L_um,LOV_um,cox_nF_cm2,fixed_bias_V,v_V,id_A\n"
 
 
+def _sweep_rows(n, dev="d", cox=35, v=None, i="-1e-9"):
+    """n transfer rows of one sweep; v cycles through the given values, or runs 0, -0.5, ..."""
+    vs = [-0.5 * k for k in range(n)] if v is None else [v[k % len(v)] for k in range(n)]
+    return "".join(f"{dev},transfer,380,35,5,{cox},-30,{x},{i}\n" for x in vs)
+
+
 @pytest.mark.parametrize("body,needle", [
     ("device_id,kind\n", "missing column"),
     (_HEADER + "d,transfer,380,35,5,35,-30,abc,1e-9\n", "line 2"),
     (_HEADER + "d,bogus,380,35,5,35,-30,0,1e-9\n", "kind"),
     (_HEADER + "d,transfer,380,35,5,35,-30,0\n", "cells"),
     ("# only comments\n", "empty"),
+    # sweep-level errors point at the sweep's first line
+    (_HEADER + _sweep_rows(7), "line 2: transfer sweep of 'd': sweep needs >= 8 points"),
+    # a zigzag keeps only its first branch, two points
+    (_HEADER + _sweep_rows(10) + _sweep_rows(10, dev="e", v=[0, 1]),
+     "line 12: transfer sweep of 'e': sweep needs >= 8 points, got 2"),
+    (_HEADER + _sweep_rows(10, i="nan"),
+     "line 2: transfer sweep of 'd': sweep contains non-finite"),
+    (_HEADER + _sweep_rows(10, cox=0), "line 2: transfer sweep of 'd': cox must be positive"),
 ])
 def test_csv_schema_errors(tmp_path, body, needle):
     path = tmp_path / "bad.csv"

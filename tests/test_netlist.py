@@ -225,6 +225,8 @@ def test_with_otft_overrides_and_strain():
     ("t\nr1 a 0 1k\nr1 b 0 2k\n.end", "duplicate", 3),
     ("t\nv1 a 0 dc 1\n.dc v1 1 0 0.1\n.end", "stop >= start", 3),
     ("t\nv1 a 0 dc 1\n.tran 0 1m\n.end", "positive step", 3),
+    ("t\nv1 a 0 dc 1\n.tran 1u 1m 0\n.end", "positive maxstep", 3),
+    ("t\nv1 a 0 dc 1\n.tran 1u 1m -1u\n.end", "positive maxstep", 3),
     ("t\ni1 0 a sin 0 1 1k\nr1 a 0 1k\n.end", "dc and pulse", 2),
     ("t\n.subckt s a\nr1 a 0 1k\nv1 a 0 dc 1\n.end", "never closed", 2),
     ("t\nv1 a 0 dc 1\nr1 a 0 1k\n.dc v2 0 1 0.1\n.end", "no V or I source", 4),
