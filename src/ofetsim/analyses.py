@@ -5,6 +5,13 @@ appropriate sweep or transient, and reduces the waveforms to the quantities
 plotted in characterization work: inverter transfer metrics, oscillator
 frequency vs supply, spiking-rate vs input current, logic truth tables,
 strain response, and mismatch yield.
+
+The drivers read the fixtures' fixed names: output node `out`, supply
+source `vdd`, neuron drive `iex`, gate inputs `va` and `vb`.  Strain and
+mismatch reach the circuit only as transistor overrides
+(`Circuit.with_strain`, `Circuit.with_otft_overrides`), and a mismatch
+experiment is a `netlist.Mc`, so the netlist module alone decides what an
+override or a draw may be.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .netlist import Circuit, DcSweep, Tran, Mc
+from .netlist import Circuit, Tran, Mc
 from . import engine
 from .engine import SolverConfig, Waveform
 
@@ -54,8 +61,8 @@ def _cross(x: np.ndarray, y: np.ndarray, i: int) -> float:
     return float(x[i] - y0 * (x[i + 1] - x[i]) / (y1 - y0))
 
 
-def vtc_metrics(w: Waveform, vdd: float, output: str = "out") -> VtcMetrics:
-    """Reduce a DC transfer sweep to gain, VM, noise margins, and swing.
+def vtc_metrics(w: Waveform, vdd: float) -> VtcMetrics:
+    """Reduce a DC transfer sweep of node `out` to gain, VM, noise margins, and swing.
 
     The gain is the peak magnitude of the central-difference slope.  VM is
     the input where Vout - Vin changes sign.  Noise margins use the
@@ -63,7 +70,7 @@ def vtc_metrics(w: Waveform, vdd: float, output: str = "out") -> VtcMetrics:
     from the curve at the respective unity-gain inputs.
     """
     vin = w.axis
-    vout = w.columns[f"v({output})"]
+    vout = w.columns["v(out)"]
     if len(vin) < 5:
         raise AnalysisError("VTC sweep too short")
     slope = np.gradient(vout, vin)
@@ -158,9 +165,9 @@ def _tran_directive(c: Circuit) -> Tran:
     raise AnalysisError("fixture has no .tran directive")
 
 
-def vco_curve(c: Circuit, vdds: Sequence[float], cfg: SolverConfig | None = None,
-              node: str = "out", supply: str = "vdd") -> list[tuple[float, float]]:
-    """Oscillation frequency at each supply voltage.
+def vco_curve(c: Circuit, vdds: Sequence[float],
+              cfg: SolverConfig | None = None) -> list[tuple[float, float]]:
+    """Oscillation frequency of node `out` at each level of source `vdd`.
 
     Each point reruns the fixture transient at the given VDD.  After the
     first point the simulated span is resized to ~8 periods of the previous
@@ -173,9 +180,9 @@ def vco_curve(c: Circuit, vdds: Sequence[float], cfg: SolverConfig | None = None
     for vdd in vdds:
         stop = base.stop if prev_f is None else min(base.stop, 8.0 / prev_f)
         d = Tran(step=stop / 2000.0, stop=stop, max_step=None)
-        cv = c.with_source_level(supply, float(vdd))
+        cv = c.with_source_level("vdd", float(vdd))
         wf = engine.transient(cv, d, cfg)
-        r = oscillation_frequency(wf, node)
+        r = oscillation_frequency(wf)
         if not r.settled:
             raise AnalysisError(f"oscillator did not settle at VDD = {vdd} V")
         out.append((float(vdd), float(r.frequency)))
@@ -199,16 +206,15 @@ class SpikeTrain:
             raise ValueError("spike times must be strictly increasing")
 
 
-def spike_train(w: Waveform, threshold: float, node: str = "out",
-                refractory: float = 1e-3) -> SpikeTrain:
-    """Upward threshold crossings with a refractory de-bounce."""
-    t, v = w.axis, w.columns[f"v({node})"]
+def spike_train(w: Waveform, threshold: float) -> SpikeTrain:
+    """Upward threshold crossings of node `out`, with a 1 ms refractory de-bounce."""
+    t, v = w.axis, w.columns["v(out)"]
     s = v - threshold
     idx = np.nonzero((s[:-1] < 0) & (s[1:] >= 0))[0]
     times: list[float] = []
     for i in idx:
         tx = _cross(t, s, int(i))
-        if not times or tx - times[-1] > refractory:
+        if not times or tx - times[-1] > 1e-3:
             times.append(tx)
     arr = np.array(times)
     if len(arr) < 2:
@@ -217,19 +223,18 @@ def spike_train(w: Waveform, threshold: float, node: str = "out",
     return SpikeTrain(arr, float(1.0 / isi.mean()), float(isi.mean()), float(isi.std()))
 
 
-def neuron_fi_curve(c: Circuit, i_ex: Sequence[float],
-                    cfg: SolverConfig | None = None, node: str = "out",
-                    source: str = "iex", supply: str = "vdd",
+def neuron_fi_curve(c: Circuit, i_ex: Sequence[float], cfg: SolverConfig | None = None,
                     ) -> tuple[list[tuple[float, float]], list[SpikeTrain]]:
-    """Firing rate vs injected current for the integrate-and-fire fixture.
+    """Firing rate vs current of source `iex` for the integrate-and-fire fixture.
 
-    Spikes are upward crossings of the output through VDD/2.  The simulated
-    span shrinks with increasing drive (the rate scales roughly linearly
-    with Iex) so every point captures a handful of spikes without wasting
-    time on the fast ones.  Zero input is valid and yields rate 0.
+    Spikes are upward crossings of node `out` through VDD/2 (the level of
+    source `vdd`).  The simulated span shrinks with increasing drive (the
+    rate scales roughly linearly with Iex) so every point captures a handful
+    of spikes without wasting time on the fast ones.  Zero input is valid
+    and yields rate 0.
     """
     base = _tran_directive(c)
-    vdd = c.element(supply).wave.level
+    vdd = c.element("vdd").wave.level
     rates: list[tuple[float, float]] = []
     trains: list[SpikeTrain] = []
     for amp in i_ex:
@@ -240,9 +245,9 @@ def neuron_fi_curve(c: Circuit, i_ex: Sequence[float],
         else:
             stop = base.stop
         d = Tran(step=stop / 500.0, stop=stop, max_step=None)
-        cv = c.with_source_level(source, float(amp))
+        cv = c.with_source_level("iex", float(amp))
         wf = engine.transient(cv, d, cfg)
-        st = spike_train(wf, 0.5 * vdd, node)
+        st = spike_train(wf, 0.5 * vdd)
         rates.append((float(amp), st.rate))
         trains.append(st)
     return rates, trains
@@ -252,24 +257,20 @@ def neuron_fi_curve(c: Circuit, i_ex: Sequence[float],
 # logic
 
 
-def logic_truth_table(c: Circuit, inputs: Sequence[str] = ("va", "vb"),
-                      output: str = "out",
+def logic_truth_table(c: Circuit,
                       cfg: SolverConfig | None = None) -> dict[tuple[int, ...], int]:
-    """DC truth table of a gate fixture.
+    """DC truth table of a two-input gate fixture.
 
-    Drives each input source to 0 or VDD (the level of source ``vdd``) for
-    every combination and classifies the output: LOW below 0.3*VDD, HIGH
-    above 0.7*VDD.  An output inside the forbidden band raises.
+    Drives input sources ``va`` and ``vb`` to 0 or VDD (the level of source
+    ``vdd``) for every combination and classifies node ``out``: LOW below
+    0.3*VDD, HIGH above 0.7*VDD.  An output inside the forbidden band raises.
     """
     vdd = c.element("vdd").wave.level
     low, high = 0.3 * vdd, 0.7 * vdd
     table: dict[tuple[int, ...], int] = {}
-    for combo in range(2 ** len(inputs)):
-        bits = tuple((combo >> (len(inputs) - 1 - k)) & 1 for k in range(len(inputs)))
-        cv = c
-        for name, b in zip(inputs, bits):
-            cv = cv.with_source_level(name, vdd * b)
-        vout = engine.dc_operating_point(cv, cfg)[output]
+    for bits in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        cv = c.with_source_level("va", vdd * bits[0]).with_source_level("vb", vdd * bits[1])
+        vout = engine.dc_operating_point(cv, cfg)["out"]
         if vout < low:
             table[bits] = 0
         elif vout > high:
@@ -286,54 +287,21 @@ def logic_truth_table(c: Circuit, inputs: Sequence[str] = ("va", "vb"),
 
 
 def strain_study(c: Circuit, strains: Sequence[float], orientation: str,
-                 metric: Callable[[Circuit], object],
-                 wire_resistance_coeff: float = 0.0) -> list[tuple[float, object]]:
+                 metric: Callable[[Circuit], object]) -> list[tuple[float, object]]:
     """Evaluate a metric closure across strain states.
 
     Every transistor gets the same (epsilon, orientation) override; at
-    epsilon = 0 the circuit is exactly the unstrained one.  When
-    wire_resistance_coeff is nonzero, resistor values scale by
-    (1 + coeff * epsilon) to model stretched interconnects.
+    epsilon = 0 the circuit is exactly the unstrained one.
     """
     out: list[tuple[float, object]] = []
     for eps in strains:
         cv = c.with_strain(float(eps), orientation)
-        if wire_resistance_coeff != 0.0:
-            cv = cv.with_scaled_values("r", 1.0 + wire_resistance_coeff * float(eps))
         out.append((float(eps), metric(cv)))
     return out
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo mismatch
-
-
-@dataclass(frozen=True)
-class McSpec:
-    """Mismatch experiment: replica count, seed, and per-parameter draws.
-
-    dists entries are (param, kind, a, b) with kind "normal" (a = mean,
-    b = sigma) or "lognormal" (a = median, b = sigma of log).  Every
-    transistor instance receives an independent draw of each parameter.
-    """
-
-    count: int
-    seed: int
-    dists: tuple[tuple[str, str, float, float], ...]
-    predicate: Callable[[object], bool] | None = None
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
-        for p, kind, _a, b in self.dists:
-            if kind not in ("normal", "lognormal"):
-                raise ValueError(f"unknown distribution {kind!r} for {p}")
-            if b < 0:
-                raise ValueError(f"negative sigma for {p}")
-
-    @staticmethod
-    def from_directive(mc: Mc, predicate=None) -> "McSpec":
-        return McSpec(mc.count, mc.seed, mc.dists, predicate)
 
 
 @dataclass(frozen=True)
@@ -369,26 +337,26 @@ def mc_overrides(samples_row: np.ndarray, devices: Sequence[str],
             for i, d in enumerate(devices)}
 
 
-def monte_carlo(c: Circuit, spec: McSpec,
-                metric: Callable[[Circuit], object]) -> McResult:
+def monte_carlo(c: Circuit, mc: Mc, metric: Callable[[Circuit], object],
+                predicate: Callable[[object], bool] | None = None) -> McResult:
     """Mismatch yield over deterministic per-device parameter draws.
 
-    Replica r applies to transistor i the draws from the Philox stream
-    keyed (seed, replica=r, device=i); devices are indexed in element
-    order.  Yield is the fraction of replicas whose metric satisfies the
-    predicate (1.0 when no predicate is given).  Identical seeds give
-    identical results regardless of evaluation order.
+    Replica r applies to transistor i the draws of `mc` from the Philox
+    stream keyed (seed, replica=r, device=i); devices are indexed in
+    element order.  Yield is the fraction of replicas whose metric
+    satisfies the predicate (1.0 when no predicate is given).  Identical
+    seeds give identical results regardless of evaluation order.
     """
     devices = tuple(e.name for e in c.elements if e.kind == "M")
-    params = tuple(p for p, _k, _a, _b in spec.dists)
-    samples = mc_samples(spec.count, spec.seed, len(devices), spec.dists)
+    params = tuple(p for p, _k, _a, _b in mc.dists)
+    samples = mc_samples(mc.count, mc.seed, len(devices), mc.dists)
     metrics = []
     passed = 0
-    for r in range(spec.count):
+    for r in range(mc.count):
         cv = c.with_otft_overrides(mc_overrides(samples[r], devices, params))
         m = metric(cv)
         metrics.append(m)
-        if spec.predicate is None or spec.predicate(m):
+        if predicate is None or predicate(m):
             passed += 1
-    return McResult(yield_=passed / spec.count, metrics=tuple(metrics),
+    return McResult(yield_=passed / mc.count, metrics=tuple(metrics),
                     samples=samples, devices=devices, params=params)

@@ -230,6 +230,7 @@ def cmd_fit(args, run: Run) -> int:
 
 def cmd_sim(args, run: Run) -> int:
     src = Path(args.netlist)
+    run.note_input(src)
     text = src.read_text(encoding="utf-8")
     c = netlist.parse(text)  # NetlistError propagates before any artifact
     errors = [d for d in netlist.validate(c) if d.severity == "error"]
@@ -237,7 +238,6 @@ def cmd_sim(args, run: Run) -> int:
         for d in errors:
             print(d, file=sys.stderr)
         return E_INPUT
-    run.note_input(src)
     if not c.analyses:
         print("netlist has no analysis directives", file=sys.stderr)
         return E_INPUT
@@ -462,8 +462,9 @@ def main(argv: list[str] | None = None) -> int:
     except (FileNotFoundError, IsADirectoryError) as e:
         print(str(e), file=sys.stderr)
         return E_INPUT
-    except UnicodeDecodeError as e:
-        print(f"input is not UTF-8 text: {e}", file=sys.stderr)
+    except UnicodeDecodeError as e:   # each input is noted before it is read
+        print(f"input {next(reversed(run.inputs))} is not UTF-8 text: {e}",
+              file=sys.stderr)
         return E_INPUT
     except (extract.SchemaError, netlist.NetlistError, ParameterError) as e:
         print(str(e), file=sys.stderr)

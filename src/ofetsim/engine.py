@@ -61,8 +61,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .model import OtftParams, StrainState, apply_strain, device_capacitances
-from .netlist import Circuit, DcSweep, Element, Tran, card_with
+from .model import device_capacitances
+from .netlist import Circuit, DcSweep, Tran, card_with
 
 
 class ConvergenceError(Exception):
@@ -209,16 +209,6 @@ def read_waveform_binary(path) -> Waveform:
 
 # -- elaboration --------------------------------------------------------------
 
-def effective_otft_params(card: OtftParams, e: Element) -> OtftParams:
-    """Instance card after per-instance overrides and strain."""
-    ov = dict(e.overrides)
-    p = card_with(card, ov)
-    if "strain" in ov:
-        orientation = "perpendicular" if ov.get("dir", "par") == "perp" else "parallel"
-        p = apply_strain(p, StrainState(float(ov["strain"]), orientation))
-    return p
-
-
 # Sign patterns of the per-element stamps, entry by entry.
 _G_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])   # conductance: (a,a) (b,b) (a,b) (b,a)
 _V_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])   # V-source: (a,k) (b,k) (k,a) (k,b)
@@ -294,7 +284,7 @@ class _System:
                 (vsrc if e.kind == "V" else isrc).append(
                     (index[e.nodes[0]], index[e.nodes[1]], e.wave, e.name))
             elif e.kind == "M":
-                p = effective_otft_params(circuit.model_card(e.model), e)
+                p = card_with(circuit.model_card(e.model), e.overrides)
                 d, g, s = (index[n] for n in e.nodes)
                 di, si = d, s
                 if p.rc > 0.0:

@@ -112,7 +112,8 @@ def read_iv_csv(path) -> list[IvSweep]:
 
     Rows are grouped into sweeps whenever device_id, kind, geometry or fixed
     bias changes.  A single up-down (hysteresis) pass is split and the
-    forward branch kept.  Raises SchemaError with a line number on malformed
+    forward branch kept; a second direction reversal is an error at the row
+    where it starts.  Raises SchemaError with a line number on malformed
     input.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -147,7 +148,7 @@ def read_iv_csv(path) -> list[IvSweep]:
         except ValueError:
             raise SchemaError(f"column {col}: not a number: {text!r}", lineno) from None
 
-    groups: list[tuple[tuple, int, list, list]] = []   # key, first line, v, i
+    groups: list[tuple[tuple, list, list, list]] = []   # key, lines, v, i
     for lineno, cells in rows:
         kind = cells[idx["kind"]].strip().lower()
         if kind not in ("transfer", "output"):
@@ -164,12 +165,14 @@ def read_iv_csv(path) -> list[IvSweep]:
         v = fval(cells, "v_V", lineno)
         i = fval(cells, "id_A", lineno)
         if not groups or groups[-1][0] != key:
-            groups.append((key, lineno, [], []))
+            groups.append((key, [], [], []))
+        groups[-1][1].append(lineno)
         groups[-1][2].append(v)
         groups[-1][3].append(i)
 
     sweeps = []
-    for (dev, kind, w, l, lov, cox, fb), first, vs, cs in groups:
+    for (dev, kind, w, l, lov, cox, fb), lines, vs, cs in groups:
+        first = lines[0]
         v = np.array(vs)
         i = np.array(cs)
         dv = np.diff(v)
@@ -177,7 +180,13 @@ def read_iv_csv(path) -> list[IvSweep]:
             # single reversal: keep the forward branch
             sgn = np.sign(dv[0])
             turn = int(np.argmax(np.sign(dv) != sgn)) + 1
+            back = np.nonzero(np.sign(dv[turn:]) == sgn)[0]
+            if back.size:
+                raise SchemaError(f"{kind} sweep of {dev!r}: second direction "
+                                  "reversal; split the sweep", lines[turn + back[0]])
             v, i = v[:turn], i[:turn]
+        if not cox > 0.0:
+            raise SchemaError(f"column cox_nF_cm2: must be positive, got {cox}", first)
         geom = DeviceGeometry(w=w * 1e-6, l=l * 1e-6, lov=lov * 1e-6)
         try:
             sweeps.append(IvSweep(kind=kind, device_id=dev, geom=geom,

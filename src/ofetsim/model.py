@@ -25,33 +25,8 @@ import numpy as np
 
 from . import kernels
 
-EPS0 = 8.8541878128e-12  # F/m
-
-
 class ParameterError(ValueError):
-    """Physically invalid device, stack or strain parameters."""
-
-
-@dataclass(frozen=True)
-class DielectricStack:
-    """Gate dielectric as a sequence of (relative permittivity, thickness m)."""
-
-    layers: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        if not self.layers:
-            raise ParameterError("dielectric stack needs at least one layer")
-        for k, t in self.layers:
-            if not (k > 0.0 and t > 0.0):
-                raise ParameterError(
-                    f"stack layer (k={k}, t={t}) must have positive permittivity and thickness"
-                )
-
-
-def series_capacitance(stack: DielectricStack) -> float:
-    """Areal capacitance (F/m^2) of stacked dielectrics in series."""
-    inv = sum(t / (EPS0 * k) for k, t in stack.layers)
-    return 1.0 / inv
+    """Physically invalid device or strain parameters."""
 
 
 @dataclass(frozen=True)

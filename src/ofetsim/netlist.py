@@ -20,6 +20,15 @@ count as whitespace; a bare identifier in a value position resolves against
 `.param` constants.  Subcircuits are flattened with hierarchical names
 (`x1.node`, element `rx1.r1`), so the serialized form is flat and
 `parse(serialize(parse(text)))` is a fixed point.
+
+This module alone knows what a transistor override and a Monte Carlo draw
+may be.  An override is a model-card key, `strain` or `dir` (`par` or
+`perp`); the parser and `Circuit.with_otft_overrides` apply the same check,
+so a circuit built by either serializes to a deck that parses back to it.
+`card_with` turns a model card and an instance's overrides into the
+effective card, strain included.  `Mc` checks its own count, seed,
+parameter names, distribution kinds and spreads, so a `.mc` line and an
+`Mc` built in code obey the same rules.
 """
 
 from __future__ import annotations
@@ -29,7 +38,8 @@ import re
 from dataclasses import dataclass, field, replace
 from typing import Union
 
-from .model import DeviceGeometry, OtftParams, ParameterError
+from .model import (DeviceGeometry, OtftParams, ParameterError, StrainState,
+                    apply_strain)
 
 
 @dataclass(frozen=True)
@@ -155,9 +165,34 @@ class Tran:
 
 @dataclass(frozen=True)
 class Mc:
+    """Mismatch experiment: replica count, seed, and per-parameter draws.
+
+    dists entries are (param, kind, a, b) with param one of vth, mu0, ss,
+    lambda, gamma, rc and kind "normal" (a = mean, b = sigma) or "lognormal"
+    (a = median, b = sigma of log).  Every transistor instance receives an independent draw
+    of each parameter.  Raises ValueError on a count that is not a positive
+    integer, a seed that is no Philox key (an integer in [0, 2**128)), an
+    unknown parameter or kind, or a negative sigma.
+    """
+
     count: int
     seed: int
-    dists: tuple[tuple[str, str, float, float], ...] = ()  # (param, kind, a, b)
+    dists: tuple[tuple[str, str, float, float], ...] = ()
+
+    def __post_init__(self):
+        if not (self.count >= 1 and float(self.count).is_integer()):
+            raise ValueError(f"count must be a positive integer, got {self.count}")
+        if not (0 <= self.seed < 2 ** 128 and float(self.seed).is_integer()):
+            raise ValueError(f"seed must be an integer in [0, 2**128), got {self.seed}")
+        for p, kind, _a, b in self.dists:
+            if p not in _MC_PARAMS:
+                raise ValueError(f"unknown parameter {p!r}")
+            if kind not in ("normal", "lognormal"):
+                raise ValueError(f"unknown distribution {kind!r} for {p}")
+            if not b >= 0:
+                raise ValueError(f"{p} spread must be >= 0, got {b}")
+        object.__setattr__(self, "count", int(self.count))
+        object.__setattr__(self, "seed", int(self.seed))
 
 
 AnalysisDirective = Union[DcOp, DcSweep, Tran, Mc]
@@ -203,22 +238,12 @@ class Circuit:
             raise KeyError(f"{name} is not a source")
         return self._with_changed({e.name: replace(e, wave=e.wave.with_level(level))})
 
-    def with_element_value(self, name: str, value: float) -> "Circuit":
-        """New circuit with one R/C value replaced."""
-        e = self.element(name)
-        if e.kind not in ("R", "C"):
-            raise KeyError(f"{name} has no scalar value")
-        return self._with_changed({e.name: replace(e, value=float(value))})
-
-    def with_scaled_values(self, prefix: str, factor: float) -> "Circuit":
-        """Scale every R/C value whose name starts with prefix (lowercased)."""
-        pref = prefix.lower()
-        return self._with_changed({e.name: replace(e, value=e.value * factor)
-                                   for e in self.elements
-                                   if e.kind in ("R", "C") and e.name.startswith(pref)})
-
     def with_otft_overrides(self, updates: dict) -> "Circuit":
-        """Merge per-instance override values; updates: name -> {key: value}."""
+        """Merge per-instance override values; updates: name -> {key: value}.
+
+        Raises KeyError for a name that is no transistor and ValueError for
+        an override the netlist dialect cannot hold (see _override).
+        """
         ups = {k.lower(): v for k, v in updates.items()}
         changed = {}
         for e in self.elements:
@@ -226,7 +251,9 @@ class Circuit:
                 if e.kind != "M":
                     raise KeyError(f"{e.name} is not a transistor")
                 merged = dict(e.overrides)
-                merged.update({k.lower(): v for k, v in ups[e.name].items()})
+                for k, v in ups[e.name].items():
+                    key = k.lower()
+                    merged[key] = _override(key, v)
                 changed[e.name] = replace(e, overrides=tuple(sorted(merged.items())))
         unknown = sorted(set(ups) - set(changed))
         if unknown:
@@ -234,9 +261,14 @@ class Circuit:
         return self._with_changed(changed)
 
     def with_strain(self, epsilon: float, orientation: str) -> "Circuit":
-        """Apply one strain state to every transistor instance."""
-        dirtok = "par" if orientation == "parallel" else "perp"
-        ups = {e.name: {"strain": float(epsilon), "dir": dirtok}
+        """Apply one strain state to every transistor instance.
+
+        orientation is a StrainState orientation ("parallel" or
+        "perpendicular"); ParameterError if the state is invalid.
+        """
+        s = StrainState(float(epsilon), orientation)
+        dirtok = next(k for k, v in _DIRS.items() if v == s.orientation)
+        ups = {e.name: {"strain": s.epsilon, "dir": dirtok}
                for e in self.elements if e.kind == "M"}
         return self.with_otft_overrides(ups)
 
@@ -260,21 +292,43 @@ _CARD = (("mu0", "mu0", None), ("vth", "vth", None), ("ss", "ss", None),
 _CARD_KEYS = {k for k, _f, _d in _CARD}
 _GEOM_KEYS = ("w", "l", "lov")
 _OVERRIDE_KEYS = _CARD_KEYS | {"strain", "dir"}
+_DIRS = {"par": "parallel", "perp": "perpendicular"}  # dir token -> StrainState
 _MC_PARAMS = {"vth", "mu0", "ss", "lambda", "gamma", "rc"}
 
 
-def card_with(card: OtftParams, values: dict) -> OtftParams:
-    """`card` with its entries replaced by the card keys found in `values`.
+def _override(key: str, value):
+    """`value` as instance override `key` holds it: a dir token for dir, else a
+    finite float.  Raises ValueError if the dialect cannot hold the pair."""
+    if key not in _OVERRIDE_KEYS:
+        raise ValueError(f"unknown override {key!r}")
+    if key == "dir":
+        if value not in _DIRS:
+            raise ValueError(f"dir must be par or perp, got {value!r}")
+        return value
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"override {key} must be finite, got {value}")
+    return value
 
-    `values` is keyed by dialect name (e.g. "lambda", "w"); other keys are
-    ignored, so an instance's full override dict can be passed as is.
+
+def card_with(card: OtftParams, overrides) -> OtftParams:
+    """The effective instance card: `card` under an instance's overrides.
+
+    `overrides` maps dialect keys (e.g. "lambda", "w", "strain") to values,
+    as a dict or as Element.overrides pairs.  Card keys replace card
+    entries; a `strain` then stretches the card along `dir` (default par).
     """
+    values = dict(overrides)
     changes = {f: float(values[k]) for k, f, _d in _CARD
                if k in values and k not in _GEOM_KEYS}
     geom = {k: float(values[k]) for k in _GEOM_KEYS if k in values}
     if geom:
         changes["geom"] = replace(card.geom, **geom)
-    return card.replace(**changes) if changes else card
+    p = card.replace(**changes) if changes else card
+    if "strain" in values:
+        p = apply_strain(p, StrainState(float(values["strain"]),
+                                        _DIRS[values.get("dir", "par")]))
+    return p
 
 
 def _tokenize(line: str) -> list[str]:
@@ -441,19 +495,15 @@ class _Parser:
         raw = self.kwargs(toks[5:], line, name)
         overrides = {}
         for k, v in raw.items():
-            if k not in _OVERRIDE_KEYS:
-                self.error(line, f"{name}: unknown override {k!r}")
+            if k in _OVERRIDE_KEYS and k != "dir":
+                v = self.number(v, line, f"{name} override {k}")
+                if v is None:
+                    return
+            try:
+                overrides[k] = _override(k, v)
+            except ValueError as exc:
+                self.error(line, f"{name}: {exc}")
                 return
-            if k == "dir":
-                if v not in ("par", "perp"):
-                    self.error(line, f"{name}: dir must be par or perp, got {v!r}")
-                    return
-                overrides[k] = v
-            else:
-                num = self.number(v, line, f"{name} override {k}")
-                if num is None:
-                    return
-                overrides[k] = num
         if mname not in self.models:
             self.error(line, f"{name}: undefined model {mname!r}")
             return
@@ -518,9 +568,6 @@ class _Parser:
             seed = self.number(toks[2], line, ".mc seed")
             if cnt is None or seed is None:
                 return
-            if cnt < 1 or cnt != int(cnt):
-                self.error(line, ".mc count must be a positive integer")
-                return
             dists = []
             i = 3
             while i < len(toks):
@@ -529,12 +576,6 @@ class _Parser:
                     self.error(line, f".mc: expected param=dist, got {t!r}")
                     return
                 pname, dname = t.split("=", 1)
-                if pname not in _MC_PARAMS:
-                    self.error(line, f".mc: unknown parameter {pname!r}")
-                    return
-                if dname not in ("normal", "lognormal"):
-                    self.error(line, f".mc: unknown distribution {dname!r}")
-                    return
                 if i + 2 >= len(toks):
                     self.error(line, f".mc: {pname}={dname} needs two arguments")
                     return
@@ -542,13 +583,12 @@ class _Parser:
                 b = self.number(toks[i + 2], line, ".mc")
                 if a is None or b is None:
                     return
-                if b < 0:
-                    self.error(line, f".mc: {pname} spread must be >= 0")
-                    return
                 dists.append((pname, dname, a, b))
                 i += 3
-            self.analyses.append(Mc(count=int(cnt), seed=int(seed),
-                                    dists=tuple(dists)))
+            try:
+                self.analyses.append(Mc(count=cnt, seed=seed, dists=tuple(dists)))
+            except ValueError as exc:
+                self.error(line, f".mc: {exc}")
             return
         self.error(line, f"unknown card {card!r}")
 

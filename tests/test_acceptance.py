@@ -262,22 +262,23 @@ def test_c12_monte_carlo_reproducible_yield():
 
     base = vd(c)
     exact = analyses.monte_carlo(
-        c, analyses.McSpec(count=5, seed=3,
-                           dists=(("vth", "normal", -0.8, 0.0),)), vd)
+        c, netlist.Mc(count=5, seed=3, dists=(("vth", "normal", -0.8, 0.0),)), vd)
     assert all(m == base for m in exact.metrics)
 
-    spec = analyses.McSpec(count=100, seed=77,
-                           dists=(("vth", "normal", -0.8, 0.08),),
-                           predicate=lambda v: v < -19.0)
-    r1 = analyses.monte_carlo(c, spec, vd)
-    r2 = analyses.monte_carlo(c, spec, vd)
+    mc = netlist.Mc(count=100, seed=77, dists=(("vth", "normal", -0.8, 0.08),))
+
+    def predicate(v):
+        return v < -19.0
+
+    r1 = analyses.monte_carlo(c, mc, vd, predicate)
+    r2 = analyses.monte_carlo(c, mc, vd, predicate)
     assert np.array_equal(r1.samples, r2.samples)
     assert r1.yield_ == r2.yield_
     hits = sum(
-        spec.predicate(vd(c.with_otft_overrides(
+        predicate(vd(c.with_otft_overrides(
             analyses.mc_overrides(r1.samples[k], r1.devices, r1.params))))
-        for k in range(spec.count))
-    assert r1.yield_ == hits / spec.count
+        for k in range(mc.count))
+    assert r1.yield_ == hits / mc.count
 
 
 def test_c13_netlist_corpus_round_trips():

@@ -10,7 +10,6 @@ import pytest
 from ofetsim import fixtures, netlist
 from ofetsim.analyses import (
     AnalysisError,
-    McSpec,
     SpikeTrain,
     VtcMetrics,
     logic_truth_table,
@@ -23,6 +22,7 @@ from ofetsim.analyses import (
     vtc_metrics,
 )
 from ofetsim.engine import Waveform, dc_operating_point
+from ofetsim.netlist import Mc
 
 
 def _wave(t, v, name="out"):
@@ -138,7 +138,7 @@ def test_spike_train_refractory_merges_double_crossing():
     # one event that wobbles across threshold twice 0.3 ms apart
     v += 5.0 * np.exp(-0.5 * ((t - 0.050) / 1e-4) ** 2)
     v += 5.0 * np.exp(-0.5 * ((t - 0.0503) / 1e-4) ** 2)
-    st = spike_train(_wave(t, v), threshold=2.5, refractory=1e-3)
+    st = spike_train(_wave(t, v), threshold=2.5)
     assert len(st.times) == 1
     assert st.rate == 0.0 and math.isnan(st.isi_mean)
 
@@ -198,16 +198,6 @@ def test_strain_shifts_inverter_threshold():
     assert abs(out[1][1] - out[0][1]) <= 3.0  # drift within 10% of VDD
 
 
-def test_wire_resistance_scaling():
-    c = netlist.parse("current into resistor\ni1 0 mid dc 1u\n"
-                      "r1 mid 0 1k\n.end")
-    out = strain_study(c, [0.0, 1.0], "parallel",
-                       metric=lambda cv: dc_operating_point(cv)["mid"],
-                       wire_resistance_coeff=0.3)
-    assert out[0][1] == pytest.approx(1e-3, rel=1e-9)
-    assert out[1][1] == pytest.approx(1.3e-3, rel=1e-9)
-
-
 # -- Monte Carlo -------------------------------------------------------------
 
 
@@ -229,18 +219,18 @@ def _vd(cv):
 def test_mc_zero_sigma_is_exact():
     c = netlist.parse(MC_NET)
     base = _vd(c)
-    spec = McSpec(count=5, seed=7, dists=(("vth", "normal", -0.8, 0.0),))
-    res = monte_carlo(c, spec, _vd)
+    mc = Mc(count=5, seed=7, dists=(("vth", "normal", -0.8, 0.0),))
+    res = monte_carlo(c, mc, _vd)
     assert all(m == base for m in res.metrics)
     assert res.yield_ == 1.0
 
 
 def test_mc_seed_reproducible():
     c = netlist.parse(MC_NET)
-    spec = McSpec(count=8, seed=123, dists=(("vth", "normal", -0.8, 0.05),
-                                            ("mu0", "lognormal", 2.35e-5, 0.1)))
-    r1 = monte_carlo(c, spec, _vd)
-    r2 = monte_carlo(c, spec, _vd)
+    mc = Mc(count=8, seed=123, dists=(("vth", "normal", -0.8, 0.05),
+                                      ("mu0", "lognormal", 2.35e-5, 0.1)))
+    r1 = monte_carlo(c, mc, _vd)
+    r2 = monte_carlo(c, mc, _vd)
     assert np.array_equal(r1.samples, r2.samples)
     assert r1.metrics == r2.metrics
     assert np.std([float(m) for m in r1.metrics]) > 0
@@ -249,44 +239,39 @@ def test_mc_seed_reproducible():
 def test_mc_replica_draws_independent_of_count():
     c = netlist.parse(MC_NET)
     dists = (("vth", "normal", -0.8, 0.05),)
-    big = monte_carlo(c, McSpec(count=10, seed=42, dists=dists), _vd)
-    small = monte_carlo(c, McSpec(count=4, seed=42, dists=dists), _vd)
+    big = monte_carlo(c, Mc(count=10, seed=42, dists=dists), _vd)
+    small = monte_carlo(c, Mc(count=4, seed=42, dists=dists), _vd)
     assert np.array_equal(big.samples[:4], small.samples)
     assert big.metrics[:4] == small.metrics
 
 
 def test_mc_yield_matches_replay():
     c = netlist.parse(MC_NET)
-    spec = McSpec(count=12, seed=2024,
-                  dists=(("vth", "normal", -0.8, 0.08),),
-                  predicate=lambda v: v < -19.0)
-    res = monte_carlo(c, spec, _vd)
+    mc = Mc(count=12, seed=2024, dists=(("vth", "normal", -0.8, 0.08),))
+
+    def predicate(v):
+        return v < -19.0
+
+    res = monte_carlo(c, mc, _vd, predicate)
     # replay each replica from its recorded sample block
     hits = 0
-    for r in range(spec.count):
+    for r in range(mc.count):
         ov = mc_overrides(res.samples[r], res.devices, res.params)
-        if spec.predicate(_vd(c.with_otft_overrides(ov))):
+        if predicate(_vd(c.with_otft_overrides(ov))):
             hits += 1
-    assert res.yield_ == hits / spec.count
+    assert res.yield_ == hits / mc.count
     assert 0.0 < res.yield_ < 1.0 or len(set(res.metrics)) > 1
 
 
-def test_mcspec_validation():
-    with pytest.raises(ValueError):
-        McSpec(count=0, seed=1, dists=())
-    with pytest.raises(ValueError):
-        McSpec(count=1, seed=1, dists=(("vth", "cauchy", 0.0, 1.0),))
-    with pytest.raises(ValueError):
-        McSpec(count=1, seed=1, dists=(("vth", "normal", 0.0, -1.0),))
-
-
-def test_mcspec_from_directive():
-    c = netlist.parse("t\nr1 a 0 1k\nv1 a 0 dc 1\n"
-                      ".mc 10 42 vth=normal -1 0.05\n.end")
-    mc = [a for a in c.analyses if isinstance(a, netlist.Mc)][0]
-    spec = McSpec.from_directive(mc)
-    assert spec.count == 10 and spec.seed == 42
-    assert spec.dists == (("vth", "normal", -1.0, 0.05),)
+def test_mc_directive_drives_monte_carlo():
+    # the parsed .mc record is the experiment: no second spec to build
+    c = netlist.parse(MC_NET.replace(".op", ".op\n.mc 10 42 vth=normal -1 0.05"))
+    mc = [a for a in c.analyses if isinstance(a, Mc)][0]
+    assert mc == Mc(10, 42, (("vth", "normal", -1.0, 0.05),))
+    assert type(mc.count) is int and type(mc.seed) is int
+    res = monte_carlo(c, mc, _vd)
+    assert res.samples.shape == (10, 1, 1) and res.params == ("vth",)
+    assert res.yield_ == 1.0
 
 
 # -- fixture plumbing --------------------------------------------------------

@@ -101,7 +101,8 @@ def test_sweep_schema_error_exits_2(tmp_path, capsys):
 def test_unreadable_input_exits_2(tmp_path, capsys, cmd):
     binary = tmp_path / "binary.in"
     binary.write_bytes(b"\xff\xfe not text\n")
-    for path, needle in ((tmp_path, "Is a directory"), (binary, "not UTF-8 text")):
+    for path, needle in ((tmp_path, "Is a directory"),
+                         (binary, f"input {binary} is not UTF-8 text")):
         assert main([cmd, str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and needle in err[0]
@@ -212,8 +213,7 @@ def test_sim_mc_samples_match_monte_carlo(tmp_path):
     assert main(["sim", str(net), "--out", str(out)]) == 0
     _, rows = _read_csv(out / "mc_0_samples.csv")
     c = netlist.parse(text)
-    res = analyses.monte_carlo(c, analyses.McSpec.from_directive(c.analyses[0]),
-                               lambda cv: None)
+    res = analyses.monte_carlo(c, c.analyses[0], lambda cv: None)
     assert [(int(r[0]), r[1], r[2], float(r[3])) for r in rows] == [
         (rep, dev, p, float(res.samples[rep, i, j]))
         for rep in range(4) for i, dev in enumerate(res.devices)

@@ -319,12 +319,17 @@ def _sweep_rows(n, dev="d", cox=35, v=None, i="-1e-9"):
     ("# only comments\n", "empty"),
     # sweep-level errors point at the sweep's first line
     (_HEADER + _sweep_rows(7), "line 2: transfer sweep of 'd': sweep needs >= 8 points"),
-    # a zigzag keeps only its first branch, two points
+    # a second direction reversal is an error where it starts, not a silent cut
     (_HEADER + _sweep_rows(10) + _sweep_rows(10, dev="e", v=[0, 1]),
-     "line 12: transfer sweep of 'e': sweep needs >= 8 points, got 2"),
+     "line 14: transfer sweep of 'e': second direction reversal"),
+    (_HEADER + _sweep_rows(28, v=[-0.5 * k for k in range(10)]
+                           + [-0.5 * k for k in range(8, -1, -1)]
+                           + [-0.5 * k for k in range(1, 10)]),
+     "line 20: transfer sweep of 'd': second direction reversal"),
     (_HEADER + _sweep_rows(10, i="nan"),
      "line 2: transfer sweep of 'd': sweep contains non-finite"),
-    (_HEADER + _sweep_rows(10, cox=0), "line 2: transfer sweep of 'd': cox must be positive"),
+    (_HEADER + _sweep_rows(10, cox=0), "line 2: column cox_nF_cm2: must be positive, got 0.0"),
+    (_HEADER + _sweep_rows(10, cox=-35), "line 2: column cox_nF_cm2: must be positive, got -35.0"),
 ])
 def test_csv_schema_errors(tmp_path, body, needle):
     path = tmp_path / "bad.csv"

@@ -15,7 +15,6 @@ import pytest
 from conftest import REF_GEOM, ref_params
 from ofetsim.model import (
     DeviceGeometry,
-    DielectricStack,
     OtftParams,
     ParameterError,
     StrainState,
@@ -25,12 +24,8 @@ from ofetsim.model import (
     drain_current_with_contacts,
     load_strain_table,
     output_conductance,
-    series_capacitance,
     transconductance,
 )
-
-EPS0 = 8.8541878128e-12
-
 
 def random_cards(n: int, seed: int) -> list[OtftParams]:
     rng = np.random.default_rng(seed)
@@ -205,12 +200,6 @@ def test_device_capacitances_scale_with_width(pcard):
     cgs2, cgd2 = device_capacitances(wide)
     assert cgs1 > 0.0 and cgd1 > 0.0
     assert abs(cgs2 - 2 * cgs1) < 1e-18 and abs(cgd2 - 2 * cgd1) < 1e-18
-
-
-def test_series_capacitance_two_layers():
-    stack = DielectricStack(layers=((3.0, 1e-6), (2.0, 0.5e-6)))
-    want = 1.0 / (1e-6 / (EPS0 * 3.0) + 0.5e-6 / (EPS0 * 2.0))
-    assert abs(series_capacitance(stack) - want) < 1e-9 * want
 
 
 # -- strain ------------------------------------------------------------------

@@ -7,10 +7,13 @@ parse-serialize-parse fixed point over the fixture corpus.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ofetsim import fixtures, netlist
+from ofetsim.model import ParameterError, StrainState, apply_strain
 from ofetsim.netlist import (
     DcOp,
     DcSweep,
@@ -185,16 +188,8 @@ def test_with_source_level_and_values():
     c2 = c.with_source_level("vdd", 9.0)
     assert c2.element("vdd").wave.level == 9.0
     assert c.element("vdd").wave.level == 5.0  # original untouched
-    c3 = c.with_element_value("r1", 777.0)
-    assert c3.element("r1").value == 777.0
-    c4 = c.with_scaled_values("r", 2.0)
-    assert c4.element("r1").value == 2000.0
-    assert c4.element("r2").value == pytest.approx(4400.0)
-    assert c4.element("c1").value == pytest.approx(10e-12)  # prefix mismatch
     with pytest.raises(KeyError):
         c.with_source_level("r1", 1.0)
-    with pytest.raises(KeyError):
-        c.with_element_value("vdd", 1.0)
 
 
 def test_with_otft_overrides_and_strain():
@@ -211,6 +206,74 @@ def test_with_otft_overrides_and_strain():
     # a misspelt instance is an error, not a silent no-op; every miss is named
     with pytest.raises(KeyError, match="mbogus, mzz"):
         c.with_otft_overrides({"mp": {"vth": 1.0}, "mbogus": {"vth": 1.0}, "MZZ": {}})
+
+
+def test_accepted_overrides_round_trip():
+    # every key the dialect knows is accepted and survives serialization;
+    # an override the dialect cannot hold is refused, not written out
+    c = parse(fixtures.read("inverter_cmos.cir"))
+    accepted = [
+        {"mu0": 3e-5}, {"VTH": -1.25}, {"ss": 0.2}, {"lambda": 0.02},
+        {"gamma": 0.3}, {"rc": 25e3}, {"cox": 4e-4},
+        {"w": 555e-6, "l": 20e-6, "lov": 2e-6}, {"order": 2.0},
+        {"strain": 0.5, "dir": "perp"}, {"strain": 0.25}, {"vth": np.float64(-0.9)},
+    ]
+    for updates in accepted:
+        c2 = c.with_otft_overrides({"mp": updates})
+        assert parse(serialize(c2)) == c2, updates
+    refused = [{"vt": 5.0}, {"dir": "paralel"}, {"dir": "PAR"},
+               {"w": float("nan")}, {"rc": float("inf")}, {"l": "abc"}]
+    for updates in refused:
+        with pytest.raises(ValueError):
+            c.with_otft_overrides({"mp": updates})
+
+
+def test_with_strain_checks_the_state():
+    c = parse(fixtures.read("inverter_cmos.cir"))
+    with pytest.raises(ParameterError):
+        c.with_strain(0.5, "paralel")
+    with pytest.raises(ParameterError):
+        c.with_strain(-0.1, "parallel")
+    c2 = c.with_strain(0.5, "perpendicular")
+    assert {e.override("dir") for e in c2.elements if e.kind == "M"} == {"perp"}
+
+
+def test_card_with_applies_overrides_then_strain():
+    c = parse(fixtures.read("inverter_cmos.cir"))
+    e = c.with_otft_overrides({"mp": {"w": 1e-4, "strain": 0.5, "dir": "perp"}}
+                              ).element("mp")
+    base = c.model_card(e.model)
+    want = apply_strain(base.replace(geom=replace(base.geom, w=1e-4)),
+                        StrainState(0.5, "perpendicular"))
+    assert netlist.card_with(base, e.overrides) == want
+    assert netlist.card_with(base, ()) is base
+
+
+def test_mc_line_and_record_share_their_checks():
+    # each bad .mc line is a diagnostic on its own line, and the same record
+    # built in code raises the same message
+    Mc(1, 1, (("vth", "normal", 0.0, 0.0), ("mu0", "lognormal", 1e-5, 0.1)))
+    cases = [
+        ("0 1", (0, 1, ()), "count must be a positive integer"),
+        ("2.5 1", (2.5, 1, ()), "count must be a positive integer"),
+        ("3 -1", (3, -1, ()), "seed must be an integer"),
+        ("3 1.5", (3, 1.5, ()), "seed must be an integer"),
+        ("3 1 vt=normal 0 0.5", (3, 1, (("vt", "normal", 0.0, 0.5),)),
+         "unknown parameter 'vt'"),
+        ("3 1 vth=cauchy 0 0.5", (3, 1, (("vth", "cauchy", 0.0, 0.5),)),
+         "unknown distribution 'cauchy'"),
+        ("3 1 vth=normal 0 -0.5", (3, 1, (("vth", "normal", 0.0, -0.5),)),
+         "vth spread must be >= 0"),
+        ("3 1 vth=normal 0", None, "needs two arguments"),
+        ("3", None, ".mc takes count seed"),
+    ]
+    for args, record, needle in cases:
+        with pytest.raises(NetlistError) as err:
+            parse(f"t\nv1 a 0 dc 1\nr1 a 0 1k\n.mc {args}\n.end")
+        assert [(d.line, needle in d.message) for d in err.value.diagnostics] == [(4, True)]
+        if record is not None:
+            with pytest.raises(ValueError, match=needle):
+                Mc(*record)
 
 
 # -- diagnostics --------------------------------------------------------------
@@ -231,6 +294,10 @@ def test_with_otft_overrides_and_strain():
     ("t\n.subckt s a\nr1 a 0 1k\nv1 a 0 dc 1\n.end", "never closed", 2),
     ("t\nv1 a 0 dc 1\nr1 a 0 1k\n.dc v2 0 1 0.1\n.end", "no V or I source", 4),
     ("t\nv1 a 0 dc 1\nr1 a 0 1k\n.dc v1 0 1 0.5 v1 5 6 1\n.end", "swept source", 4),
+    ("t\n.model pm otftp mu0=1e-5 vth=-1 ss=0.2 cox=3e-4 w=1u l=1u\n"
+     "m1 d g 0 pm vt=1\n.end", "unknown override 'vt'", 3),
+    ("t\n.model pm otftp mu0=1e-5 vth=-1 ss=0.2 cox=3e-4 w=1u l=1u\n"
+     "m1 d g 0 pm strain=0.5 dir=diag\n.end", "dir must be par or perp", 3),
 ])
 def test_malformed_input_diagnostics(text, needle, line):
     with pytest.raises(NetlistError) as err:
