@@ -21,9 +21,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import itemgetter, ne
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import model
 from .model import DeviceGeometry, OtftParams
@@ -78,10 +81,10 @@ class IvSweep:
             raise ValueError("v and i must be 1-d arrays of equal length")
         if v.size < 8:
             raise ValueError(f"sweep needs >= 8 points, got {v.size}")
-        dv = np.diff(v)
-        if not (np.all(dv > 0.0) or np.all(dv < 0.0)):
+        dv = v[1:] - v[:-1]
+        if not ((dv > 0.0).all() or (dv < 0.0).all()):
             raise ValueError("swept voltage must be strictly monotone")
-        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(i))):
+        if not (np.isfinite(v).all() and np.isfinite(i).all()):
             raise ValueError("sweep contains non-finite values")
         if not self.cox > 0.0:
             raise ValueError(f"cox must be positive, got {self.cox}")
@@ -105,6 +108,8 @@ CSV_COLUMNS = (
     "device_id", "kind", "W_um", "L_um", "LOV_um",
     "cox_nF_cm2", "fixed_bias_V", "v_V", "id_A",
 )
+_KINDS = ("transfer", "output")
+_NUMBERS = CSV_COLUMNS[2:]   # in the order a row's cells are checked
 
 
 def read_iv_csv(path) -> list[IvSweep]:
@@ -114,84 +119,130 @@ def read_iv_csv(path) -> list[IvSweep]:
     bias changes.  A single up-down (hysteresis) pass is split and the
     forward branch kept; a second direction reversal is an error at the row
     where it starts.  Raises SchemaError with a line number on malformed
-    input.
+    input.  The first error found wins, checked in this order: the header
+    (missing, unknown, then repeated columns); the first row with the wrong
+    cell count; the first bad kind or number in row order, a row's cells in
+    CSV_COLUMNS order; then each sweep in file order (a second reversal,
+    cox, geometry, then the IvSweep checks).
+
+    The file is read in one pass: one csv.reader over the kept lines, the
+    v and id columns converted whole, each row key converted only where its
+    text changes, and sweep boundaries where adjacent rows' keys differ.
     """
+    lines: list[int] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = []
-        header = None
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            cells = next(csv.reader([line]))
-            if header is None:
-                header = [c.strip() for c in cells]
-                missing = [c for c in CSV_COLUMNS if c not in header]
-                if missing:
-                    raise SchemaError(f"missing column(s) {', '.join(missing)}", lineno)
-                unknown = [c for c in header if c not in CSV_COLUMNS]
-                if unknown:
-                    raise SchemaError(f"unknown column(s) {', '.join(unknown)}", lineno)
-                idx = {c: header.index(c) for c in CSV_COLUMNS}
-                continue
-            if len(cells) != len(header):
-                raise SchemaError(
-                    f"expected {len(header)} cells, got {len(cells)}", lineno)
-            rows.append((lineno, cells))
-    if header is None:
-        raise SchemaError("empty file: no header row")
-
-    def fval(cells, col, lineno):
-        text = cells[idx[col]].strip()
         try:
-            return float(text)
-        except ValueError:
-            raise SchemaError(f"column {col}: not a number: {text!r}", lineno) from None
+            rows = list(csv.reader(_kept_lines(fh, lines)))
+        except csv.Error:   # a quote left open can run a field past the size limit
+            rows = []
+    if len(rows) != len(lines):
+        # a quote left open ran on into the next line: read each line on
+        # its own, as one row
+        lines.clear()
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = [next(csv.reader([t])) for t in _kept_lines(fh, lines)]
+    if not rows:
+        raise SchemaError("empty file: no header row")
+    header = [c.strip() for c in rows[0]]
+    _check_header(header, lines[0])
+    del rows[0], lines[0]
+    if not rows:
+        return []
+    if set(map(len, rows)) - {len(header)}:
+        k = next(k for k, r in enumerate(rows) if len(r) != len(header))
+        raise SchemaError(f"expected {len(header)} cells, got {len(rows[k])}", lines[k])
+    return _sweeps(rows, {c: header.index(c) for c in CSV_COLUMNS}, lines)
 
-    groups: list[tuple[tuple, list, list, list]] = []   # key, lines, v, i
-    for lineno, cells in rows:
+
+def _kept_lines(fh, lines: list[int]):
+    """Stripped text of each line that is neither blank nor a comment; its
+    line number is appended to ``lines``."""
+    for n, raw in enumerate(fh, start=1):
+        text = raw.strip()
+        if text and text[0] != "#":
+            lines.append(n)
+            yield text
+
+
+def _check_header(header: list[str], line: int) -> None:
+    missing = [c for c in CSV_COLUMNS if c not in header]
+    if missing:
+        raise SchemaError(f"missing column(s) {', '.join(missing)}", line)
+    unknown = [c for c in header if c not in CSV_COLUMNS]
+    if unknown:
+        raise SchemaError(f"unknown column(s) {', '.join(unknown)}", line)
+    repeated = [c for c in CSV_COLUMNS if header.count(c) > 1]
+    if repeated:
+        raise SchemaError(f"repeated column(s) {', '.join(repeated)}", line)
+
+
+def _first_bad_cell(rows, idx: dict, lines: list[int]) -> SchemaError:
+    """The error of the first bad kind or number in row order, a row's cells
+    checked in CSV_COLUMNS order.
+
+    The row-by-row diagnostic pass, run only after a conversion failed, to
+    name the cell.
+    """
+    for cells, line in zip(rows, lines):
         kind = cells[idx["kind"]].strip().lower()
-        if kind not in ("transfer", "output"):
-            raise SchemaError(f"column kind: must be transfer or output, got {kind!r}", lineno)
-        key = (
-            cells[idx["device_id"]].strip(),
-            kind,
-            fval(cells, "W_um", lineno),
-            fval(cells, "L_um", lineno),
-            fval(cells, "LOV_um", lineno),
-            fval(cells, "cox_nF_cm2", lineno),
-            fval(cells, "fixed_bias_V", lineno),
-        )
-        v = fval(cells, "v_V", lineno)
-        i = fval(cells, "id_A", lineno)
-        if not groups or groups[-1][0] != key:
-            groups.append((key, [], [], []))
-        groups[-1][1].append(lineno)
-        groups[-1][2].append(v)
-        groups[-1][3].append(i)
+        if kind not in _KINDS:
+            return SchemaError(f"column kind: must be transfer or output, got {kind!r}", line)
+        for col in _NUMBERS:
+            text = cells[idx[col]].strip()
+            try:
+                float(text)
+            except ValueError:
+                return SchemaError(f"column {col}: not a number: {text!r}", line)
+    raise AssertionError("a conversion failed but every cell converts")
+
+
+def _sweeps(rows: list[list[str]], idx: dict, lines: list[int]) -> list[IvSweep]:
+    """Split the data rows into sweeps and check each one."""
+    n = len(rows)
+    # the key cells (device_id, kind, W_um ... fixed_bias_V) of each row; a
+    # sweep can start only where they differ as text from the row before,
+    # and the key there is stripped and converted once for its run
+    keys = list(map(itemgetter(*(idx[c] for c in CSV_COLUMNS[:7])), rows))
+    runs = [0, *(np.flatnonzero(np.fromiter(
+        map(ne, islice(keys, 1, None), keys), bool, n - 1)) + 1).tolist()]
+    try:
+        norm = [(dev.strip(), kind.strip().lower(), *(float(c.strip()) for c in nums))
+                for dev, kind, *nums in map(keys.__getitem__, runs)]
+        v, i = (np.fromiter(map(float, map(str.strip, map(itemgetter(idx[c]), rows))),
+                            float, n) for c in ("v_V", "id_A"))
+    except ValueError:
+        norm = None
+    if norm is None or any(k[1] not in _KINDS for k in norm):
+        raise _first_bad_cell(rows, idx, lines)
+    starts = []   # (first row, key) of each sweep
+    for k, (a, b) in enumerate(zip(runs, runs[1:] + [n])):
+        if any(x != x for x in norm[k][2:]):
+            # a NaN equals nothing, so each row is a sweep of its own
+            starts.extend((r, norm[k]) for r in range(a, b))
+        elif k == 0 or norm[k] != norm[k - 1]:
+            starts.append((a, norm[k]))
 
     sweeps = []
-    for (dev, kind, w, l, lov, cox, fb), lines, vs, cs in groups:
-        first = lines[0]
-        v = np.array(vs)
-        i = np.array(cs)
-        dv = np.diff(v)
-        if len(v) >= 3 and not (np.all(dv > 0) or np.all(dv < 0)):
+    ends = [a for a, _ in starts[1:]] + [n]
+    for (a, (dev, kind, w, l, lov, cox, fb)), b in zip(starts, ends):
+        vs, cs, first = v[a:b], i[a:b], lines[a]
+        dv = vs[1:] - vs[:-1]
+        if vs.size >= 3 and not ((dv > 0).all() or (dv < 0).all()):
             # single reversal: keep the forward branch
             sgn = np.sign(dv[0])
             turn = int(np.argmax(np.sign(dv) != sgn)) + 1
             back = np.nonzero(np.sign(dv[turn:]) == sgn)[0]
             if back.size:
                 raise SchemaError(f"{kind} sweep of {dev!r}: second direction "
-                                  "reversal; split the sweep", lines[turn + back[0]])
-            v, i = v[:turn], i[:turn]
+                                  "reversal; split the sweep", lines[a + turn + back[0]])
+            vs, cs = vs[:turn], cs[:turn]
         if not cox > 0.0:
             raise SchemaError(f"column cox_nF_cm2: must be positive, got {cox}", first)
         geom = DeviceGeometry(w=w * 1e-6, l=l * 1e-6, lov=lov * 1e-6)
         try:
             sweeps.append(IvSweep(kind=kind, device_id=dev, geom=geom,
                                   cox=cox * 1e-5,  # nF/cm^2 -> F/m^2
-                                  fixed_bias=fb, v=v, i=i))
+                                  fixed_bias=fb, v=vs, i=cs))
         except ValueError as e:
             raise SchemaError(f"{kind} sweep of {dev!r}: {e}", first) from None
     return sweeps
@@ -221,13 +272,35 @@ class SatFit(NamedTuple):
     r2: float
 
 
+def _window_lines(x: np.ndarray, y: np.ndarray, width: int):
+    """Least-squares lines of y on x over every run of ``width`` points.
+
+    All windows in one pass, by centered sums about each window's means
+    (slope = sum(dx*dy) / sum(dx*dx)), which do not cancel as running sums
+    would.  Returns per window the slope, the intercept, and the residual
+    and total sums of squares of y.
+    """
+    xw = sliding_window_view(x, width)
+    yw = sliding_window_view(y, width)
+    xm = xw.mean(axis=1)
+    ym = yw.mean(axis=1)
+    dx = xw - xm[:, None]
+    dy = yw - ym[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = (dx * dy).sum(axis=1) / (dx * dx).sum(axis=1)
+    res = dy - slope[:, None] * dx
+    return slope, ym - slope * xm, (res * res).sum(axis=1), (dy * dy).sum(axis=1)
+
+
 def extract_saturation_mobility(s: IvSweep) -> SatFit:
     """Saturation-regime mobility and threshold from sqrt|ID| vs VGS.
 
     Fits a line over the contiguous 40% of points with the best linear-fit
     R^2, restricted to windows that reach into the on-state (mean |ID| above
     5% of the sweep maximum, which rejects flat-looking subthreshold spans).
-    mu = 2L/(W*Cox)*slope^2; vth is the x-intercept.
+    Every window is fitted by centered least squares (``_window_lines``);
+    the first window with the largest R^2 wins.  mu = 2L/(W*Cox)*slope^2;
+    vth is the x-intercept.
     """
     if s.kind != "transfer":
         raise ExtractionError("saturation mobility needs a transfer sweep")
@@ -235,36 +308,27 @@ def extract_saturation_mobility(s: IvSweep) -> SatFit:
     ai = np.abs(sw.i)
     if not np.any(ai > 0.0):
         raise ExtractionError("all currents are zero")
-    y = np.sqrt(ai)
     width = max(4, math.ceil(0.4 * sw.v.size))
     on = np.max(ai)
-    best = None
-    for start in range(0, sw.v.size - width + 1):
-        if np.mean(ai[start:start + width]) < 0.05 * on:
-            continue
-        xs = sw.v[start:start + width]
-        ys = y[start:start + width]
-        sst = float(((ys - ys.mean()) ** 2).sum())
-        if sst <= 0.0:
-            continue
-        slope, icpt = np.polyfit(xs, ys, 1)
-        ssr = float(((ys - (slope * xs + icpt)) ** 2).sum())
-        r2 = 1.0 - ssr / sst
-        if best is None or r2 > best[3]:
-            best = (start, float(slope), float(icpt), r2)
-    if best is None or best[1] == 0.0:
+    slope, icpt, ssr, sst = _window_lines(sw.v, np.sqrt(ai), width)
+    usable = (sliding_window_view(ai, width).mean(axis=1) >= 0.05 * on) & (sst > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r2 = np.where(usable, 1.0 - ssr / sst, -np.inf)
+    start = int(np.argmax(r2))
+    if not usable[start] or slope[start] == 0.0:
         raise ExtractionError("no usable linear region in sqrt|ID|")
-    start, slope, icpt, r2 = best
-    mu = 2.0 * s.geom.l / (s.geom.w * s.cox) * slope * slope
-    vth = -icpt / slope
+    mu = 2.0 * s.geom.l / (s.geom.w * s.cox) * slope[start] * slope[start]
+    vth = -icpt[start] / slope[start]
     window = (float(sw.v[start]), float(sw.v[start + width - 1]))
-    return SatFit(mu_sat=float(mu), vth=float(vth), window=window, r2=float(r2))
+    return SatFit(mu_sat=float(mu), vth=float(vth), window=window, r2=float(r2[start]))
 
 
 def extract_subthreshold_swing(s: IvSweep, floor: float = 1e-13) -> float:
     """Subthreshold swing: min over 5-point windows of dVGS/dlog10|ID|.
 
-    Each window slope comes from regressing VGS on log10|ID|.  Requires at
+    Each window slope comes from regressing VGS on log10|ID|, every window
+    by centered least squares (``_window_lines``); windows that reach down
+    to the floor or have no spread in log10|ID| are skipped.  Requires at
     least 3 decades of current dynamic range.
     """
     if s.kind != "transfer":
@@ -275,23 +339,15 @@ def extract_subthreshold_swing(s: IvSweep, floor: float = 1e-13) -> float:
     if rng < 1e3:
         raise ExtractionError(
             f"dynamic range {rng:.3g} below the 3-decade minimum")
-    mask = ai > floor
-    best = math.inf
     width = 5
-    for start in range(0, sw.v.size - width + 1):
-        sl = slice(start, start + width)
-        if not np.all(mask[sl]):
-            continue
-        x = np.log10(ai[sl])
-        if np.ptp(x) <= 0.0:
-            continue
-        slope = np.polyfit(x, sw.v[sl], 1)[0]
-        swing = abs(float(slope))
-        if 0.0 < swing < best:
-            best = swing
-    if not math.isfinite(best):
+    above = ai > floor
+    x = np.log10(np.where(above, ai, 1.0))
+    swing = np.abs(_window_lines(x, sw.v, width)[0])
+    ok = (sliding_window_view(above, width).all(axis=1)
+          & (np.ptp(sliding_window_view(x, width), axis=1) > 0.0) & (swing > 0.0))
+    if not np.any(ok):
         raise ExtractionError("no valid 5-point window above the noise floor")
-    return best
+    return float(np.min(swing[ok]))
 
 
 def on_off_ratio(s: IvSweep, floor: float = 1e-13) -> float:

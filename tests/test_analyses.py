@@ -249,8 +249,9 @@ def test_mc_yield_matches_replay():
     c = netlist.parse(MC_NET)
     mc = Mc(count=12, seed=2024, dists=(("vth", "normal", -0.8, 0.08),))
 
+    # inside the draws' spread (v(d) from -8.08 to -7.98 V)
     def predicate(v):
-        return v < -19.0
+        return v < -8.02
 
     res = monte_carlo(c, mc, _vd, predicate)
     # replay each replica from its recorded sample block
@@ -260,7 +261,7 @@ def test_mc_yield_matches_replay():
         if predicate(_vd(c.with_otft_overrides(ov))):
             hits += 1
     assert res.yield_ == hits / mc.count
-    assert 0.0 < res.yield_ < 1.0 or len(set(res.metrics)) > 1
+    assert 0.0 < res.yield_ < 1.0
 
 
 def test_mc_directive_drives_monte_carlo():

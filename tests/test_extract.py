@@ -1,12 +1,17 @@
 """Extraction and fitting tests: round trips, scale consistency, TLM,
-CSV schema handling, and batch statistics."""
+CSV schema handling, and batch statistics.  The one-pass CSV reader and the
+all-windows line fits are checked against the row-by-row reader and the
+per-window np.polyfit loop they replace, kept here as references."""
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ref_params, synth_output, synth_transfer
 from ofetsim import extract, fixtures, kernels
@@ -27,7 +32,12 @@ from ofetsim.extract import (
     tlm_contact_resistance,
     write_iv_csv,
 )
-from ofetsim.model import DeviceGeometry, OtftParams, drain_current_with_contacts
+from ofetsim.model import (
+    DeviceGeometry,
+    OtftParams,
+    ParameterError,
+    drain_current_with_contacts,
+)
 
 
 # -- round trips -------------------------------------------------------------
@@ -311,7 +321,7 @@ def _sweep_rows(n, dev="d", cox=35, v=None, i="-1e-9"):
     return "".join(f"{dev},transfer,380,35,5,{cox},-30,{x},{i}\n" for x in vs)
 
 
-@pytest.mark.parametrize("body,needle", [
+_SCHEMA_CASES = [
     ("device_id,kind\n", "missing column"),
     (_HEADER + "d,transfer,380,35,5,35,-30,abc,1e-9\n", "line 2"),
     (_HEADER + "d,bogus,380,35,5,35,-30,0,1e-9\n", "kind"),
@@ -330,13 +340,45 @@ def _sweep_rows(n, dev="d", cox=35, v=None, i="-1e-9"):
      "line 2: transfer sweep of 'd': sweep contains non-finite"),
     (_HEADER + _sweep_rows(10, cox=0), "line 2: column cox_nF_cm2: must be positive, got 0.0"),
     (_HEADER + _sweep_rows(10, cox=-35), "line 2: column cox_nF_cm2: must be positive, got -35.0"),
-])
+    # two errors in one file: the earlier check wins wherever it sits
+    (_HEADER + "d,transfer,380,35,5,35,-30,abc,1e-9\n" + "d,transfer,380,35,5,35,-30,0\n",
+     "line 3: expected 9 cells, got 8"),
+    (_HEADER + _sweep_rows(7) + "d,transfer,380,35,5,35,-30,0,1e-9,7\n",
+     "line 9: expected 9 cells, got 10"),
+    (_HEADER + _sweep_rows(10, i="nan") + "d,transfer,380,35,5,35,-30,-6,x\n",
+     "line 12: column id_A: not a number: 'x'"),
+    (_HEADER + "d,transfer,380,35,5,35,-30,0,bad\n" + "d,sideways,380,35,5,35,-30,0,1e-9\n",
+     "line 2: column id_A: not a number: 'bad'"),
+    (_HEADER + "d,sideways,380,35,5,35,-30,0,1e-9\n" + "d,transfer,380,35,5,35,-30,x,1e-9\n",
+     "line 2: column kind: must be transfer or output, got 'sideways'"),
+    # within a row the cells are checked in schema order, not file order
+    ("id_A,v_V,fixed_bias_V,cox_nF_cm2,LOV_um,L_um,W_um,kind,device_id\n"
+     "x,y,-30,35,5,35,w,transfer,d\n", "line 2: column W_um: not a number: 'w'"),
+    ("missing,header\n" + "d,transfer,380,35,5,35,-30,abc\n", "line 1: missing column"),
+    (_HEADER + _sweep_rows(10) + _sweep_rows(10, dev="e", v=[0, 1])
+     + "\n# late\ne,transfer,380,35,5,35,-30,0,-1e-9,9\n",
+     "line 24: expected 9 cells, got 10"),
+]
+
+
+@pytest.mark.parametrize("body,needle", _SCHEMA_CASES)
 def test_csv_schema_errors(tmp_path, body, needle):
     path = tmp_path / "bad.csv"
     path.write_text(body)
     with pytest.raises(SchemaError) as err:
         read_iv_csv(path)
     assert needle.lower() in str(err.value).lower()
+
+
+def test_csv_repeated_column(tmp_path):
+    # a second v_V column was read as nothing; now it names the column
+    path = tmp_path / "dup.csv"
+    path.write_text("# repeated v_V\n" + _HEADER.strip() + ",v_V\n"
+                    + _sweep_rows(10).replace("\n", ",1\n"))
+    with pytest.raises(SchemaError) as err:
+        read_iv_csv(path)
+    assert str(err.value) == "line 2: repeated column(s) v_V"
+    assert err.value.line == 2
 
 
 def test_csv_comments_and_blank_lines(tmp_path):
@@ -363,3 +405,360 @@ def test_fit_error_carries_best_result():
     except (FitError, extract.ExtractionError) as e:
         if isinstance(e, FitError):
             assert not e.best.converged
+
+
+# -- one-pass reader against the row-by-row reference -------------------------
+
+
+def _serial_read_iv_csv(path):
+    """Row by row: one csv.reader and seven checked float() calls per row,
+    each row's key compared with its sweep's first row.  The reference for
+    read_iv_csv, which reads the same file column by column."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = []
+        header = None
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            cells = next(csv.reader([line]))
+            if header is None:
+                header = [c.strip() for c in cells]
+                missing = [c for c in extract.CSV_COLUMNS if c not in header]
+                if missing:
+                    raise SchemaError(f"missing column(s) {', '.join(missing)}", lineno)
+                unknown = [c for c in header if c not in extract.CSV_COLUMNS]
+                if unknown:
+                    raise SchemaError(f"unknown column(s) {', '.join(unknown)}", lineno)
+                idx = {c: header.index(c) for c in extract.CSV_COLUMNS}
+                continue
+            if len(cells) != len(header):
+                raise SchemaError(
+                    f"expected {len(header)} cells, got {len(cells)}", lineno)
+            rows.append((lineno, cells))
+    if header is None:
+        raise SchemaError("empty file: no header row")
+
+    def fval(cells, col, lineno):
+        text = cells[idx[col]].strip()
+        try:
+            return float(text)
+        except ValueError:
+            raise SchemaError(f"column {col}: not a number: {text!r}", lineno) from None
+
+    groups = []   # key, lines, v, i
+    for lineno, cells in rows:
+        kind = cells[idx["kind"]].strip().lower()
+        if kind not in ("transfer", "output"):
+            raise SchemaError(f"column kind: must be transfer or output, got {kind!r}", lineno)
+        key = (cells[idx["device_id"]].strip(), kind,
+               *(fval(cells, c, lineno) for c in extract.CSV_COLUMNS[2:7]))
+        v = fval(cells, "v_V", lineno)
+        i = fval(cells, "id_A", lineno)
+        if not groups or groups[-1][0] != key:
+            groups.append((key, [], [], []))
+        groups[-1][1].append(lineno)
+        groups[-1][2].append(v)
+        groups[-1][3].append(i)
+
+    sweeps = []
+    for (dev, kind, w, l, lov, cox, fb), lines, vs, cs in groups:
+        first = lines[0]
+        v = np.array(vs)
+        i = np.array(cs)
+        dv = np.diff(v)
+        if len(v) >= 3 and not (np.all(dv > 0) or np.all(dv < 0)):
+            sgn = np.sign(dv[0])
+            turn = int(np.argmax(np.sign(dv) != sgn)) + 1
+            back = np.nonzero(np.sign(dv[turn:]) == sgn)[0]
+            if back.size:
+                raise SchemaError(f"{kind} sweep of {dev!r}: second direction "
+                                  "reversal; split the sweep", lines[turn + back[0]])
+            v, i = v[:turn], i[:turn]
+        if not cox > 0.0:
+            raise SchemaError(f"column cox_nF_cm2: must be positive, got {cox}", first)
+        geom = DeviceGeometry(w=w * 1e-6, l=l * 1e-6, lov=lov * 1e-6)
+        try:
+            sweeps.append(IvSweep(kind=kind, device_id=dev, geom=geom, cox=cox * 1e-5,
+                                  fixed_bias=fb, v=v, i=i))
+        except ValueError as e:
+            raise SchemaError(f"{kind} sweep of {dev!r}: {e}", first) from None
+    return sweeps
+
+
+def _read_both(path):
+    """What each reader makes of the file: its sweeps, or its error's type,
+    message and line (a ParameterError from DeviceGeometry has none)."""
+    out = []
+    for read in (read_iv_csv, _serial_read_iv_csv):
+        try:
+            out.append(read(path))
+        except (SchemaError, ParameterError) as e:
+            out.append((type(e), str(e), getattr(e, "line", None)))
+    return out
+
+
+def _assert_same_reading(path):
+    got, want = _read_both(path)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert isinstance(got, list) and len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.kind, a.device_id, a.geom, a.cox, a.fixed_bias) \
+            == (b.kind, b.device_id, b.geom, b.cox, b.fixed_bias)
+        assert type(a.cox) is float and type(a.fixed_bias) is float
+        for x, y in ((a.v, b.v), (a.i, b.i)):
+            assert x.dtype == y.dtype == np.float64
+            assert np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+def _batch_like_benchmark(path):
+    """13 devices of one transfer and three output sweeps, 3,952 rows."""
+    sweeps = []
+    for k in range(13):
+        p = ref_params(mu0=2.35e-5 * (1.0 + 0.02 * k), vth=-0.8 + 0.01 * k)
+        sweeps.append(synth_transfer(p, vds=-30.0, noise=0.005, seed=k, device_id=f"dev{k}"))
+        sweeps += [synth_output(p, vgs=vgs, noise=0.005, seed=k, device_id=f"dev{k}")
+                   for vgs in (-10.0, -20.0, -30.0)]
+    write_iv_csv(path, sweeps)
+
+
+@pytest.mark.parametrize("name", ["reference_p_iv.csv", "batch_3dev_iv.csv", "batch_13dev"])
+def test_reader_matches_serial_reference_on_fixtures(tmp_path, name):
+    if name == "batch_13dev":
+        path = tmp_path / "batch.csv"
+        _batch_like_benchmark(path)
+        assert len(path.read_text().splitlines()) == 3953
+    else:
+        path = fixtures.path(name)
+    _assert_same_reading(path)
+    assert len(read_iv_csv(path)) > 1
+
+
+def test_reader_reads_an_open_quote_line_by_line(tmp_path):
+    # one csv.reader over the whole file would run the open quote on into
+    # the following lines, here past csv's 128 KiB field limit
+    rows = _sweep_rows(4000).splitlines()
+    rows[0] = rows[0].replace(",-1e-9", ',"-1e-9')
+    path = tmp_path / "open.csv"
+    path.write_text(_HEADER + "\n".join(rows) + "\n")
+    assert len(path.read_text()) > csv.field_size_limit()
+    _assert_same_reading(path)
+    assert read_iv_csv(path)[0].v.size == 4000
+
+
+@pytest.mark.parametrize("body,needle", _SCHEMA_CASES)
+def test_schema_errors_match_serial_reference(tmp_path, body, needle):
+    path = tmp_path / "bad.csv"
+    path.write_text(body)
+    got, want = _read_both(path)
+    assert isinstance(want, tuple) and want[0] is SchemaError and got == want
+
+
+def _cell(rng, text):
+    """One cell as a file might hold it: padded, quoted, or both."""
+    text = rng.choice(["", " ", "  ", "\t", "\x1f"]) + text + rng.choice(["", " ", "\t "])
+    return f'"{text}"' if "," in text or rng.random() < 0.3 else text
+
+
+def _number(rng, x):
+    forms = [repr(x), f"{x:.17g}", f"{x:.17e}"]
+    if math.isfinite(x) and x == int(x):
+        forms.append(str(int(x)))
+    return _cell(rng, str(rng.choice(forms)))
+
+
+@st.composite
+def measurement_csv(draw):
+    """A schema-v1 file with comments, blank lines, CRLF or LF line ends,
+    padded and quoted cells, numbers written several ways, hysteresis
+    sweeps and several devices; and, in some files, one corrupted cell, an
+    extra or a lost cell, a quote left open, or a sweep whose fixed bias is
+    NaN (each of its rows then is a sweep of its own)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    order = draw(st.permutations(extract.CSV_COLUMNS))
+    lines = [",".join(_cell(rng, c) for c in order)]
+    for k in range(draw(st.integers(1, 4))):
+        dev = str(rng.choice(["dev1", "dev 2", "d,3", "x"]))
+        kind = str(rng.choice(["transfer", "output", "Transfer", "OUTPUT"]))
+        n = int(rng.integers(8, 15))
+        v = np.linspace(0.0, -0.5 * (n - 1), n)
+        if rng.random() < 0.5:
+            v = v[::-1]
+        if rng.random() < 0.5:   # up-down pass: the forward branch is kept
+            v = np.concatenate([v, v[::-1][1:int(rng.integers(2, n + 1))]])
+        i = -rng.lognormal(-20.0, 3.0, v.size)
+        fixed_bias = math.nan if rng.random() < 0.05 else -10.0 - k
+        key = {}
+        for x, y in zip(v.tolist(), i.tolist()):
+            if not key or rng.random() < 0.2:   # mostly the same text down a sweep
+                key = {"device_id": _cell(rng, dev), "kind": _cell(rng, kind),
+                       "W_um": _number(rng, 380.0), "L_um": _number(rng, 35.0),
+                       "LOV_um": _number(rng, 5.0), "cox_nF_cm2": _number(rng, 35.0),
+                       "fixed_bias_V": _number(rng, fixed_bias)}
+            cells = {**key, "v_V": _number(rng, x), "id_A": _number(rng, y)}
+            lines.append(",".join(cells[c] for c in order))
+            if rng.random() < 0.1:
+                lines.append(str(rng.choice(["", "   ", '# comment, with "quote', "#"])))
+    rows = [r for r in range(1, len(lines)) if lines[r].strip()[:1] not in ("", "#")]
+    r = int(rng.choice(rows))
+    cells = next(csv.reader([lines[r]]))
+    fault = draw(st.sampled_from(["none"] * 6 + ["cell", "extra", "lost", "open quote"]))
+    if fault == "cell":
+        cells[int(rng.integers(len(cells)))] = str(rng.choice(
+            ["abc", "", "nan", "-0", "1e999", "sideways", "transfer"]))
+    elif fault == "extra":
+        cells.append("0")
+    elif fault == "lost":
+        cells.pop()
+    if fault != "none":
+        lines[r] = ",".join(f'"{c}"' for c in cells)
+    if fault == "open quote":   # ends a row inside a quoted cell
+        lines[r] = lines[r][:-1]
+    end = str(rng.choice(["\n", "\r\n"]))
+    return end.join(lines) + str(rng.choice(["", end]))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(measurement_csv())
+def test_reader_matches_serial_reference_on_generated_files(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("gen") / "iv.csv"
+    path.write_bytes(text.encode("utf-8"))
+    _assert_same_reading(path)
+
+
+# -- window fits against a per-window polyfit loop -----------------------------
+
+
+def _serial_saturation_windows(s):
+    """Per-window np.polyfit lines of sqrt|ID| on VGS: {start: (slope,
+    intercept, R^2)} over the usable windows, and the first start with the
+    largest R^2.  The reference for extract_saturation_mobility."""
+    sw = s.ascending
+    ai = np.abs(sw.i)
+    if not np.any(ai > 0.0):
+        raise extract.ExtractionError("all currents are zero")
+    y = np.sqrt(ai)
+    width = max(4, math.ceil(0.4 * sw.v.size))
+    on = np.max(ai)
+    fits, best = {}, None
+    for start in range(0, sw.v.size - width + 1):
+        if np.mean(ai[start:start + width]) < 0.05 * on:
+            continue
+        xs = sw.v[start:start + width]
+        ys = y[start:start + width]
+        sst = float(((ys - ys.mean()) ** 2).sum())
+        if sst <= 0.0:
+            continue
+        slope, icpt = np.polyfit(xs, ys, 1)
+        ssr = float(((ys - (slope * xs + icpt)) ** 2).sum())
+        fits[start] = (float(slope), float(icpt), 1.0 - ssr / sst)
+        if best is None or fits[start][2] > fits[best][2]:
+            best = start
+    if best is None or fits[best][0] == 0.0:
+        raise extract.ExtractionError("no usable linear region in sqrt|ID|")
+    return fits, best, width
+
+
+def _serial_swing_windows(s, floor=1e-13):
+    """Per-window np.polyfit slopes of VGS on log10|ID|: {start: swing} over
+    the valid windows.  The reference for extract_subthreshold_swing."""
+    sw = s.ascending
+    ai = np.abs(sw.i)
+    rng = np.max(ai) / max(float(np.min(ai)), floor)
+    if rng < 1e3:
+        raise extract.ExtractionError(
+            f"dynamic range {rng:.3g} below the 3-decade minimum")
+    mask = ai > floor
+    swings = {}
+    for start in range(0, sw.v.size - 4):
+        sl = slice(start, start + 5)
+        if not np.all(mask[sl]):
+            continue
+        x = np.log10(ai[sl])
+        if np.ptp(x) <= 0.0:
+            continue
+        swing = abs(float(np.polyfit(x, sw.v[sl], 1)[0]))
+        if swing > 0.0:
+            swings[start] = swing
+    if not swings:
+        raise extract.ExtractionError("no valid 5-point window above the noise floor")
+    return swings
+
+
+def _transfer_sweeps():
+    out = [s for name in ("reference_p_iv.csv", "batch_3dev_iv.csv")
+           for s in read_iv_csv(fixtures.path(name)) if s.kind == "transfer"]
+    for seed in range(6):
+        p = ref_params(rc=(0.0, 30e3)[seed % 2], lam=0.0 if seed < 2 else 0.015)
+        s = synth_transfer(p, vds=(-30.0, -5.0)[seed % 2], noise=0.01, seed=seed,
+                           step=(0.25, 0.1, 0.5)[seed % 3])
+        # an additive floor of 0.15 pA puts the off-state in the noise
+        floor = 1.5e-13 * np.random.default_rng(seed).standard_normal(s.i.size)
+        out.append(IvSweep("transfer", "syn", s.geom, s.cox, s.fixed_bias, s.v, s.i + floor))
+    out.append(synth_transfer(ref_params(polarity="n", vth=0.8), vds=30.0, noise=0.02))
+    return out
+
+
+def _rel(a, b):
+    return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+
+@pytest.mark.parametrize("k", range(len(_transfer_sweeps())))
+def test_window_fits_match_polyfit_loop(k):
+    s = _transfer_sweeps()[k]
+    sw = s.ascending
+    fits, best, width = _serial_saturation_windows(s)
+    slope, icpt, ssr, sst = extract._window_lines(sw.v, np.sqrt(np.abs(sw.i)), width)
+    for start, (m, c, r2) in fits.items():
+        assert _rel(slope[start], m) <= 1e-9 and _rel(icpt[start], c) <= 1e-9
+        assert _rel(1.0 - ssr[start] / sst[start], r2) <= 1e-9
+    sat = extract_saturation_mobility(s)
+    m, c, r2 = fits[best]
+    assert sat.window == (sw.v[best], sw.v[best + width - 1])
+    assert _rel(sat.mu_sat, 2.0 * s.geom.l / (s.geom.w * s.cox) * m * m) <= 1e-9
+    assert _rel(sat.vth, -c / m) <= 1e-9 and _rel(sat.r2, r2) <= 1e-9
+
+    swings = _serial_swing_windows(s)
+    ai = np.abs(sw.i)
+    x = np.log10(np.where(ai > 1e-13, ai, 1.0))
+    got = np.abs(extract._window_lines(x, sw.v, 5)[0])
+    for start, swing in swings.items():
+        assert _rel(got[start], swing) <= 1e-9
+    first = min(swings, key=swings.get)
+    ss = extract_subthreshold_swing(s)
+    assert _rel(ss, swings[first]) <= 1e-9
+    assert min(swings, key=lambda j: abs(got[j] - ss)) == first
+
+
+def _sweep(i, v=None):
+    v = -0.25 * np.arange(len(i)) if v is None else v
+    return IvSweep("transfer", "d", ref_params().geom, 3.5e-4, -30.0, v, np.asarray(i))
+
+
+@pytest.mark.parametrize("needle,sweep", [
+    ("all currents are zero", _sweep(np.zeros(20))),
+    # one spike: every 24-point window averages under 5 % of it
+    ("no usable linear region", _sweep(np.where(np.arange(60) == 30, -1e-6, -1e-12))),
+    ("below the 3-decade minimum", _sweep(-1e-6 * (1.0 + 0.05 * np.arange(20)))),
+    # never 5 points in a row above the 1e-13 floor
+    ("no valid 5-point window", _sweep(np.where(np.arange(40) % 4 == 0, -1e-14,
+                                                -1e-9 * (1.0 + np.arange(40))))),
+])
+def test_window_fits_fail_where_polyfit_loop_fails(needle, sweep):
+    errors = []
+    for fit, serial in ((extract_saturation_mobility, _serial_saturation_windows),
+                        (extract_subthreshold_swing, _serial_swing_windows)):
+        try:
+            serial(sweep)
+        except extract.ExtractionError as e:
+            errors.append(str(e))
+            with pytest.raises(extract.ExtractionError) as err:
+                fit(sweep)
+            assert str(err.value) == str(e)
+        else:
+            fit(sweep)
+    assert any(needle in e for e in errors)
+    with pytest.raises(extract.ExtractionError):
+        extraction_report(sweep)
