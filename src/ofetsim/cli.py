@@ -83,7 +83,7 @@ class Run:
         self.dir = Path(root)
         self.dir.mkdir(parents=True, exist_ok=True)
         self.seed = args.seed
-        self.fmt = getattr(args, "format", "csv")
+        self.fmt = args.format
         self.inputs: dict[str, str] = {}
         self.outputs: list[str] = []
         self.command = " ".join(sys.argv[1:] if argv is None else argv)

@@ -132,9 +132,6 @@ class Waveform:
         object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "columns", cols)
 
-    def column(self, name: str) -> np.ndarray:
-        return self.columns[name]
-
     @property
     def names(self) -> list[str]:
         return list(self.columns)

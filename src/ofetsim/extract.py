@@ -123,7 +123,7 @@ def read_iv_csv(path) -> list[IvSweep]:
     (missing, unknown, then repeated columns); the first row with the wrong
     cell count; the first bad kind or number in row order, a row's cells in
     CSV_COLUMNS order; then each sweep in file order (a second reversal,
-    cox, geometry, then the IvSweep checks).
+    cox, W and L, LOV, then the IvSweep checks).
 
     The file is read in one pass: one csv.reader over the kept lines, the
     v and id columns converted whole, each row key converted only where its
@@ -139,8 +139,13 @@ def read_iv_csv(path) -> list[IvSweep]:
         # a quote left open ran on into the next line: read each line on
         # its own, as one row
         lines.clear()
+        rows = []
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = [next(csv.reader([t])) for t in _kept_lines(fh, lines)]
+            for t in _kept_lines(fh, lines):
+                try:
+                    rows.append(next(csv.reader([t])))
+                except csv.Error as e:   # a cell past csv's field size limit
+                    raise SchemaError(str(e), lines[-1]) from None
     if not rows:
         raise SchemaError("empty file: no header row")
     header = [c.strip() for c in rows[0]]
@@ -236,10 +241,13 @@ def _sweeps(rows: list[list[str]], idx: dict, lines: list[int]) -> list[IvSweep]
                 raise SchemaError(f"{kind} sweep of {dev!r}: second direction "
                                   "reversal; split the sweep", lines[a + turn + back[0]])
             vs, cs = vs[:turn], cs[:turn]
-        if not cox > 0.0:
-            raise SchemaError(f"column cox_nF_cm2: must be positive, got {cox}", first)
-        geom = DeviceGeometry(w=w * 1e-6, l=l * 1e-6, lov=lov * 1e-6)
-        try:
+        for col, x in (("cox_nF_cm2", cox), ("W_um", w), ("L_um", l)):
+            if not x > 0.0:
+                raise SchemaError(f"column {col}: must be positive, got {x}", first)
+        if not lov >= 0.0:
+            raise SchemaError(f"column LOV_um: must be >= 0, got {lov}", first)
+        try:   # a tiny positive W_um or L_um can still underflow to 0 m
+            geom = DeviceGeometry(w=w * 1e-6, l=l * 1e-6, lov=lov * 1e-6)
             sweeps.append(IvSweep(kind=kind, device_id=dev, geom=geom,
                                   cox=cox * 1e-5,  # nF/cm^2 -> F/m^2
                                   fixed_bias=fb, v=vs, i=cs))

@@ -19,14 +19,16 @@ Engineering suffixes f p n u m k meg g are understood; parentheses and commas
 count as whitespace; a bare identifier in a value position resolves against
 `.param` constants.  Subcircuits are flattened with hierarchical names
 (`x1.node`, element `rx1.r1`), so the serialized form is flat and
-`parse(serialize(parse(text)))` is a fixed point.
+`parse(serialize(parse(text)))` is a fixed point.  A `.subckt` port may
+appear once and may not be ground `0`.
 
 This module alone knows what a transistor override and a Monte Carlo draw
 may be.  An override is a model-card key, `strain` or `dir` (`par` or
 `perp`); the parser and `Circuit.with_otft_overrides` apply the same check,
 so a circuit built by either serializes to a deck that parses back to it.
 `card_with` turns a model card and an instance's overrides into the
-effective card, strain included.  `Mc` checks its own count, seed,
+effective card, strain included; `validate` reports every transistor whose
+effective card the model rejects.  `Mc` checks its own count, seed,
 parameter names, distribution kinds and spreads, so a `.mc` line and an
 `Mc` built in code obey the same rules.
 """
@@ -60,8 +62,9 @@ class NetlistError(Exception):
         super().__init__("\n".join(str(d) for d in self.diagnostics))
 
 
-# position of the operating level in SourceWave.args, per kind
-_LEVEL_ARG = {"dc": 0, "pulse": 1, "sin": 0}
+# per source shape: position of the operating level in SourceWave.args, and
+# the fewest and most arguments a card gives (missing ones are 0)
+_SHAPES = {"dc": (0, 1, 1), "pulse": (1, 2, 7), "sin": (0, 3, 5)}
 
 
 @dataclass(frozen=True)
@@ -104,11 +107,11 @@ class SourceWave:
     @property
     def level(self) -> float:
         """The operating level: DC value, pulse high value, or sine offset."""
-        return self.args[_LEVEL_ARG[self.kind]]
+        return self.args[_SHAPES[self.kind][0]]
 
     def with_level(self, level: float) -> "SourceWave":
         """The same wave with its operating level replaced."""
-        k = _LEVEL_ARG[self.kind]
+        k = _SHAPES[self.kind][0]
         return SourceWave(self.kind, self.args[:k] + (float(level),) + self.args[k + 1:])
 
 
@@ -379,13 +382,6 @@ class _Parser:
             self.nodes.append(name)
         return name
 
-    def add_element(self, e: Element, line: int):
-        if e.name in self.names:
-            self.error(line, f"duplicate element name {e.name!r}")
-            return
-        self.names.add(e.name)
-        self.elements.append(replace(e, line=line))
-
     # -- cards ---------------------------------------------------------------
 
     def kwargs(self, toks: list[str], line: int, what: str):
@@ -431,86 +427,52 @@ class _Parser:
         except ParameterError as exc:
             self.error(line, f".model {name}: {exc}")
 
-    def parse_source(self, toks: list[str], line: int, kind: str):
-        if len(toks) < 4:
-            self.error(line, f"{kind} card needs two nodes and a value")
-            return
-        name, np_, nm = toks[0], toks[1], toks[2]
-        rest = toks[3:]
-        wave = None
+    def parse_source(self, kind: str, name: str, rest: list[str], line: int):
         head = rest[0]
         if head == "dc" or _NUM_RE.match(head) or head in self.params:
             if head == "dc":
                 rest = rest[1:]
             if len(rest) != 1:
                 self.error(line, f"{name}: dc source takes exactly one value")
-                return
+                return None
             v = self.number(rest[0], line, name)
-            if v is None:
-                return
-            wave = SourceWave("dc", (v,))
-        elif head == "pulse":
-            args = [self.number(t, line, name) for t in rest[1:]]
-            if None in args or not 2 <= len(args) <= 7:
-                if None not in args:
-                    self.error(line, f"{name}: pulse takes 2..7 arguments")
-                return
-            args += [0.0] * (7 - len(args))
-            wave = SourceWave("pulse", tuple(args))
-        elif head == "sin":
-            if kind == "I":
-                self.error(line, f"{name}: current sources support dc and pulse only")
-                return
-            args = [self.number(t, line, name) for t in rest[1:]]
-            if None in args or not 3 <= len(args) <= 5:
-                if None not in args:
-                    self.error(line, f"{name}: sin takes 3..5 arguments")
-                return
-            args += [0.0] * (5 - len(args))
-            wave = SourceWave("sin", tuple(args))
-        else:
+            return None if v is None else {"wave": SourceWave("dc", (v,))}
+        if head not in _SHAPES:
             self.error(line, f"{name}: unknown source shape {head!r}")
-            return
-        self.add_element(Element(kind=kind, name=name,
-                                 nodes=(self.touch_node(np_), self.touch_node(nm)),
-                                 wave=wave), line)
+            return None
+        if head == "sin" and kind == "I":
+            self.error(line, f"{name}: current sources support dc and pulse only")
+            return None
+        _k, lo, hi = _SHAPES[head]
+        args = [self.number(t, line, name) for t in rest[1:]]
+        if None in args:
+            return None
+        if not lo <= len(args) <= hi:
+            self.error(line, f"{name}: {head} takes {lo}..{hi} arguments")
+            return None
+        return {"wave": SourceWave(head, tuple(args + [0.0] * (hi - len(args))))}
 
-    def parse_rc(self, toks: list[str], line: int, kind: str):
-        if len(toks) != 4:
-            self.error(line, f"{kind} card needs two nodes and a value")
-            return
-        v = self.number(toks[3], line, toks[0])
-        if v is None:
-            return
-        self.add_element(Element(kind=kind, name=toks[0],
-                                 nodes=(self.touch_node(toks[1]), self.touch_node(toks[2])),
-                                 value=v), line)
+    def parse_rc(self, kind: str, name: str, rest: list[str], line: int):
+        v = self.number(rest[0], line, name)
+        return None if v is None else {"value": v}
 
-    def parse_otft(self, toks: list[str], line: int):
-        if len(toks) < 5:
-            self.error(line, f"{toks[0]}: transistor needs d g s and a model name")
-            return
-        name = toks[0]
-        d, g, s, mname = toks[1], toks[2], toks[3], toks[4]
-        raw = self.kwargs(toks[5:], line, name)
+    def parse_otft(self, kind: str, name: str, rest: list[str], line: int):
+        raw = self.kwargs(rest[1:], line, name)
         overrides = {}
         for k, v in raw.items():
             if k in _OVERRIDE_KEYS and k != "dir":
                 v = self.number(v, line, f"{name} override {k}")
                 if v is None:
-                    return
+                    return None
             try:
                 overrides[k] = _override(k, v)
             except ValueError as exc:
                 self.error(line, f"{name}: {exc}")
-                return
-        if mname not in self.models:
-            self.error(line, f"{name}: undefined model {mname!r}")
-            return
-        self.add_element(Element(
-            kind="M", name=name,
-            nodes=(self.touch_node(d), self.touch_node(g), self.touch_node(s)),
-            model=mname, overrides=tuple(sorted(overrides.items()))), line)
+                return None
+        if rest[0] not in self.models:
+            self.error(line, f"{name}: undefined model {rest[0]!r}")
+            return None
+        return {"model": rest[0], "overrides": tuple(sorted(overrides.items()))}
 
     def parse_analysis(self, toks: list[str], line: int):
         card = toks[0]
@@ -593,6 +555,20 @@ class _Parser:
         self.error(line, f"unknown card {card!r}")
 
 
+# Element cards by letter: (kind, terminal count, most values after the
+# terminals or None for no limit, message for a card too short, parser).
+# A parser takes (kind, flattened name, values, line) and returns the
+# element's remaining fields, or None after reporting an error.
+_ELEMENTS = {
+    "r": ("R", 2, 1, "R card needs two nodes and a value", _Parser.parse_rc),
+    "c": ("C", 2, 1, "C card needs two nodes and a value", _Parser.parse_rc),
+    "v": ("V", 2, None, "V card needs two nodes and a value", _Parser.parse_source),
+    "i": ("I", 2, None, "I card needs two nodes and a value", _Parser.parse_source),
+    "m": ("M", 3, None, "{name}: transistor needs d g s and a model name",
+          _Parser.parse_otft),
+}
+
+
 def _logical_lines(text: str):
     """Join `+` continuations; yields (first_line_number, text)."""
     out = []
@@ -648,7 +624,12 @@ def parse(text: str, params: dict | None = None) -> Circuit:
                 p.error(lineno, ".subckt needs a name and at least one port")
                 current = (lineno, None, [], [])
                 continue
-            current = (lineno, toks[1], toks[2:], [])
+            ports = toks[2:]
+            if "0" in ports:
+                p.error(lineno, f".subckt {toks[1]}: ground node 0 cannot be a port")
+            for port in sorted({q for q in ports if ports.count(q) > 1}):
+                p.error(lineno, f".subckt {toks[1]}: repeated port {port!r}")
+            current = (lineno, toks[1], ports, [])
             continue
         if card == ".ends":
             if current is None:
@@ -685,12 +666,12 @@ def parse(text: str, params: dict | None = None) -> Circuit:
     p.params.update(p.params_override)
 
     # pass 2: models first so instances can bind in file order
-    rest = []
+    cards = []
     for lineno, toks in top:
         if toks[0] == ".model":
             p.parse_model_card(toks, lineno)
         else:
-            rest.append((lineno, toks))
+            cards.append((lineno, toks))
 
     # pass 3: elements, subcircuit expansion, analyses
     def expand(lineno, toks, prefix, nodemap, stack):
@@ -709,10 +690,6 @@ def parse(text: str, params: dict | None = None) -> Circuit:
             if n in nodemap:
                 return nodemap[n]
             return f"{prefix}.{n}" if prefix else n
-
-        def local_name():
-            bare = card
-            return f"{letter}{prefix}.{bare}" if prefix else bare
 
         if letter == "x":
             if len(toks) < 3:
@@ -736,24 +713,27 @@ def parse(text: str, params: dict | None = None) -> Circuit:
                 expand(bl, btoks, inner_prefix, inner_map, stack + (sname,))
             return
 
-        mapped = [local_name()] + toks[1:]
-        if letter in ("r", "c"):
-            if len(toks) == 4:
-                mapped = [local_name(), map_node(toks[1]), map_node(toks[2]), toks[3]]
-            p.parse_rc(mapped, lineno, letter.upper())
-        elif letter in ("v", "i"):
-            if len(toks) >= 4:
-                mapped = [local_name(), map_node(toks[1]), map_node(toks[2])] + toks[3:]
-            p.parse_source(mapped, lineno, letter.upper())
-        elif letter == "m":
-            if len(toks) >= 5:
-                mapped = ([local_name(), map_node(toks[1]), map_node(toks[2]),
-                           map_node(toks[3])] + toks[4:])
-            p.parse_otft(mapped, lineno)
-        else:
+        if letter not in _ELEMENTS:
             p.error(lineno, f"unknown card {card!r}")
+            return
+        kind, nterm, most, short, parser = _ELEMENTS[letter]
+        name = f"{letter}{prefix}.{card}" if prefix else card
+        rest = toks[1 + nterm:]
+        if not rest or (most is not None and len(rest) > most):
+            p.error(lineno, short.format(name=name))
+            return
+        # an element error fails the whole parse, so nodes may be touched first
+        nodes = tuple(p.touch_node(map_node(n)) for n in toks[1:1 + nterm])
+        fields = parser(p, kind, name, rest, lineno)
+        if fields is None:
+            return
+        if name in p.names:
+            p.error(lineno, f"duplicate element name {name!r}")
+            return
+        p.names.add(name)
+        p.elements.append(Element(kind, name, nodes, line=lineno, **fields))
 
-    for lineno, toks in rest:
+    for lineno, toks in cards:
         if toks[0].startswith("."):
             p.parse_analysis(toks, lineno)
         else:
@@ -785,13 +765,14 @@ def parse(text: str, params: dict | None = None) -> Circuit:
 def validate(c: Circuit) -> list[Diagnostic]:
     """All invariant violations; an empty list means simulatable.
 
-    Errors: non-positive R/C/W/L, negative strain, unresolved models (each
-    at its element's card line), no ground connection.
+    Errors: non-positive R/C values, unresolved models, a transistor whose
+    effective card (card_with) the model rejects, with the model's message
+    (each at its element's card line), no ground connection.
     Warnings: nodes with no DC path to ground, unused model cards.
     Circuit-wide diagnostics are reported at line 0.
     """
     diags: list[Diagnostic] = []
-    model_names = {n for n, _ in c.models}
+    models = dict(c.models)
     used_models = set()
     table = c.node_table
     parent = list(range(len(c.nodes)))
@@ -820,21 +801,15 @@ def validate(c: Circuit) -> list[Diagnostic]:
         elif e.kind == "V":
             union(table[e.nodes[0]], table[e.nodes[1]])
         elif e.kind == "M":
-            if e.model not in model_names:
+            if e.model not in models:
                 diags.append(Diagnostic("error", e.line,
                                         f"{e.name}: unresolved model {e.model!r}"))
             else:
                 used_models.add(e.model)
-                card = c.model_card(e.model)
-                w = e.override("w", card.geom.w)
-                l = e.override("l", card.geom.l)
-                if not (w > 0.0 and l > 0.0):
-                    diags.append(Diagnostic("error", e.line,
-                                            f"{e.name}: W and L must be > 0, got {w}, {l}"))
-                strain = e.override("strain", 0.0)
-                if strain < 0.0:
-                    diags.append(Diagnostic("error", e.line,
-                                            f"{e.name}: strain must be >= 0, got {strain}"))
+                try:
+                    card_with(models[e.model], e.overrides)
+                except ParameterError as exc:
+                    diags.append(Diagnostic("error", e.line, f"{e.name}: {exc}"))
             # the channel and the engine's gmin shunts provide DC paths
             d, g, s = (table[n] for n in e.nodes)
             union(d, s)
@@ -846,7 +821,7 @@ def validate(c: Circuit) -> list[Diagnostic]:
         if n != "0" and find(table[n]) != ground_root:
             diags.append(Diagnostic("warning", 0,
                                     f"node {n!r} has no DC path to ground"))
-    for name in sorted(model_names - used_models):
+    for name in sorted(set(models) - used_models):
         diags.append(Diagnostic("warning", 0, f"model {name!r} is never instantiated"))
     return diags
 

@@ -97,6 +97,20 @@ def test_sweep_schema_error_exits_2(tmp_path, capsys):
         assert err.splitlines() == ["line 2: transfer sweep of 'd': sweep needs >= 8 points, got 7"]
 
 
+@pytest.mark.parametrize("row,msg", [
+    ("d,transfer,0,35,5,35,-30,0,-1e-9", "line 2: column W_um: must be positive, got 0.0"),
+    ("d,transfer,380,35,5,35,-30,0,-1" + "0" * 140000,
+     "line 2: field larger than field limit (131072)"),
+], ids=["geometry", "long-cell"])
+def test_csv_cell_errors_exit_2(tmp_path, capsys, row, msg):
+    # a bad geometry or an overlong cell is bad input at its line, not a traceback
+    bad = tmp_path / "bad.csv"
+    bad.write_text("device_id,kind,W_um,L_um,LOV_um,cox_nF_cm2,fixed_bias_V,v_V,id_A\n"
+                   + row + "\n")
+    assert main(["extract", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == [msg]
+
+
 @pytest.mark.parametrize("cmd", ["extract", "sim"])
 def test_unreadable_input_exits_2(tmp_path, capsys, cmd):
     binary = tmp_path / "binary.in"
@@ -176,6 +190,18 @@ def test_sim_validation_error_names_card_line(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["sim", str(bad), "--out", str(out)]) == 2
     assert "line 3: r1: value must be > 0" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_sim_rejects_a_card_the_model_rejects(tmp_path, capsys):
+    bad = tmp_path / "bad.cir"
+    bad.write_text("bad mobility\n"
+                   ".model pm otftp mu0=2.35e-5 vth=-0.8 ss=0.18 cox=3.5e-4 w=380u l=35u\n"
+                   "vdd d 0 dc -20\nm1 d d 0 pm mu0=-1\n.op\n.end\n")
+    out = tmp_path / "o"
+    assert main(["sim", str(bad), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: line 4: m1: mu0 must be positive, got -1.0"]
     assert not (out / "manifest.json").exists()
 
 

@@ -35,7 +35,6 @@ from ofetsim.extract import (
 from ofetsim.model import (
     DeviceGeometry,
     OtftParams,
-    ParameterError,
     drain_current_with_contacts,
 )
 
@@ -315,10 +314,10 @@ def test_csv_round_trip(tmp_path):
 _HEADER = "device_id,kind,W_um,L_um,LOV_um,cox_nF_cm2,fixed_bias_V,v_V,id_A\n"
 
 
-def _sweep_rows(n, dev="d", cox=35, v=None, i="-1e-9"):
+def _sweep_rows(n, dev="d", cox=35, v=None, i="-1e-9", geom="380,35,5"):
     """n transfer rows of one sweep; v cycles through the given values, or runs 0, -0.5, ..."""
     vs = [-0.5 * k for k in range(n)] if v is None else [v[k % len(v)] for k in range(n)]
-    return "".join(f"{dev},transfer,380,35,5,{cox},-30,{x},{i}\n" for x in vs)
+    return "".join(f"{dev},transfer,{geom},{cox},-30,{x},{i}\n" for x in vs)
 
 
 _SCHEMA_CASES = [
@@ -340,6 +339,23 @@ _SCHEMA_CASES = [
      "line 2: transfer sweep of 'd': sweep contains non-finite"),
     (_HEADER + _sweep_rows(10, cox=0), "line 2: column cox_nF_cm2: must be positive, got 0.0"),
     (_HEADER + _sweep_rows(10, cox=-35), "line 2: column cox_nF_cm2: must be positive, got -35.0"),
+    # geometry is checked in the CSV's units, at the sweep's first line
+    (_HEADER + _sweep_rows(10) + _sweep_rows(10, geom="0,35,5"),
+     "line 12: column W_um: must be positive, got 0.0"),
+    (_HEADER + _sweep_rows(10, geom="380,-35,5"), "line 2: column L_um: must be positive, got -35.0"),
+    (_HEADER + _sweep_rows(10, geom="nan,35,5"), "line 2: column W_um: must be positive, got nan"),
+    (_HEADER + _sweep_rows(10, geom="380,35,-1"), "line 2: column LOV_um: must be >= 0, got -1.0"),
+    (_HEADER + _sweep_rows(10, geom="380,35,nan"), "line 2: column LOV_um: must be >= 0, got nan"),
+    # a second reversal, then cox, then geometry
+    (_HEADER + _sweep_rows(10, cox=0, geom="0,0,-1"),
+     "line 2: column cox_nF_cm2: must be positive, got 0.0"),
+    (_HEADER + _sweep_rows(10, v=[0, 1], geom="0,35,5"),
+     "line 4: transfer sweep of 'd': second direction reversal"),
+    (_HEADER + _sweep_rows(10, geom="380,0,-1"), "line 2: column L_um: must be positive, got 0.0"),
+    # a cell past csv's 131,072-character field limit
+    pytest.param(_HEADER + _sweep_rows(3) + "d,transfer,380,35,5,35,-30,-2,-1"
+                 + "0" * 140000 + "\n", "line 5: field larger than field limit (131072)",
+                 id="cell-past-field-limit"),
     # two errors in one file: the earlier check wins wherever it sits
     (_HEADER + "d,transfer,380,35,5,35,-30,abc,1e-9\n" + "d,transfer,380,35,5,35,-30,0\n",
      "line 3: expected 9 cells, got 8"),
@@ -421,7 +437,10 @@ def _serial_read_iv_csv(path):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            cells = next(csv.reader([line]))
+            try:
+                cells = next(csv.reader([line]))
+            except csv.Error as e:
+                raise SchemaError(str(e), lineno) from None
             if header is None:
                 header = [c.strip() for c in cells]
                 missing = [c for c in extract.CSV_COLUMNS if c not in header]
@@ -477,8 +496,14 @@ def _serial_read_iv_csv(path):
             v, i = v[:turn], i[:turn]
         if not cox > 0.0:
             raise SchemaError(f"column cox_nF_cm2: must be positive, got {cox}", first)
-        geom = DeviceGeometry(w=w * 1e-6, l=l * 1e-6, lov=lov * 1e-6)
+        if not w > 0.0:
+            raise SchemaError(f"column W_um: must be positive, got {w}", first)
+        if not l > 0.0:
+            raise SchemaError(f"column L_um: must be positive, got {l}", first)
+        if not lov >= 0.0:
+            raise SchemaError(f"column LOV_um: must be >= 0, got {lov}", first)
         try:
+            geom = DeviceGeometry(w=w * 1e-6, l=l * 1e-6, lov=lov * 1e-6)
             sweeps.append(IvSweep(kind=kind, device_id=dev, geom=geom, cox=cox * 1e-5,
                                   fixed_bias=fb, v=v, i=i))
         except ValueError as e:
@@ -487,14 +512,14 @@ def _serial_read_iv_csv(path):
 
 
 def _read_both(path):
-    """What each reader makes of the file: its sweeps, or its error's type,
-    message and line (a ParameterError from DeviceGeometry has none)."""
+    """What each reader makes of the file: its sweeps, or its error's
+    message and line."""
     out = []
     for read in (read_iv_csv, _serial_read_iv_csv):
         try:
             out.append(read(path))
-        except (SchemaError, ParameterError) as e:
-            out.append((type(e), str(e), getattr(e, "line", None)))
+        except SchemaError as e:
+            out.append((type(e), str(e), e.line))
     return out
 
 

@@ -298,6 +298,20 @@ def test_mc_line_and_record_share_their_checks():
      "m1 d g 0 pm vt=1\n.end", "unknown override 'vt'", 3),
     ("t\n.model pm otftp mu0=1e-5 vth=-1 ss=0.2 cox=3e-4 w=1u l=1u\n"
      "m1 d g 0 pm strain=0.5 dir=diag\n.end", "dir must be par or perp", 3),
+    # a port listed twice, or ground as a port, would drop a connection
+    ("t\n.subckt s a a\nr1 a 0 1k\n.ends\nx1 p q s\nv1 p 0 dc 1\n.end",
+     ".subckt s: repeated port 'a'", 2),
+    ("t\n.subckt s 0 a\nr1 a 0 1k\n.ends\nx1 n a s\nv1 n 0 dc 1\n.end",
+     ".subckt s: ground node 0 cannot be a port", 2),
+    # a card inside a subcircuit reports at its body line, as at top level
+    ("t\n.subckt s a\nr1 a\n.ends\nx1 p s\nv1 p 0 dc 1\n.end",
+     "R card needs two nodes and a value", 3),
+    ("t\n.subckt s a\nm1 a b\n.ends\nx1 p s\nv1 p 0 dc 1\n.end",
+     "mx1.m1: transistor needs d g s and a model name", 3),
+    ("t\n.subckt s a\ni1 a 0 sin 0 1 1k\n.ends\nx1 p s\nv1 p 0 dc 1\n.end",
+     "ix1.i1: current sources support dc and pulse only", 3),
+    ("t\n.subckt s a\nq1 a b\n.ends\nx1 p s\nv1 p 0 dc 1\n.end",
+     "unknown card 'q1'", 3),
 ])
 def test_malformed_input_diagnostics(text, needle, line):
     with pytest.raises(NetlistError) as err:
@@ -336,6 +350,25 @@ def test_validate_reports_card_lines():
     # the card line is not part of an element's identity
     assert parse(serialize(c)) == c
     assert [e.line for e in parse(serialize(c)).elements] != [e.line for e in c.elements]
+
+    # every instance card the model rejects is an error at the card line,
+    # with the model's own message, whether parsed or built in code
+    deck = ("t\nv1 a 0 dc 1\n"
+            ".model pm otftp mu0=1e-5 vth=-1 ss=0.2 cox=3e-4 w=1u l=1u\n"
+            "m1 a a 0 pm{}\n.end")
+    good = parse(deck.format(""))
+    assert validate(good) == []
+    for key, text, value in [("mu0", "-1", -1.0), ("ss", "0", 0.0),
+                             ("lambda", "-0.1", -0.1), ("gamma", "-1", -1.0),
+                             ("rc", "-1k", -1e3), ("cox", "0", 0.0),
+                             ("order", "0.5", 0.5), ("lov", "-1u", -1e-6)]:
+        with pytest.raises(ParameterError) as exc:
+            netlist.card_with(good.model_card("pm"), {key: value})
+        want = [(4, f"m1: {exc.value}")]
+        for c in (parse(deck.format(f" {key}={text}")),
+                  good.with_otft_overrides({"m1": {key: value}})):
+            assert [(d.line, d.message) for d in validate(c)
+                    if d.severity == "error"] == want, key
 
 
 def test_validate_flags():
