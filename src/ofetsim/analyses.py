@@ -22,9 +22,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .netlist import Circuit, Tran, Mc
+from .netlist import Circuit, Tran, Mc, card_with
 from . import engine
 from .engine import SolverConfig, Waveform
+from .model import ParameterError
 
 
 class AnalysisError(RuntimeError):
@@ -313,28 +314,37 @@ class McResult:
     params: tuple[str, ...]
 
 
-def mc_samples(count: int, seed: int, n_devices: int, dists) -> np.ndarray:
-    """The (count, n_devices, n_params) block of mismatch draws.
-
-    Counter-based: entry [r, i] holds one draw per `dists` entry, in order,
-    from the Philox stream keyed (seed, replica=r, device=i), so a replica's
-    draws do not depend on `count`.
-    """
-    out = np.empty((count, n_devices, len(dists)))
-    for r in range(count):
-        for i in range(n_devices):
-            rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, r, i]))
-            for j, (_p, kind, a, b) in enumerate(dists):
-                z = rng.standard_normal()
-                out[r, i, j] = a + b * z if kind == "normal" else a * math.exp(b * z)
-    return out
-
-
 def mc_overrides(samples_row: np.ndarray, devices: Sequence[str],
                  params: Sequence[str]) -> dict[str, dict[str, float]]:
     """Per-device override dict for one replica's sample block."""
     return {d: {p: float(samples_row[i, j]) for j, p in enumerate(params)}
             for i, d in enumerate(devices)}
+
+
+def mc_draws(c: Circuit, mc: Mc) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
+    """(devices, params, samples) of `mc` on the transistors of c.
+
+    samples[r, i] holds one draw per `mc.dists` entry, in order, from the
+    Philox stream keyed (seed, replica=r, device=i), devices in element
+    order, so a replica's draws do not depend on the count.  A drawn card
+    that card_with rejects raises ParameterError naming the .mc line, the
+    replica and the device.
+    """
+    ms = [e for e in c.elements if e.kind == "M"]
+    params = tuple(p for p, _k, _a, _b in mc.dists)
+    samples = np.empty((mc.count, len(ms), len(params)))
+    for r in range(mc.count):
+        for i, e in enumerate(ms):
+            rng = np.random.Generator(np.random.Philox(key=mc.seed, counter=[0, 0, r, i]))
+            for j, (_p, kind, a, b) in enumerate(mc.dists):
+                z = rng.standard_normal()
+                samples[r, i, j] = a + b * z if kind == "normal" else a * math.exp(b * z)
+            try:
+                card_with(c.model_card(e.model),
+                          {**dict(e.overrides), **dict(zip(params, samples[r, i].tolist()))})
+            except ParameterError as exc:
+                raise ParameterError(f"line {mc.line}: .mc replica {r}: {e.name}: {exc}") from None
+    return tuple(e.name for e in ms), params, samples
 
 
 def monte_carlo(c: Circuit, mc: Mc, metric: Callable[[Circuit], object],
@@ -345,11 +355,10 @@ def monte_carlo(c: Circuit, mc: Mc, metric: Callable[[Circuit], object],
     stream keyed (seed, replica=r, device=i); devices are indexed in
     element order.  Yield is the fraction of replicas whose metric
     satisfies the predicate (1.0 when no predicate is given).  Identical
-    seeds give identical results regardless of evaluation order.
+    seeds give identical results regardless of evaluation order.  A draw
+    outside the card rules raises before any replica runs (mc_draws).
     """
-    devices = tuple(e.name for e in c.elements if e.kind == "M")
-    params = tuple(p for p, _k, _a, _b in mc.dists)
-    samples = mc_samples(mc.count, mc.seed, len(devices), mc.dists)
+    devices, params, samples = mc_draws(c, mc)
     metrics = []
     passed = 0
     for r in range(mc.count):

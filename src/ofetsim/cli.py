@@ -241,6 +241,9 @@ def cmd_sim(args, run: Run) -> int:
     if not c.analyses:
         print("netlist has no analysis directives", file=sys.stderr)
         return E_INPUT
+    # .mc draws are checked against the card rules before any analysis runs
+    draws = {k: analyses.mc_draws(c, a) for k, a in enumerate(c.analyses)
+             if isinstance(a, netlist.Mc)}
 
     for k, a in enumerate(c.analyses):
         if isinstance(a, netlist.DcOp):
@@ -265,12 +268,11 @@ def cmd_sim(args, run: Run) -> int:
                                [(r.frequency if r.frequency else 0.0,
                                  r.amplitude, int(r.settled))])
         elif isinstance(a, netlist.Mc):
-            devices = [e.name for e in c.elements if e.kind == "M"]
-            samples = analyses.mc_samples(a.count, a.seed, len(devices), a.dists)
+            devices, params, samples = draws[k]
             rows = [(rep, dev, pname, float(samples[rep, i, j]))
                     for rep in range(a.count)
                     for i, dev in enumerate(devices)
-                    for j, (pname, _k2, _a2, _b2) in enumerate(a.dists)]
+                    for j, pname in enumerate(params)]
             run.write_rows(f"mc_{k}_samples.csv",
                            ["replica", "device", "param", "value"], rows)
     run.finish()

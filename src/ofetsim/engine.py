@@ -17,20 +17,20 @@ evaluation.  A failed call records its largest |residual| and that row for
 ConvergenceError.  DC falls back from plain damped Newton to a gmin ladder
 (1e-3 S down to gmin), then to source stepping (0.1 to 1.0); transient uses
 backward Euler or trapezoidal companions with step-doubling error control.
-The full step and the first half step start from the accepted point moved
-along the polynomial through the last three accepted points, and the second
-half step from the full step's solution at the same time; warm-started DC
-sweep points start from that polynomial in the swept value.  The start
-changes only the work of a solve, not its tolerances or the step control.
+An attempt solves the first half step from the accepted point moved along
+the polynomial through the last four accepted points, then the full and
+second half steps, both to t + h, as one call of two replicas, from the
+accepted point and the half step moved along the polynomial through the
+last three accepted points and the half step.  DC sweep points start from
+the polynomial through the last three points in the swept value.  Starts
+change the work of a solve, not its tolerances or the step control.
 
 Newton runs over a leading replica axis: B solves of one circuit, each with
 its own start, source values and capacitor companions, share every
 iteration's kernel call (over B x n_m devices), scatters, matrix product and
 stacked np.linalg.solve.  Each replica's entries keep the order of a lone
 solve, so its result is bit-identical to one; a replica leaves the stack when
-it converges or fails, and its failure record is its own.  Step doubling
-solves the full step and the first half step, which start from the same
-point, as one call of two replicas, then the second half step.  A DC sweep
+it converges or fails, and its failure record is its own.  A DC sweep
 solves blocks of SWEEP_BLOCK consecutive values, one call per block whose
 replicas are every (value, curve) pair; each starts from its curve's
 polynomial through the last three points before the block.  A replica that
@@ -319,6 +319,8 @@ class _System:
         self.m_par = tuple(np.array([
             (p.sign, p.geom.w / p.geom.l * p.cox, p.mu0, p.sign * p.vth,
              p.ss, p.gamma, p.lam, p.order) for *_dgs, p in otfts], dtype=float).reshape(-1, 8).T)
+        # update clamp and floor: numpy takes 0-d arrays faster than floats
+        self._clamp = np.array(-cfg.damping), np.array(cfg.damping), np.array(cfg.vntol)
         self._stacks = {}    # nrep -> _Replicas, views into self._full
         self._full = None    # the stacked arrays of the largest stack yet
         # per replica of the last Newton call: None, or the largest |residual|
@@ -469,6 +471,7 @@ class _System:
         xfull[:, 1:] = x
         xf, xcol = xfull.reshape(-1), xfull[:, :, None]
         n_g, n_lin = self.cond_g.size, self.lin_a.size
+        lo, hi, vntol = self._clamp
         for _ in range(cfg.max_newton_iters):
             nrow = xfull.shape[0]
             v_d, v_g, v_s = xf[tab.m_dgs]
@@ -487,8 +490,8 @@ class _System:
                 dx = _solve_each(jac[:, 1:, 1:], -f_col[:, 1:, 0])
             finite = np.isfinite(dx).all(axis=1).tolist()
             dxn = dx[:, :nn]
-            np.minimum(np.maximum(dxn, -cfg.damping, out=dxn), cfg.damping, out=dxn)
-            conv = (np.abs(dxn) < cfg.vntol).all(axis=1).tolist()
+            np.minimum(np.maximum(dxn, lo, out=dxn), hi, out=dxn)
+            conv = (np.abs(dxn) < vntol).all(axis=1).tolist()
             if True in conv:
                 # residuals at the point just evaluated, against their tolerances;
                 # each |branch current| counts at both ends of its branch
@@ -606,13 +609,13 @@ def _lagrange_weights(ts, t):
 
 
 def _extrapolate(ts, xs, t):
-    """Value at t of the polynomial through the last three (or fewer) points
+    """Value at t of the polynomial through the last four (or fewer) points
     (ts[k], xs[k]): the predicted start of the next Newton solve.  An array
     t broadcasts against the points' values: t of shape (m, 1, ..., 1) gives
     the m values at once, also through a single point.  The weights are
     computed in floats, value by value, so each value equals its own scalar
     call bit for bit."""
-    ts, xs = ts[-3:], xs[-3:]
+    ts, xs = ts[-4:], xs[-4:]
     t = np.asarray(t, dtype=float)
     w = np.array([_lagrange_weights(ts, v) for v in t.ravel().tolist()])
     p = 0.0
@@ -743,13 +746,12 @@ def transient(c: Circuit, directive: Tran, cfg: SolverConfig | None = None,
         xfull = np.concatenate(([0.0], xv))
         return xfull[sys.cap_a] - xfull[sys.cap_b]
 
-    def steps_from(state, steps, method, x0=None):
-        """Solve the steps [(t_new, h), ...] that all start at state (x,
-        capacitor currents, capacitor voltages) as replicas of one Newton
-        call; a state or None each.  Without Newton starts x0, (len(steps),
-        n), each starts from x moved along the curve through the accepted
-        points, all from one _extrapolate call."""
-        x_in, i_in, v_in = state
+    def steps_from(starts, steps, method, ts, xs):
+        """Solve the steps [(t_new, h), ...] from the states starts (x,
+        capacitor currents, capacitor voltages), one per step, as replicas
+        of one Newton call; a state or None each.  Each starts from its x
+        moved along the polynomial through the points (ts, xs)."""
+        x_in, i_in, v_in = map(np.array, zip(*starts))
         t_new = [tn for tn, _h in steps]
         h = np.array([hk for _tn, hk in steps])[:, None]
         if method == "be":
@@ -758,20 +760,12 @@ def transient(c: Circuit, directive: Tran, cfg: SolverConfig | None = None,
         else:
             geq = 2.0 * cap_c / h
             ieq = geq * v_in + i_in
-        if x0 is None:
-            m = len(steps)
-            t_pred = t_new + [tn - hk for tn, hk in steps]
-            p = _extrapolate(times, states, np.array(t_pred)[:, None])
-            x0 = x_in + (p[:m] - p[m:])
-        done = []
-        xs = sys.newton(x0, t=t_new, cap_geq=geq, cap_ieq=ieq)
-        for xn, g, ie in zip(xs, geq, ieq):
-            if xn is None:
-                done.append(None)
-            else:
-                v = vab(xn)
-                done.append((xn, g * v - ie, v))
-        return done
+        m = len(steps)
+        p = _extrapolate(ts, xs, np.array(t_new + [tn - hk for tn, hk in steps])[:, None])
+        x0 = x_in + (p[:m] - p[m:])
+        sols = sys.newton(x0, t=t_new, cap_geq=geq, cap_ieq=ieq)
+        return [None if xn is None else (xn, g * (v := vab(xn)) - ie, v)
+                for xn, g, ie in zip(sols, geq, ieq)]
 
     state = (x, np.zeros(cap_c.size), vab(x))
     times = [0.0]
@@ -784,7 +778,7 @@ def transient(c: Circuit, directive: Tran, cfg: SolverConfig | None = None,
         while t < stop - 1e-9 * h:
             h_eff = min(h, stop - t)
             method = "be" if (first_be and t == 0.0) else cfg.method
-            (state,) = steps_from(state, [(t + h_eff, h_eff)], method)
+            (state,) = steps_from([state], [(t + h_eff, h_eff)], method, times, states)
             if state is None:
                 raise sys.error(f"transient: no convergence at t={t + h_eff:g}",
                                 at=t + h_eff)
@@ -798,12 +792,11 @@ def transient(c: Circuit, directive: Tran, cfg: SolverConfig | None = None,
         while t < stop - 1e-15 * stop:
             h = min(max(h, cfg.min_step), max_h, stop - t)
             method = "be" if (first_be and t == 0.0) else cfg.method
-            # the full step and the first half step, both from the accepted
-            # state, as one call; then the second half step, started from the
-            # full step's solution at the same time t + h
-            full, half = steps_from(state, [(t + h, h), (t + 0.5 * h, 0.5 * h)], method)
-            if full is not None and half is not None:
-                (half,) = steps_from(half, [(t + h, 0.5 * h)], method, x0=full[0][None])
+            # the first half step, then the full and second half steps
+            (half,) = steps_from([state], [(t + 0.5 * h, 0.5 * h)], method, times, states)
+            full, half = (None, None) if half is None else steps_from(
+                [state, half], [(t + h, h), (t + h, 0.5 * h)], method,
+                times[-3:] + [t + 0.5 * h], states[-3:] + [half[0]])
             if full is None or half is None:
                 h *= 0.5
                 if h < cfg.min_step:

@@ -38,7 +38,13 @@ LN10 = math.log(10.0)
 
 # Overdrive below this is treated as full cutoff; the analytic value there is
 # below double-precision resolution of the on-state current.
-_VOV_FLOOR = 1e-30
+_VOV_FLOOR = np.array(1e-30)
+
+# Constant operands as 0-d arrays: numpy dispatches them faster than Python
+# floats, through the same ufunc loops.  40 caps the softplus argument and
+# +-700 clamps the sigmoid's.
+_ZERO, _HALF, _ONE = np.array(0.0), np.array(0.5), np.array(1.0)
+_SP_MAX, _EXP_MAX, _EXP_MIN = np.array(40.0), np.array(700.0), np.array(-700.0)
 
 
 class Card(NamedTuple):
@@ -93,44 +99,44 @@ def otft_eval(vgs, vds, sign, kwl, mu0, vthn, ss, gamma, lam, order, out=None,
         out = np.empty((3, vgs.shape[0]))
     vg = sign * vgs
     vd = sign * vds
-    swapped = vd < 0.0
+    swapped = vd < _ZERO
     any_swapped = np.count_nonzero(swapped)
     if any_swapped:
         vg = np.where(swapped, vg - vd, vg)
     vd = np.abs(vd)
     phi = card.phi
     u = (vg - vthn) / phi
-    sp = np.log1p(np.exp(np.minimum(u, 40.0)))
-    big = u > 40.0
+    sp = np.log1p(np.exp(np.minimum(u, _SP_MAX)))
+    big = u > _SP_MAX
     if np.count_nonzero(big):
         sp = np.where(big, u, sp)
     vov = phi * sp
     cut = vov < _VOV_FLOOR
     any_cut = np.count_nonzero(cut)
     if any_cut:
-        vov = np.where(cut, 1.0, vov)
-    sig = 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(u, -700.0), 700.0)))
+        vov = np.where(cut, _ONE, vov)
+    sig = _ONE / (_ONE + np.exp(-np.minimum(np.maximum(u, _EXP_MIN), _EXP_MAX)))
     if card.gz_all:
         # vov ** 0 is 1 for every vov, NaN included
         mu = mu0
-        dmu = 0.0   # still multiplies f below: 0 * inf is NaN
+        dmu = _ZERO   # still multiplies f below: 0 * inf is NaN
     else:
         mu = mu0 * vov ** gamma
         dmu = card.gmu0 * vov ** card.gexp
         if card.gz_any:
-            dmu = np.where(card.gz, 0.0, dmu)
+            dmu = np.where(card.gz, _ZERO, dmu)
     r = vd / vov
     rm = r ** order
-    rm1 = 1.0 + rm
+    rm1 = _ONE + rm
     den = rm1 ** card.inv_order
     vde = vd / den
-    dvde_dvd = 1.0 / (den * rm1)
+    dvde_dvd = _ONE / (den * rm1)
     dvde_dvov = vde * rm / (rm1 * vov)
-    f = (vov - 0.5 * vde) * vde
+    f = (vov - _HALF * vde) * vde
     vgap = vov - vde
     df_dvov = vde + dvde_dvov * vgap
     df_dvd = dvde_dvd * vgap
-    lamf = 1.0 + lam * vd
+    lamf = _ONE + lam * vd
     kmu = kwl * mu
     i0 = kmu * f
     idr = i0 * lamf
@@ -151,10 +157,10 @@ def otft_eval(vgs, vds, sign, kwl, mu0, vthn, ss, gamma, lam, order, out=None,
         # written as log1p(e) + |u|*e/(1+e) with e = exp(-|u|) to avoid cancellation
         au = np.abs(u)
         e = np.exp(-au)
-        did_dphi = kg * lamf * (np.log1p(e) + au * e / (1.0 + e)) / LN10
+        did_dphi = kg * lamf * (np.log1p(e) + au * e / (_ONE + e)) / LN10
         psign = np.where(swapped, -sign, sign) if any_swapped else sign
         if any_cut:
-            psign = np.where(cut, 0.0, psign)
+            psign = np.where(cut, _ZERO, psign)
         out[3] = psign * did_dphi * (2.0 + gamma)
         out[4] = psign * (did_dphi * ss + idr * np.log(vov))
         out[5] = psign * i0 * vd

@@ -175,12 +175,14 @@ class Mc:
     (a = median, b = sigma of log).  Every transistor instance receives an independent draw
     of each parameter.  Raises ValueError on a count that is not a positive
     integer, a seed that is no Philox key (an integer in [0, 2**128)), an
-    unknown parameter or kind, or a negative sigma.
+    unknown parameter or kind, or a negative sigma.  ``line`` is the netlist
+    line of the `.mc` card (0 when built in code).
     """
 
     count: int
     seed: int
     dists: tuple[tuple[str, str, float, float], ...] = ()
+    line: int = field(default=0, compare=False)
 
     def __post_init__(self):
         if not (self.count >= 1 and float(self.count).is_integer()):
@@ -548,7 +550,7 @@ class _Parser:
                 dists.append((pname, dname, a, b))
                 i += 3
             try:
-                self.analyses.append(Mc(count=cnt, seed=seed, dists=tuple(dists)))
+                self.analyses.append(Mc(count=cnt, seed=seed, dists=tuple(dists), line=line))
             except ValueError as exc:
                 self.error(line, f".mc: {exc}")
             return

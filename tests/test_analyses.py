@@ -22,6 +22,7 @@ from ofetsim.analyses import (
     vtc_metrics,
 )
 from ofetsim.engine import Waveform, dc_operating_point
+from ofetsim.model import ParameterError
 from ofetsim.netlist import Mc
 
 
@@ -273,6 +274,26 @@ def test_mc_directive_drives_monte_carlo():
     res = monte_carlo(c, mc, _vd)
     assert res.samples.shape == (10, 1, 1) and res.params == ("vth",)
     assert res.yield_ == 1.0
+
+
+# replica 15 draws ss = -0.0447, which the model's card rules reject
+MC_OUTSIDE_RULES = """\
+mc outside the card rules
+.model pm otftp mu0=2.35e-5 vth=-0.8 ss=0.18 cox=3.5e-4 w=380u l=35u
+vdd d 0 dc -20
+m1 d d 0 pm
+.mc 20 1 mu0=normal 2.35e-5 2e-5 ss=normal 0.18 0.2
+.end
+"""
+
+
+def test_mc_draw_outside_card_rules_names_replica_and_device():
+    c = netlist.parse(MC_OUTSIDE_RULES)
+    ran = []
+    with pytest.raises(ParameterError, match=r"^line 5: \.mc replica 15: m1: subthreshold "
+                       r"swing must be positive, got -0\.0447"):
+        monte_carlo(c, c.analyses[0], ran.append)
+    assert ran == []   # checked before any replica runs
 
 
 # -- fixture plumbing --------------------------------------------------------

@@ -15,6 +15,8 @@ import pytest
 import ofetsim
 from ofetsim import analyses, fixtures, netlist
 from ofetsim.cli import main
+from ofetsim.model import ParameterError
+from test_analyses import MC_OUTSIDE_RULES
 
 
 BATCH = str(fixtures.path("batch_3dev_iv.csv"))
@@ -244,6 +246,21 @@ def test_sim_mc_samples_match_monte_carlo(tmp_path):
         (rep, dev, p, float(res.samples[rep, i, j]))
         for rep in range(4) for i, dev in enumerate(res.devices)
         for j, p in enumerate(res.params)]
+
+
+def test_sim_mc_draw_outside_card_rules(tmp_path, capsys):
+    # the draw is bad input at the .mc line, with monte_carlo's text, and
+    # no samples are written
+    net = tmp_path / "mc.cir"
+    net.write_text(MC_OUTSIDE_RULES)
+    out = tmp_path / "o"
+    assert main(["sim", str(net), "--out", str(out)]) == 2
+    c = netlist.parse(MC_OUTSIDE_RULES)
+    with pytest.raises(ParameterError) as e:
+        analyses.monte_carlo(c, c.analyses[0], lambda cv: None)
+    assert capsys.readouterr().err == f"{e.value}\n"
+    assert str(e.value).startswith("line 5: .mc replica 15: m1: ")
+    assert not (out / "mc_0_samples.csv").exists()
 
 
 @pytest.mark.parametrize("sweep", [

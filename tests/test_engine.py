@@ -377,11 +377,13 @@ def test_ring_step_kernel_calls(kernel_calls):
     w = transient(c, netlist.Tran(step=1.0 / (50.0 * f), stop=2.0 / f), SolverConfig())
     steps = w.axis.size - 1
     assert steps == 193
-    # the full and first half steps share one stacked call, and the second
-    # half step starts from the full step's solution: 5.91 per step, against
-    # 6.83 from a predicted second half step start and 9.50 with three lone
-    # calls per attempt
-    assert kernel_calls[0] <= 6.2 * steps
+    # the first half step alone from the cubic through the last four
+    # points, then the full and second half steps as one stacked call from
+    # the cubic through the half step: 4.95 per step, against 5.91 with the
+    # full and first half steps stacked and the second half step started
+    # from the full step's solution, and 9.50 with three lone calls per
+    # attempt
+    assert kernel_calls[0] <= 5.1 * steps
 
 
 @pytest.mark.parametrize("name,sweep", [
@@ -422,7 +424,7 @@ def _same_waveform(a, b):
 def _extrapolate_reference(ts, xs, t):
     """The loop that forms each Lagrange weight from a scalar t, kept as the
     reference the vectorized engine._extrapolate must match bit for bit."""
-    ts, xs = ts[-3:], xs[-3:]
+    ts, xs = ts[-4:], xs[-4:]
     p = 0.0
     for j, (tj, xj) in enumerate(zip(ts, xs)):
         w = 1.0
@@ -434,11 +436,11 @@ def _extrapolate_reference(ts, xs, t):
 
 
 def test_extrapolate_matches_scalar_loop():
-    # 1-3 points, times from ns to s apart, points of shape (n,) and
+    # 1-4 points, times from ns to s apart, points of shape (n,) and
     # (curves, n), scalar t and t of shape (m, 1) or (m, 1, 1)
     rng = np.random.default_rng(4)
     for trial in range(200):
-        npts = 1 + trial % 3
+        npts = 1 + trial % 4
         ts = np.cumsum(rng.random(npts) * 10.0 ** rng.uniform(-9.0, 0.0)).tolist()
         xs = rng.standard_normal((npts, 3, 7) if trial % 2 else (npts, 38))
         tv = ts[-1] + rng.random(1 + trial % 33) * 10.0 ** rng.uniform(-9.0, 0.0)
@@ -453,8 +455,10 @@ def test_extrapolate_matches_scalar_loop():
 
 def _serial_transient(c, d, cfg, ic=None):
     """Adaptive step-doubling with its three Newton calls per attempt made
-    one at a time: the reference for the stacked full and first half step.
-    The second half step starts from the full step's solution."""
+    one at a time: the reference for the stacked full and second half step.
+    The first half step starts from the polynomial through the last four
+    accepted points, the full and second half steps from the polynomial
+    through the last three and the first half step."""
     sys = engine._System(c, cfg)
     stop = d.stop
     max_h = d.max_step if d.max_step is not None else d.step
@@ -470,16 +474,15 @@ def _serial_transient(c, d, cfg, ic=None):
         xfull = np.concatenate(([0.0], xv))
         return xfull[sys.cap_a] - xfull[sys.cap_b]
 
-    def step_once(x_in, i_in, t_new, h, method, x0=None):
+    def step_once(x_in, i_in, t_new, h, method, ts, xs):
         if method == "be":
             geq = sys.cap_c / h
             ieq = geq * vab(x_in)
         else:
             geq = 2.0 * sys.cap_c / h
             ieq = geq * vab(x_in) + i_in
-        if x0 is None:
-            x0 = x_in + (_extrapolate_reference(times, states, t_new)
-                         - _extrapolate_reference(times, states, t_new - h))
+        x0 = x_in + (_extrapolate_reference(ts, xs, t_new)
+                     - _extrapolate_reference(ts, xs, t_new - h))
         xn = sys.newton(x0, t=t_new, cap_geq=geq, cap_ieq=ieq)
         return (None, None) if xn is None else (xn, geq * vab(xn) - ieq)
 
@@ -490,11 +493,12 @@ def _serial_transient(c, d, cfg, ic=None):
     while t < stop - 1e-15 * stop:
         h = min(max(h, cfg.min_step), max_h, stop - t)
         method = "be" if (first_be and t == 0.0) else cfg.method
-        xf, _ = step_once(x, cap_i, t + h, h, method)
-        xh1, ci1 = (None, None) if xf is None else step_once(
-            x, cap_i, t + 0.5 * h, 0.5 * h, method)
-        xh2, ci2 = (None, None) if xh1 is None else step_once(
-            xh1, ci1, t + h, 0.5 * h, method, x0=xf)
+        xh1, ci1 = step_once(x, cap_i, t + 0.5 * h, 0.5 * h, method, times, states)
+        pts = (times[-3:] + [t + 0.5 * h], states[-3:] + [xh1])
+        xf, _ = (None, None) if xh1 is None else step_once(
+            x, cap_i, t + h, h, method, *pts)
+        xh2, ci2 = (None, None) if xf is None else step_once(
+            xh1, ci1, t + h, 0.5 * h, method, *pts)
         if xh2 is None:
             h *= 0.5
             assert h >= cfg.min_step
@@ -537,7 +541,8 @@ def _sweeps(c, d, cfg, starts):
             ov = {d.source.lower(): float(val), **extra}
             x = None
             for end in starts(i) if i else ():
-                x = sys.newton(_extrapolate_reference(values[:end], rows[:end], val),
+                lo = max(end - 3, 0)
+                x = sys.newton(_extrapolate_reference(values[lo:end], rows[lo:end], val),
                                src_overrides=ov)
                 if x is not None:
                     break
@@ -738,12 +743,12 @@ def test_first_failing_curve_is_reported(monkeypatch):
 
 
 def test_step_failure_names_the_first_failed_solve():
-    # the full and first half steps fail in one stacked call; as with lone
-    # calls, the error carries the full step's residual, v2 at t = h = 1 us
+    # the first half step, solved alone, fails first: the error carries its
+    # residual, v2 at t = h / 2 = 0.5 us
     c = netlist.parse("bad\nv1 a 0 dc 1\nv2 a 0 sin 2 1 1k\nc1 a 0 1n\n.end")
-    with pytest.raises(ConvergenceError, match=r"largest residual 2\.01 at i\(v2\)") as e:
+    with pytest.raises(ConvergenceError, match=r"largest residual 2 at i\(v2\)") as e:
         transient(c, netlist.Tran(step=1e-4, stop=1e-3), SolverConfig(min_step=8e-7), ic={})
-    assert e.value.residual == 2.0 + math.sin(2.0 * math.pi * 1e3 * 1e-6)
+    assert e.value.residual == 2.0 + math.sin(2.0 * math.pi * 1e3 * 0.5e-6)
     assert e.value.row == "i(v2)"
 
 
