@@ -326,24 +326,32 @@ def mc_draws(c: Circuit, mc: Mc) -> tuple[tuple[str, ...], tuple[str, ...], np.n
 
     samples[r, i] holds one draw per `mc.dists` entry, in order, from the
     Philox stream keyed (seed, replica=r, device=i), devices in element
-    order, so a replica's draws do not depend on the count.  A drawn card
-    that card_with rejects raises ParameterError naming the .mc line, the
-    replica and the device.
+    order, so a replica's draws do not depend on the count.  A draw that is
+    not finite, or a drawn card that card_with rejects, raises
+    ParameterError naming the .mc line, the replica and the device.
     """
     ms = [e for e in c.elements if e.kind == "M"]
     params = tuple(p for p, _k, _a, _b in mc.dists)
     samples = np.empty((mc.count, len(ms), len(params)))
     for r in range(mc.count):
         for i, e in enumerate(ms):
+            where = f"line {mc.line}: .mc replica {r}: {e.name}"
             rng = np.random.Generator(np.random.Philox(key=mc.seed, counter=[0, 0, r, i]))
-            for j, (_p, kind, a, b) in enumerate(mc.dists):
+            for j, (p, kind, a, b) in enumerate(mc.dists):
                 z = rng.standard_normal()
-                samples[r, i, j] = a + b * z if kind == "normal" else a * math.exp(b * z)
+                try:
+                    v = a + b * z if kind == "normal" else a * math.exp(b * z)
+                except OverflowError:
+                    v = math.inf
+                if not math.isfinite(v):
+                    raise ParameterError(
+                        f"{where}: {p} draw must be finite, got {v} from {kind} {a:g} {b:g}")
+                samples[r, i, j] = v
             try:
                 card_with(c.model_card(e.model),
                           {**dict(e.overrides), **dict(zip(params, samples[r, i].tolist()))})
             except ParameterError as exc:
-                raise ParameterError(f"line {mc.line}: .mc replica {r}: {e.name}: {exc}") from None
+                raise ParameterError(f"{where}: {exc}") from None
     return tuple(e.name for e in ms), params, samples
 
 

@@ -17,22 +17,22 @@ evaluation.  A failed call records its largest |residual| and that row for
 ConvergenceError.  DC falls back from plain damped Newton to a gmin ladder
 (1e-3 S down to gmin), then to source stepping (0.1 to 1.0); transient uses
 backward Euler or trapezoidal companions with step-doubling error control.
-An attempt solves the first half step from the accepted point moved along
-the polynomial through the last four accepted points, then the full and
-second half steps, both to t + h, as one call of two replicas, from the
-accepted point and the half step moved along the polynomial through the
-last three accepted points and the half step.  DC sweep points start from
-the polynomial through the last three points in the swept value.  Starts
-change the work of a solve, not its tolerances or the step control.
+Every Newton solve after the first point starts from the predictor, as in
+SPICE2: the polynomial through the last accepted points at the solve's own
+time or swept value.  An attempt solves the first half step, to t + h/2,
+through the last four accepted points, then the full and second half steps,
+both to t + h, as one call of two replicas through the last three and the
+half step; a DC sweep point starts through the last three sweep points.
+Starts change the work of a solve, not its tolerances or the step control.
 
-Newton runs over a leading replica axis: B solves of one circuit, each with
-its own start, source values and capacitor companions, share every
-iteration's kernel call (over B x n_m devices), scatters, matrix product and
-stacked np.linalg.solve.  Each replica's entries keep the order of a lone
-solve, so its result is bit-identical to one; a replica leaves the stack when
-it converges or fails, and its failure record is its own.  A DC sweep
-solves blocks of SWEEP_BLOCK consecutive values, one call per block whose
-replicas are every (value, curve) pair; each starts from its curve's
+Newton runs over a leading replica axis: B solves of one circuit at one
+time, each with its own start, source overrides and capacitor companions,
+share every iteration's kernel call (over B x n_m devices), scatters, matrix
+product and stacked np.linalg.solve.  Each replica's entries keep the order
+of a lone solve, so its result is bit-identical to one; a replica leaves the
+stack when it converges or fails, and its failure record is its own.  A DC
+sweep solves blocks of SWEEP_BLOCK consecutive values, one call per block
+whose replicas are every (value, curve) pair; each starts from its curve's
 polynomial through the last three points before the block.  A replica that
 fails is retried alone from the polynomial through its own three preceding
 points, then falls back to a cold DC solve.  Every other solve is a lone
@@ -45,8 +45,8 @@ holds the tiled card arrays of its transistors and their card constants
 kernel call), all views into the arrays of the largest stack yet.  The
 matrices, residuals and scatter values are allocated by each call and
 iteration: at this size an allocation costs about what filling a kept
-array in place does.  A transient step computes its companions and the
-predicted starts of all its replicas at once.
+array in place does.  A transient step computes the companions of all its
+replicas at once and evaluates the predictor once for all of them.
 
 Waveforms serialize to CSV and to a compact little-endian binary table; both
 writers are bit-reproducible for identical inputs.
@@ -396,26 +396,14 @@ class _System:
 
     def _source_values(self, t, alpha, overrides, nrep):
         """Voltage-source and current-source values, (nrep, n_v) and (nrep,
-        n_i), at time t scaled by alpha; t and overrides are shared or lists
-        with one entry per replica.  Each wave is evaluated once per distinct
-        time, and each overridden source is set column by column."""
-        ts = t if isinstance(t, list) else [t] * nrep
-        at = {}    # row of each distinct time
-        for tk in ts:
-            if tk not in at:
-                at[tk] = len(at)
-        vals = np.array([[w.value(tk) for w in self.waves] for tk in at], dtype=float)
-        if len(at) < nrep:
-            vals = vals[[at[tk] for tk in ts]]
+        n_i), at the time t scaled by alpha; overrides is shared or a list of
+        one dict per replica, every dict over the same sources.  Each wave is
+        evaluated once, and each overridden source is set column by column."""
+        vals = np.array([[w.value(t) for w in self.waves]] * nrep, dtype=float)
         if overrides:
             ovs = overrides if isinstance(overrides, list) else [overrides] * nrep
-            for name in set().union(*filter(None, ovs)):
-                col = [ov.get(name) if ov else None for ov in ovs]
-                if None in col:   # replicas without this override keep the wave
-                    reps = [k for k, v in enumerate(col) if v is not None]
-                    vals[reps, self.source_index[name]] = [col[k] for k in reps]
-                else:
-                    vals[:, self.source_index[name]] = col
+            for name in ovs[0]:
+                vals[:, self.source_index[name]] = [ov[name] for ov in ovs]
         if alpha != 1.0:
             vals *= alpha
         return vals[:, :self.n_branch], vals[:, self.n_branch:]
@@ -424,11 +412,12 @@ class _System:
                cap_geq=None, cap_ieq=None, src_overrides=None):
         """Damped Newton over a leading replica axis.
 
-        ``x0`` is one start (n,) or B starts (B, n) of this circuit.  With B
-        starts, ``t`` and ``src_overrides`` may be lists (one time, one
-        override dict per replica) and ``cap_geq``/``cap_ieq`` are (B, n_cap)
-        arrays; ``alpha`` and ``gshunt`` are shared.  Returns the solution or
-        None for one start, a list of B of them for stacked starts.
+        ``x0`` is one start (n,) or B starts (B, n) of this circuit, all
+        solved at the one time ``t`` (None: the sources' DC levels).  With B
+        starts, ``src_overrides`` may be a list of B override dicts over the
+        same sources and ``cap_geq``/``cap_ieq`` are (B, n_cap) arrays;
+        ``alpha`` and ``gshunt`` are shared.  Returns the solution or None
+        for one start, a list of B of them for stacked starts.
 
         All active replicas share each iteration's work: one kernel call over
         every replica's transistors, scatters over the stacked stamp table,
@@ -596,31 +585,20 @@ def dc_operating_point(c: Circuit, cfg: SolverConfig | None = None) -> dict[str,
     return sys.node_voltages(x)
 
 
-def _lagrange_weights(ts, t):
-    """Weights of the points ts in the polynomial through them, at the float t."""
-    ws = []
-    for j, tj in enumerate(ts):
+def _extrapolate(ts, xs, t):
+    """Value at t of the polynomial through the last four (or fewer) points
+    (ts[k], xs[k]), in Lagrange form: the predicted start of the next Newton
+    solve.  An array t broadcasts against the points' values: t of shape
+    (m, 1, ..., 1) gives the m values at once, also through a single point,
+    each equal bit for bit to its own float call."""
+    ts, xs = ts[-4:], xs[-4:]
+    p = np.zeros(np.shape(t))
+    for j, (tj, xj) in enumerate(zip(ts, xs)):
         w = 1.0
         for k, tk in enumerate(ts):
             if k != j:
-                w *= (t - tk) / (tj - tk)
-        ws.append(w)
-    return ws
-
-
-def _extrapolate(ts, xs, t):
-    """Value at t of the polynomial through the last four (or fewer) points
-    (ts[k], xs[k]): the predicted start of the next Newton solve.  An array
-    t broadcasts against the points' values: t of shape (m, 1, ..., 1) gives
-    the m values at once, also through a single point.  The weights are
-    computed in floats, value by value, so each value equals its own scalar
-    call bit for bit."""
-    ts, xs = ts[-4:], xs[-4:]
-    t = np.asarray(t, dtype=float)
-    w = np.array([_lagrange_weights(ts, v) for v in t.ravel().tolist()])
-    p = 0.0
-    for wj, xj in zip(w.T.reshape(len(ts), *t.shape), xs):
-        p = p + wj * xj
+                w = w * ((t - tk) / (tj - tk))
+        p = p + w * xj
     return p
 
 
@@ -746,23 +724,20 @@ def transient(c: Circuit, directive: Tran, cfg: SolverConfig | None = None,
         xfull = np.concatenate(([0.0], xv))
         return xfull[sys.cap_a] - xfull[sys.cap_b]
 
-    def steps_from(starts, steps, method, ts, xs):
-        """Solve the steps [(t_new, h), ...] from the states starts (x,
-        capacitor currents, capacitor voltages), one per step, as replicas
-        of one Newton call; a state or None each.  Each starts from its x
-        moved along the polynomial through the points (ts, xs)."""
-        x_in, i_in, v_in = map(np.array, zip(*starts))
-        t_new = [tn for tn, _h in steps]
-        h = np.array([hk for _tn, hk in steps])[:, None]
+    def steps_from(starts, t_new, hs, method, ts, xs):
+        """Solve the steps of widths hs that end at t_new from the states
+        starts (x, capacitor currents, capacitor voltages), one per step, as
+        replicas of one Newton call; a state or None each.  Every replica
+        starts from the polynomial through the points (ts, xs) at t_new."""
+        _x, i_in, v_in = map(np.array, zip(*starts))
+        h = np.array(hs)[:, None]
         if method == "be":
             geq = cap_c / h
             ieq = geq * v_in
         else:
             geq = 2.0 * cap_c / h
             ieq = geq * v_in + i_in
-        m = len(steps)
-        p = _extrapolate(ts, xs, np.array(t_new + [tn - hk for tn, hk in steps])[:, None])
-        x0 = x_in + (p[:m] - p[m:])
+        x0 = np.array([_extrapolate(ts, xs, t_new)] * len(hs))
         sols = sys.newton(x0, t=t_new, cap_geq=geq, cap_ieq=ieq)
         return [None if xn is None else (xn, g * (v := vab(xn)) - ie, v)
                 for xn, g, ie in zip(sols, geq, ieq)]
@@ -778,7 +753,7 @@ def transient(c: Circuit, directive: Tran, cfg: SolverConfig | None = None,
         while t < stop - 1e-9 * h:
             h_eff = min(h, stop - t)
             method = "be" if (first_be and t == 0.0) else cfg.method
-            (state,) = steps_from([state], [(t + h_eff, h_eff)], method, times, states)
+            (state,) = steps_from([state], t + h_eff, [h_eff], method, times, states)
             if state is None:
                 raise sys.error(f"transient: no convergence at t={t + h_eff:g}",
                                 at=t + h_eff)
@@ -793,9 +768,9 @@ def transient(c: Circuit, directive: Tran, cfg: SolverConfig | None = None,
             h = min(max(h, cfg.min_step), max_h, stop - t)
             method = "be" if (first_be and t == 0.0) else cfg.method
             # the first half step, then the full and second half steps
-            (half,) = steps_from([state], [(t + 0.5 * h, 0.5 * h)], method, times, states)
+            (half,) = steps_from([state], t + 0.5 * h, [0.5 * h], method, times, states)
             full, half = (None, None) if half is None else steps_from(
-                [state, half], [(t + h, h), (t + h, 0.5 * h)], method,
+                [state, half], t + h, [h, 0.5 * h], method,
                 times[-3:] + [t + 0.5 * h], states[-3:] + [half[0]])
             if full is None or half is None:
                 h *= 0.5

@@ -364,18 +364,22 @@ class _Parser:
 
     def number(self, tok: str, line: int, what: str) -> float | None:
         if tok in self.params:
-            return self.params[tok]
-        m = _NUM_RE.match(tok)
-        if not m:
-            self.error(line, f"{what}: malformed number or unknown parameter {tok!r}")
+            val = self.params[tok]
+        else:
+            m = _NUM_RE.match(tok)
+            if not m:
+                self.error(line, f"{what}: malformed number or unknown parameter {tok!r}")
+                return None
+            val = float(m.group(1))
+            suffix = m.group(2)
+            if suffix.startswith("meg"):
+                val *= 1e6
+            elif suffix and suffix[0] in _SUFFIX:
+                val *= _SUFFIX[suffix[0]]
+            # any remaining letters are units and are ignored
+        if not math.isfinite(val):
+            self.error(line, f"{what}: {tok!r} is not a finite number")
             return None
-        val = float(m.group(1))
-        suffix = m.group(2)
-        if suffix.startswith("meg"):
-            val *= 1e6
-        elif suffix and suffix[0] in _SUFFIX:
-            val *= _SUFFIX[suffix[0]]
-        # any remaining letters are units and are ignored
         return val
 
     def touch_node(self, name: str) -> str:

@@ -296,6 +296,28 @@ def test_mc_draw_outside_card_rules_names_replica_and_device():
     assert ran == []   # checked before any replica runs
 
 
+MC_OVERFLOW = """\
+mc draw that overflows
+.model pm otftp mu0=2.35e-5 vth=-0.8 ss=0.18 cox=3.5e-4 w=380u l=35u
+vdd d 0 dc -20
+m1 d d 0 pm
+.mc 3 1 {}=lognormal 1 1000
+.end
+"""
+
+
+@pytest.mark.parametrize("param", ["vth", "mu0", "ss"])
+def test_mc_draw_that_overflows_names_replica_and_device(param):
+    # replica 0's exp(1000 z) overflows a float; the card rules alone would
+    # take mu0 or ss = inf
+    c = netlist.parse(MC_OVERFLOW.format(param))
+    ran = []
+    with pytest.raises(ParameterError, match=rf"^line 5: \.mc replica 0: m1: {param} draw "
+                       r"must be finite, got inf from lognormal 1 1000$"):
+        monte_carlo(c, c.analyses[0], ran.append)
+    assert ran == []
+
+
 # -- fixture plumbing --------------------------------------------------------
 
 

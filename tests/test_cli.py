@@ -16,7 +16,7 @@ import ofetsim
 from ofetsim import analyses, fixtures, netlist
 from ofetsim.cli import main
 from ofetsim.model import ParameterError
-from test_analyses import MC_OUTSIDE_RULES
+from test_analyses import MC_OUTSIDE_RULES, MC_OVERFLOW
 
 
 BATCH = str(fixtures.path("batch_3dev_iv.csv"))
@@ -261,6 +261,32 @@ def test_sim_mc_draw_outside_card_rules(tmp_path, capsys):
     assert capsys.readouterr().err == f"{e.value}\n"
     assert str(e.value).startswith("line 5: .mc replica 15: m1: ")
     assert not (out / "mc_0_samples.csv").exists()
+
+
+def test_sim_mc_draw_that_overflows(tmp_path, capsys):
+    net = tmp_path / "mc.cir"
+    net.write_text(MC_OVERFLOW.format("vth"))
+    out = tmp_path / "o"
+    assert main(["sim", str(net), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "line 5: .mc replica 0: m1: vth draw must be finite, got inf from lognormal 1 1000\n")
+    assert not (out / "mc_0_samples.csv").exists()
+
+
+@pytest.mark.parametrize("card", [
+    "r2 a 0 1e400",          # was an open circuit
+    ".tran 1u 1e400",        # was a run of no step
+    ".dc v1 0 1e400 1",      # was an OverflowError traceback
+    "v2 b 0 dc 1e400",
+])
+def test_sim_non_finite_number(tmp_path, capsys, card):
+    net = tmp_path / "big.cir"
+    net.write_text(f"overflow\nv1 a 0 dc 1\nr1 a b 1k\nr3 b 0 1k\n{card}\n.end\n")
+    out = tmp_path / "o"
+    assert main(["sim", str(net), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "line 5: " in err and "is not a finite number" in err
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("sweep", [

@@ -422,8 +422,9 @@ def _same_waveform(a, b):
 
 
 def _extrapolate_reference(ts, xs, t):
-    """The loop that forms each Lagrange weight from a scalar t, kept as the
-    reference the vectorized engine._extrapolate must match bit for bit."""
+    """The Lagrange loop at a float t with the sum started from the float
+    0.0: the reference each value of engine._extrapolate must match bit for
+    bit, also when t is an array."""
     ts, xs = ts[-4:], xs[-4:]
     p = 0.0
     for j, (tj, xj) in enumerate(zip(ts, xs)):
@@ -453,12 +454,79 @@ def test_extrapolate_matches_scalar_loop():
                                   ref.view(np.int64))
 
 
+def test_extrapolate_reproduces_low_degree_polynomials():
+    # through k points the predictor is the polynomial of degree below k
+    # through them, so any such polynomial comes back to rounding, at a
+    # float t and at t of shape (m, 1)
+    rng = np.random.default_rng(11)
+    for trial in range(200):
+        npts = 1 + trial % 4
+        scale = 10.0 ** rng.uniform(-9.0, 0.0)
+        ts = (np.cumsum(0.5 + rng.random(npts)) * scale).tolist()
+        coef = rng.standard_normal((1 + trial // 4 % npts, 5))
+
+        def poly(t):
+            u = np.asarray(t)[..., None] / scale
+            return sum(ck * u ** k for k, ck in enumerate(coef))
+
+        xs = poly(ts)
+        tv = ts[-1] + rng.random(1 + trial % 9) * scale
+        want = poly(tv)
+        atol = 1e-12 * np.abs(want).max()
+        np.testing.assert_allclose(engine._extrapolate(ts, xs, tv[:, None]), want,
+                                   rtol=1e-12, atol=atol)
+        np.testing.assert_allclose(engine._extrapolate(ts, xs, float(tv[0])), want[0],
+                                   rtol=1e-12, atol=atol)
+
+
+def test_extrapolate_at_a_point_is_that_point():
+    rng = np.random.default_rng(12)
+    for npts in range(1, 5):
+        ts = np.cumsum(rng.random(npts) * 1e-6).tolist()
+        xs = rng.standard_normal((npts, 38))
+        for tj, xj in zip(ts, xs):
+            assert np.array_equal(engine._extrapolate(ts, xs, tj), xj)
+        assert np.array_equal(engine._extrapolate(ts, xs, np.array(ts)[:, None]), xs)
+
+
+def test_extrapolate_one_point_broadcasts_over_t():
+    # through one point the weight is the float 1.0, so only the start of
+    # the sum gives the values their leading axis of t
+    xs = np.arange(5.0)[None]
+    t = np.array([[1.0], [2.0], [3.0]])
+    got = engine._extrapolate([0.5], xs, t)
+    assert got.shape == (3, 5)
+    assert np.array_equal(got, np.broadcast_to(xs[0], (3, 5)))
+    assert _extrapolate_reference([0.5], list(xs), t).shape == (5,)
+
+
+@pytest.mark.parametrize("fixed_step", [False, True])
+def test_transient_newton_calls_run_at_one_time(monkeypatch, fixed_step):
+    # every Newton call of a transient runs at one float time, and the
+    # replicas of a stacked call start from one predicted row
+    newton = engine._System.newton
+    calls = []
+
+    def recorded(self, x0, **kw):
+        calls.append((np.array(x0), kw.get("t")))
+        return newton(self, x0, **kw)
+
+    monkeypatch.setattr(engine._System, "newton", recorded)
+    c, d, _ic = _ring24()
+    transient(c, d, SolverConfig(fixed_step=fixed_step))
+    stacked = [x0 for x0, _t in calls if x0.ndim == 2 and len(x0) > 1]
+    assert len(calls) > 100 and bool(stacked) != fixed_step
+    assert all(isinstance(t, float) for _x0, t in calls)
+    assert all(np.array_equal(x0, np.broadcast_to(x0[0], x0.shape)) for x0 in stacked)
+
+
 def _serial_transient(c, d, cfg, ic=None):
     """Adaptive step-doubling with its three Newton calls per attempt made
     one at a time: the reference for the stacked full and second half step.
-    The first half step starts from the polynomial through the last four
-    accepted points, the full and second half steps from the polynomial
-    through the last three and the first half step."""
+    Each solve starts from the predictor at its own time: the first half
+    step from the polynomial through the last four accepted points, the
+    full and second half steps from the polynomial through the last three
+    and the first half step."""
     sys = engine._System(c, cfg)
     stop = d.stop
     max_h = d.max_step if d.max_step is not None else d.step
@@ -481,9 +549,8 @@ def _serial_transient(c, d, cfg, ic=None):
         else:
             geq = 2.0 * sys.cap_c / h
             ieq = geq * vab(x_in) + i_in
-        x0 = x_in + (_extrapolate_reference(ts, xs, t_new)
-                     - _extrapolate_reference(ts, xs, t_new - h))
-        xn = sys.newton(x0, t=t_new, cap_geq=geq, cap_ieq=ieq)
+        xn = sys.newton(_extrapolate_reference(ts, xs, t_new), t=t_new,
+                        cap_geq=geq, cap_ieq=ieq)
         return (None, None) if xn is None else (xn, geq * vab(xn) - ieq)
 
     times, states, t = [0.0], [x.copy()], 0.0
@@ -588,7 +655,7 @@ def test_stacked_newton_matches_lone_calls(kernel_calls):
     assert calls == [5, 1, 1, 5, 3]
     assert [r is None for r in lone] == [False, False, True, True, False]
     kernel_calls[0] = 0
-    stacked = sys.newton(starts, t=[0.0] * 5)
+    stacked = sys.newton(starts, t=0.0)
     assert kernel_calls[0] == 5
     assert repr(sys.fail) == repr(records)   # the NaN start records residual nan
     for a, b in zip(stacked, lone):
@@ -813,18 +880,18 @@ def test_waveform_csv_matches_row_writer(tmp_path, rows):
 
 
 def test_source_values_match_row_by_row():
-    # shared and per-replica times (some repeated), overrides on some
-    # replicas only, on none, and scaled by alpha, against one row per replica
+    # at a shared time or at the DC levels, with overrides shared, on none,
+    # per replica over one or two sources, and scaled by alpha, against one
+    # row per replica
     c = netlist.parse("srcs\nv1 a 0 pulse 0 5 1u 1u 1u 3u 10u\nv2 b 0 sin 1 2 50k\n"
                       "i1 a b dc 1m\nr1 a b 1k\nr2 b 0 1k\n.end")
     sys = engine._System(c, SolverConfig())
 
     def rows(t, alpha, overrides, nrep):
-        ts = t if isinstance(t, list) else [t] * nrep
         ovs = overrides if isinstance(overrides, list) else [overrides] * nrep
         out = []
-        for tk, ov in zip(ts, ovs):
-            row = [wv.value(tk) for wv in sys.waves]
+        for ov in ovs:
+            row = [wv.value(t) for wv in sys.waves]
             for name, v in (ov or {}).items():
                 row[sys.source_index[name]] = v
             out.append(row)
@@ -833,10 +900,10 @@ def test_source_values_match_row_by_row():
             vals *= alpha
         return vals[:, :sys.n_branch], vals[:, sys.n_branch:]
 
-    times = [2.5e-6, 1.3e-5, 2.5e-6, None, 4e-6]
-    overrides = [{"v1": 3.0}, None, {"v1": 1.5, "i1": 2e-3}, {}, {"i1": -1}]
-    for args in ((None, 1.0, None, 1), (3e-6, 0.3, {"v2": 7.0}, 4), (times, 1.0, None, 5),
-                 (times, 0.7, overrides, 5), (None, 1.0, [{"v2": 0.1 * k} for k in range(6)], 6)):
+    two = [{"v1": 1.5 * k, "i1": -1e-3 * k} for k in range(5)]
+    for args in ((None, 1.0, None, 1), (3e-6, 0.3, {"v2": 7.0}, 4), (2.5e-6, 1.0, None, 5),
+                 (1.3e-5, 0.7, two, 5), (2.5e-6, 1.0, [{}] * 3, 3),
+                 (None, 1.0, [{"v2": 0.1 * k} for k in range(6)], 6)):
         for got, ref in zip(sys._source_values(*args), rows(*args)):
             assert np.array_equal(got.view(np.int64), ref.view(np.int64)), args
 

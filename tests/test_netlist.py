@@ -116,6 +116,9 @@ def test_param_override_at_parse_time():
     assert c.element("rx1.rout").value == pytest.approx(4000.0)
     # and the default still holds without the override
     assert parse(NESTED).element("rx1.rout").value == pytest.approx(2000.0)
+    # an override that is not finite is an error where the parameter is used
+    with pytest.raises(NetlistError, match="'rload' is not a finite number"):
+        parse(NESTED, params={"rload": float("inf")})
 
 
 def test_ring_oscillators_flatten_to_12_transistors():
@@ -312,6 +315,17 @@ def test_mc_line_and_record_share_their_checks():
      "ix1.i1: current sources support dc and pulse only", 3),
     ("t\n.subckt s a\nq1 a b\n.ends\nx1 p s\nv1 p 0 dc 1\n.end",
      "unknown card 'q1'", 3),
+    # a number that overflows a float is an error at its line, not inf
+    ("t\nr1 a 0 1e400\nv1 a 0 dc 1\n.end", "r1: '1e400' is not a finite number", 2),
+    ("t\nr1 a 0 1e306meg\nv1 a 0 dc 1\n.end", "r1: '1e306meg' is not a finite number", 2),
+    ("t\nv1 a 0 dc -1e400\nr1 a 0 1k\n.end", "v1: '-1e400' is not a finite number", 2),
+    ("t\nv1 a 0 dc 1\nr1 a 0 1k\n.tran 1u 1e400\n.end", ".tran: '1e400' is not a finite", 4),
+    ("t\nv1 a 0 dc 1\nr1 a 0 1k\n.dc v1 0 1e400 1\n.end", ".dc: '1e400' is not a finite", 4),
+    ("t\n.model pm otftp mu0=1e-5 vth=-1 ss=0.2 cox=3e-4 w=1u l=1u rc=1e400\n"
+     "m1 d g 0 pm\n.end", ".model pm key rc: '1e400' is not a finite number", 2),
+    ("t\n.model pm otftp mu0=1e-5 vth=-1 ss=0.2 cox=3e-4 w=1u l=1u\n"
+     "m1 d g 0 pm mu0=1e400\n.end", "m1 override mu0: '1e400' is not a finite number", 3),
+    ("t\n.param big=1e400\nv1 a 0 dc 1\nr1 a 0 1k\n.end", ".param big: '1e400' is not a finite", 2),
 ])
 def test_malformed_input_diagnostics(text, needle, line):
     with pytest.raises(NetlistError) as err:
