@@ -62,7 +62,7 @@ import numpy as np
 
 from . import kernels
 from .model import device_capacitances
-from .netlist import Circuit, DcSweep, Tran, card_with
+from .netlist import Circuit, DcSweep, Tran, card_with, sweep_count
 
 
 class ConvergenceError(Exception):
@@ -603,8 +603,7 @@ def _extrapolate(ts, xs, t):
 
 
 def _sweep_values(start, stop, step):
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1 if stop > start else 1
-    return start + step * np.arange(n)
+    return start + step * np.arange(sweep_count(start, stop, step))
 
 
 def dc_sweep(c: Circuit, directive: DcSweep, cfg: SolverConfig | None = None):
@@ -616,12 +615,9 @@ def dc_sweep(c: Circuit, directive: DcSweep, cfg: SolverConfig | None = None):
     cfg = cfg or SolverConfig()
     if directive.source2 is None:
         return _dc_sweep_curves(c, directive, cfg, [{}], [""])[0]
-    if directive.source2.lower() == directive.source.lower():
-        raise ValueError(
-            f"dc sweep: secondary source {directive.source2!r} is the swept source")
     outer = _sweep_values(directive.start2, directive.stop2, directive.step2)
     return _dc_sweep_curves(c, directive, cfg,
-                            [{directive.source2.lower(): float(v)} for v in outer],
+                            [{directive.source2: float(v)} for v in outer],
                             [f"{directive.source2}={v:g}" for v in outer])
 
 
@@ -642,8 +638,7 @@ def _dc_sweep_curves(c, d, cfg, extras, labels):
     there leaves the sweep, whose error is raised once the other curves are
     done, so the first failing curve is the one reported."""
     sys = _System(c, cfg)
-    src = d.source.lower()
-    for name in (src, *extras[0]):
+    for name in (d.source, *extras[0]):
         if name not in sys.source_index:
             raise KeyError(f"dc sweep: unknown source {name!r}")
     values = _sweep_values(d.start, d.stop, d.step)
@@ -661,14 +656,14 @@ def _dc_sweep_curves(c, d, cfg, extras, labels):
             x0 = _extrapolate(points[lo:i], rows[lo:i, called], values[i:end, None, None])
             x0 = x0.reshape(-1, x0.shape[-1])
             xs = sys.newton(x0, src_overrides=[
-                {src: val, **extras[k]} for val in points[i:end] for k in called])
+                {d.source: val, **extras[k]} for val in points[i:end] for k in called])
         else:
             xs = [None] * len(called)
         for j, val in enumerate(points[i:end]):
             for k, x in zip(called, xs[j * len(called):(j + 1) * len(called)]):
                 if k not in live:
                     continue
-                ov = {src: val, **extras[k]}
+                ov = {d.source: val, **extras[k]}
                 # retry alone, except at a block's first value: its block
                 # start was this very polynomial
                 if x is None and j:
@@ -687,7 +682,7 @@ def _dc_sweep_curves(c, d, cfg, extras, labels):
         i = end
     if errors:
         raise errors[min(errors)]
-    return [Waveform(axis_name=src, axis=values, columns=sys.columns_of(rows[:, k]),
+    return [Waveform(axis_name=d.source, axis=values, columns=sys.columns_of(rows[:, k]),
                      label=label) for k, label in enumerate(labels)]
 
 

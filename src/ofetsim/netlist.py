@@ -22,22 +22,27 @@ count as whitespace; a bare identifier in a value position resolves against
 `parse(serialize(parse(text)))` is a fixed point.  A `.subckt` port may
 appear once and may not be ground `0`.
 
-This module alone knows what a transistor override and a Monte Carlo draw
-may be.  An override is a model-card key, `strain` or `dir` (`par` or
-`perp`); the parser and `Circuit.with_otft_overrides` apply the same check,
-so a circuit built by either serializes to a deck that parses back to it.
+Every record holds its own rules and raises ValueError when built against
+them, whether by the parser or in code, so no circuit that round-trips
+badly can be built: `SourceWave` (shape, argument count, finite values),
+`DcSweep` (finite positive steps, stop >= start, a secondary sweep given
+whole and on another source, at most MAX_SWEEP_POINTS points in all),
+`Tran` (finite positive step, stop and maxstep) and `Mc` (count, seed,
+parameters, distributions, spreads).  The parser reports a record's
+ValueError at its card line.  One table, `_DIRECTIVES`, gives the card
+grammar of `.op`, `.dc` and `.tran` to both parse and serialize.  An
+override is a model-card key, `strain` or `dir` (`par` or `perp`); the
+parser and `Circuit.with_otft_overrides` apply the same check.
 `card_with` turns a model card and an instance's overrides into the
 effective card, strain included; `validate` reports every transistor whose
-effective card the model rejects.  `Mc` checks its own count, seed,
-parameter names, distribution kinds and spreads, so a `.mc` line and an
-`Mc` built in code obey the same rules.
+effective card the model rejects.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from typing import Union
 
 from .model import (DeviceGeometry, OtftParams, ParameterError, StrainState,
@@ -73,11 +78,25 @@ class SourceWave:
 
     kinds: "dc" (value,); "pulse" (v1, v2, td, tr, tf, ton, period) where
     period <= 0 means one-shot and ton <= 0 means hold-until-period-end;
-    "sin" (vo, va, freq, td, theta).
+    "sin" (vo, va, freq, td, theta).  Trailing arguments a card may omit
+    are padded with 0.  Raises ValueError on an unknown kind, too few or
+    too many arguments, or an argument that is not finite.
     """
 
     kind: str
     args: tuple[float, ...]
+
+    def __post_init__(self):
+        if self.kind not in _SHAPES:
+            raise ValueError(f"unknown source shape {self.kind!r}")
+        _k, lo, hi = _SHAPES[self.kind]
+        if not lo <= len(self.args) <= hi:
+            raise ValueError(f"{self.kind} takes "
+                             + (f"{lo}..{hi} arguments" if lo < hi else "one value"))
+        args = tuple(float(a) for a in self.args)
+        if not all(map(math.isfinite, args)):
+            raise ValueError(f"{self.kind} arguments must be finite, got {args}")
+        object.__setattr__(self, "args", args + (0.0,) * (hi - len(args)))
 
     def value(self, t: float | None) -> float:
         if self.kind == "dc":
@@ -112,7 +131,7 @@ class SourceWave:
     def with_level(self, level: float) -> "SourceWave":
         """The same wave with its operating level replaced."""
         k = _SHAPES[self.kind][0]
-        return SourceWave(self.kind, self.args[:k] + (float(level),) + self.args[k + 1:])
+        return SourceWave(self.kind, self.args[:k] + (level,) + self.args[k + 1:])
 
 
 @dataclass(frozen=True)
@@ -147,8 +166,30 @@ class DcOp:
     pass
 
 
+# most points one .dc may solve, its secondary sweep included
+MAX_SWEEP_POINTS = 10 ** 6
+
+
+def sweep_count(start: float, stop: float, step: float) -> int:
+    """Points of the sweep start, start + step, ... up to stop.  ValueError
+    unless the step is finite and positive and stop >= start (NaN fails every
+    comparison), or once (stop - start) / step, overflow included, reaches
+    MAX_SWEEP_POINTS."""
+    if not (0.0 < step < math.inf and stop >= start):
+        raise ValueError(f"needs a finite step > 0 and stop >= start, got {start} {stop} {step}")
+    if not (stop - start) / step < MAX_SWEEP_POINTS:
+        raise ValueError(f"sweeps more than {MAX_SWEEP_POINTS} points")
+    return int(math.floor((stop - start) / step + 1e-9)) + 1 if stop > start else 1
+
+
 @dataclass(frozen=True)
 class DcSweep:
+    """`source` swept from start to stop by step, once per value of an
+    optional secondary sweep of `source2`; source names are held in lower
+    case.  Raises ValueError on a sweep sweep_count refuses, secondary fields
+    not all set or all None, a secondary source that is the swept one, or
+    more than MAX_SWEEP_POINTS points in all."""
+
     source: str
     start: float
     stop: float
@@ -158,12 +199,35 @@ class DcSweep:
     stop2: float | None = None
     step2: float | None = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "source", self.source.lower())
+        n = sweep_count(self.start, self.stop, self.step)
+        second = (self.source2, self.start2, self.stop2, self.step2)
+        if second != (None,) * 4:
+            if None in second:
+                raise ValueError("a secondary sweep needs SRC2 start2 stop2 step2")
+            object.__setattr__(self, "source2", self.source2.lower())
+            if self.source2 == self.source:
+                raise ValueError(f"secondary source {self.source2!r} is the swept source")
+            n *= sweep_count(self.start2, self.stop2, self.step2)
+        if n > MAX_SWEEP_POINTS:
+            raise ValueError(f"sweeps more than {MAX_SWEEP_POINTS} points")
+
 
 @dataclass(frozen=True)
 class Tran:
+    """Transient from 0 to stop at step, no wider than max_step; ValueError
+    unless each is finite and positive (NaN fails every comparison)."""
+
     step: float
     stop: float
     max_step: float | None = None
+
+    def __post_init__(self):
+        if not (0.0 < self.step < math.inf and 0.0 < self.stop < math.inf):
+            raise ValueError(f"needs finite positive step and stop, got {self.step} {self.stop}")
+        if self.max_step is not None and not 0.0 < self.max_step < math.inf:
+            raise ValueError(f"needs a finite positive maxstep, got {self.max_step}")
 
 
 @dataclass(frozen=True)
@@ -213,10 +277,6 @@ class Circuit:
     models: tuple[tuple[str, OtftParams], ...]  # sorted by name
     analyses: tuple[AnalysisDirective, ...]
     params: tuple[tuple[str, float], ...]  # sorted .param constants
-
-    @property
-    def node_table(self) -> dict[str, int]:
-        return {n: i for i, n in enumerate(self.nodes)}
 
     def model_card(self, name: str) -> OtftParams:
         for n, p in self.models:
@@ -278,7 +338,12 @@ class Circuit:
         return self.with_otft_overrides(ups)
 
     def with_analyses(self, analyses) -> "Circuit":
-        return replace(self, analyses=tuple(analyses))
+        """New circuit with these directives; ValueError for a .dc of no source."""
+        c = replace(self, analyses=tuple(analyses))
+        missing = _unknown_sources(c.elements, c.analyses)
+        if missing:
+            raise ValueError(f".dc: {missing[0][1]!r} names no V or I source")
+        return c
 
 
 # -- tokenization -------------------------------------------------------------
@@ -351,16 +416,12 @@ class _Parser:
         self.models: dict[str, OtftParams] = {}
         self.elements: list[Element] = []
         self.analyses: list = []
-        self.sweep_lines: list[tuple[int, DcSweep]] = []
+        self.lines: list[int] = []  # card line of each analysis
         self.names: set[str] = set()
-        self.nodes: list[str] = ["0"]
-        self._node_seen = {"0"}
+        self.nodes = {"0": None}  # node names in first-use order
 
     def error(self, line: int, msg: str):
         self.diags.append(Diagnostic("error", line, msg))
-
-    def warning(self, line: int, msg: str):
-        self.diags.append(Diagnostic("warning", line, msg))
 
     def number(self, tok: str, line: int, what: str) -> float | None:
         if tok in self.params:
@@ -381,12 +442,6 @@ class _Parser:
             self.error(line, f"{what}: {tok!r} is not a finite number")
             return None
         return val
-
-    def touch_node(self, name: str) -> str:
-        if name not in self._node_seen:
-            self._node_seen.add(name)
-            self.nodes.append(name)
-        return name
 
     # -- cards ---------------------------------------------------------------
 
@@ -425,38 +480,29 @@ class _Parser:
         if name in self.models:
             self.error(line, f"duplicate model name {name!r}")
             return
-        fields = {f: vals.get(k, d) for k, f, d in _CARD}
+        card = {f: vals.get(k, d) for k, f, d in _CARD}
         try:
-            geom = DeviceGeometry(**{f: fields.pop(f) for f in _GEOM_KEYS})
+            geom = DeviceGeometry(**{f: card.pop(f) for f in _GEOM_KEYS})
             self.models[name] = OtftParams(
-                polarity="p" if mtype == "otftp" else "n", geom=geom, **fields)
+                polarity="p" if mtype == "otftp" else "n", geom=geom, **card)
         except ParameterError as exc:
             self.error(line, f".model {name}: {exc}")
 
     def parse_source(self, kind: str, name: str, rest: list[str], line: int):
-        head = rest[0]
-        if head == "dc" or _NUM_RE.match(head) or head in self.params:
-            if head == "dc":
-                rest = rest[1:]
-            if len(rest) != 1:
-                self.error(line, f"{name}: dc source takes exactly one value")
-                return None
-            v = self.number(rest[0], line, name)
-            return None if v is None else {"wave": SourceWave("dc", (v,))}
-        if head not in _SHAPES:
-            self.error(line, f"{name}: unknown source shape {head!r}")
-            return None
-        if head == "sin" and kind == "I":
+        shape, *vals = rest
+        if shape not in _SHAPES and (_NUM_RE.match(shape) or shape in self.params):
+            shape, vals = "dc", rest  # a bare value is a dc level
+        if shape == "sin" and kind == "I":
             self.error(line, f"{name}: current sources support dc and pulse only")
             return None
-        _k, lo, hi = _SHAPES[head]
-        args = [self.number(t, line, name) for t in rest[1:]]
+        args = [self.number(t, line, name) for t in vals]
         if None in args:
             return None
-        if not lo <= len(args) <= hi:
-            self.error(line, f"{name}: {head} takes {lo}..{hi} arguments")
+        try:
+            return {"wave": SourceWave(shape, tuple(args))}
+        except ValueError as exc:
+            self.error(line, f"{name}: {exc}")
             return None
-        return {"wave": SourceWave(head, tuple(args + [0.0] * (hi - len(args))))}
 
     def parse_rc(self, kind: str, name: str, rest: list[str], line: int):
         v = self.number(rest[0], line, name)
@@ -481,84 +527,70 @@ class _Parser:
         return {"model": rest[0], "overrides": tuple(sorted(overrides.items()))}
 
     def parse_analysis(self, toks: list[str], line: int):
-        card = toks[0]
-        if card == ".op":
-            self.analyses.append(DcOp())
-            return
-        if card == ".dc":
-            if len(toks) not in (5, 9):
-                self.error(line, ".dc takes SRC start stop step [SRC2 start2 stop2 step2]")
-                return
-            nums = [self.number(t, line, ".dc") for t in toks[2:5]]
-            if None in nums:
-                return
-            start, stop, step = nums
-            if step <= 0 or stop < start:
-                self.error(line, ".dc needs step > 0 and stop >= start")
-                return
-            d = DcSweep(source=toks[1], start=start, stop=stop, step=step)
-            if len(toks) == 9:
-                if toks[5] == toks[1]:
-                    self.error(line, f".dc: secondary source {toks[5]!r} is the swept source")
-                    return
-                nums2 = [self.number(t, line, ".dc") for t in toks[6:9]]
-                if None in nums2:
-                    return
-                if nums2[2] <= 0 or nums2[1] < nums2[0]:
-                    self.error(line, ".dc secondary needs step > 0 and stop >= start")
-                    return
-                d = replace(d, source2=toks[5], start2=nums2[0],
-                            stop2=nums2[1], step2=nums2[2])
-            self.analyses.append(d)
-            self.sweep_lines.append((line, d))
-            return
-        if card == ".tran":
-            if len(toks) not in (3, 4):
-                self.error(line, ".tran takes step stop [maxstep]")
-                return
-            nums = [self.number(t, line, ".tran") for t in toks[1:]]
-            if None in nums:
-                return
-            if nums[0] <= 0 or nums[1] <= 0:
-                self.error(line, ".tran needs positive step and stop")
-                return
-            if len(nums) > 2 and nums[2] <= 0:
-                self.error(line, ".tran needs a positive maxstep")
-                return
-            self.analyses.append(Tran(step=nums[0], stop=nums[1],
-                                      max_step=nums[2] if len(nums) > 2 else None))
-            return
+        card, args = toks[0], toks[1:]
         if card == ".mc":
-            if len(toks) < 3:
+            if len(args) < 2:
                 self.error(line, ".mc takes count seed [param=dist a b ...]")
                 return
-            cnt = self.number(toks[1], line, ".mc count")
-            seed = self.number(toks[2], line, ".mc seed")
+            cnt = self.number(args[0], line, ".mc count")
+            seed = self.number(args[1], line, ".mc seed")
             if cnt is None or seed is None:
                 return
             dists = []
-            i = 3
-            while i < len(toks):
-                t = toks[i]
+            for j in range(2, len(args), 3):
+                t, *ab = args[j:j + 3]
                 if "=" not in t:
                     self.error(line, f".mc: expected param=dist, got {t!r}")
                     return
-                pname, dname = t.split("=", 1)
-                if i + 2 >= len(toks):
-                    self.error(line, f".mc: {pname}={dname} needs two arguments")
+                if len(ab) < 2:
+                    self.error(line, f".mc: {t} needs two arguments")
                     return
-                a = self.number(toks[i + 1], line, ".mc")
-                b = self.number(toks[i + 2], line, ".mc")
-                if a is None or b is None:
+                nums = [self.number(v, line, ".mc") for v in ab]
+                if None in nums:
                     return
-                dists.append((pname, dname, a, b))
-                i += 3
-            try:
-                self.analyses.append(Mc(count=cnt, seed=seed, dists=tuple(dists), line=line))
-            except ValueError as exc:
-                self.error(line, f".mc: {exc}")
+                dists.append((*t.split("=", 1), *nums))
+            self.add_analysis(line, card, Mc, cnt, seed, tuple(dists), line)
             return
-        self.error(line, f"unknown card {card!r}")
+        if card not in _DIRECTIVES:
+            self.error(line, f"unknown card {card!r}")
+            return
+        record, usage = _DIRECTIVES[card]
+        words = usage.replace("[", "").replace("]", "").split()
+        if len(args) not in (len(usage.partition("[")[0].split()), len(words)):
+            self.error(line, f"{card} takes {usage or 'no arguments'}")
+            return
+        vals = [t if w.isupper() else self.number(t, line, card)
+                for w, t in zip(words, args)]
+        if None in vals:
+            return
+        self.add_analysis(line, card, record, *vals)
+
+    def add_analysis(self, line: int, card: str, record, *args):
+        """Append the record built from args, or report its ValueError."""
+        try:
+            self.analyses.append(record(*args))
+            self.lines.append(line)
+        except ValueError as exc:
+            self.error(line, f"{card}: {exc}")
+
+
+# Analysis directives besides .mc: keyword -> (record, usage).  The usage is
+# the card grammar: each word is the next record field, an upper-case word a
+# source name and any other a number; a bracketed tail is given whole or not
+# at all.  serialize writes the fields in order, source names as they are.
+_DIRECTIVES = {
+    ".op": (DcOp, ""),
+    ".dc": (DcSweep, "SRC start stop step [SRC2 start2 stop2 step2]"),
+    ".tran": (Tran, "step stop [maxstep]"),
+}
+
+
+def _unknown_sources(elements, analyses) -> list[tuple[int, str]]:
+    """(k, name) for each source the k-th directive sweeps that no V or I
+    element is."""
+    sources = {e.name for e in elements if e.kind in ("V", "I")}
+    return [(k, s) for k, d in enumerate(analyses) if isinstance(d, DcSweep)
+            for s in (d.source, d.source2) if s is not None and s not in sources]
 
 
 # Element cards by letter: (kind, terminal count, most values after the
@@ -617,7 +649,7 @@ def parse(text: str, params: dict | None = None) -> Circuit:
             continue
         card = toks[0]
         if ended:
-            p.warning(lineno, "content after .end ignored")
+            p.diags.append(Diagnostic("warning", lineno, "content after .end ignored"))
             continue
         if card == ".end":
             ended = True
@@ -656,11 +688,7 @@ def parse(text: str, params: dict | None = None) -> Circuit:
                 current[3].append((lineno, toks))
             continue
         if card == ".param":
-            for t in toks[1:]:
-                if "=" not in t:
-                    p.error(lineno, f".param: expected name=value, got {t!r}")
-                    continue
-                k, v = t.split("=", 1)
+            for k, v in p.kwargs(toks[1:], lineno, ".param").items():
                 num = p.number(v, lineno, f".param {k}")
                 if num is not None:
                     p.params[k] = num
@@ -729,7 +757,8 @@ def parse(text: str, params: dict | None = None) -> Circuit:
             p.error(lineno, short.format(name=name))
             return
         # an element error fails the whole parse, so nodes may be touched first
-        nodes = tuple(p.touch_node(map_node(n)) for n in toks[1:1 + nterm])
+        nodes = tuple(map_node(n) for n in toks[1:1 + nterm])
+        p.nodes.update(dict.fromkeys(nodes))
         fields = parser(p, kind, name, rest, lineno)
         if fields is None:
             return
@@ -746,23 +775,15 @@ def parse(text: str, params: dict | None = None) -> Circuit:
             expand(lineno, toks, "", {}, ())
 
     # swept sources may be defined after the directive
-    sources = {e.name for e in p.elements if e.kind in ("V", "I")}
-    for lineno, d in p.sweep_lines:
-        for src in (d.source, d.source2):
-            if src is not None and src not in sources:
-                p.error(lineno, f".dc: {src!r} names no V or I source")
+    for k, src in _unknown_sources(p.elements, p.analyses):
+        p.error(p.lines[k], f".dc: {src!r} names no V or I source")
 
     if any(d.severity == "error" for d in p.diags):
         raise NetlistError(p.diags)
 
-    return Circuit(
-        title=title,
-        nodes=tuple(p.nodes),
-        elements=tuple(p.elements),
-        models=tuple(sorted(p.models.items())),
-        analyses=tuple(p.analyses),
-        params=tuple(sorted(p.params.items())),
-    )
+    return Circuit(title=title, nodes=tuple(p.nodes), elements=tuple(p.elements),
+                   models=tuple(sorted(p.models.items())), analyses=tuple(p.analyses),
+                   params=tuple(sorted(p.params.items())))
 
 
 # -- validation ---------------------------------------------------------------
@@ -780,7 +801,7 @@ def validate(c: Circuit) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     models = dict(c.models)
     used_models = set()
-    table = c.node_table
+    table = {n: i for i, n in enumerate(c.nodes)}
     parent = list(range(len(c.nodes)))
 
     def find(i):
@@ -796,8 +817,7 @@ def validate(c: Circuit) -> list[Diagnostic]:
 
     touched = set()
     for e in c.elements:
-        for n in e.nodes:
-            touched.add(n)
+        touched.update(e.nodes)
         if e.kind in ("R", "C"):
             if not (e.value is not None and e.value > 0.0):
                 diags.append(Diagnostic("error", e.line,
@@ -835,8 +855,9 @@ def validate(c: Circuit) -> list[Diagnostic]:
 # -- canonical serializer -----------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _fmt(x) -> str:
+    """A field as a card writes it: a name as it is, a number by repr."""
+    return x if isinstance(x, str) else repr(float(x))
 
 
 def serialize(c: Circuit) -> str:
@@ -849,37 +870,19 @@ def serialize(c: Circuit) -> str:
                         for k, f, _d in _CARD)
         out.append(f".model {name} otft{m.polarity} {vals}")
     for e in c.elements:
-        if e.kind in ("R", "C"):
-            out.append(f"{e.name} {e.nodes[0]} {e.nodes[1]} {_fmt(e.value)}")
-        elif e.kind in ("V", "I"):
-            w = e.wave
-            if w.kind == "dc":
-                out.append(f"{e.name} {e.nodes[0]} {e.nodes[1]} dc {_fmt(w.args[0])}")
-            else:
-                args = " ".join(_fmt(a) for a in w.args)
-                out.append(f"{e.name} {e.nodes[0]} {e.nodes[1]} {w.kind} {args}")
+        if e.kind == "M":
+            vals = [e.model] + [f"{k}={_fmt(v)}" for k, v in e.overrides]
         else:
-            parts = [e.name, *e.nodes, e.model]
-            for k, v in e.overrides:
-                parts.append(f"{k}={v}" if isinstance(v, str) else f"{k}={_fmt(v)}")
-            out.append(" ".join(parts))
+            vals = [e.value] if e.wave is None else [e.wave.kind, *e.wave.args]
+        out.append(" ".join([e.name, *e.nodes] + [_fmt(v) for v in vals]))
     for a in c.analyses:
-        if isinstance(a, DcOp):
-            out.append(".op")
-        elif isinstance(a, DcSweep):
-            line = f".dc {a.source} {_fmt(a.start)} {_fmt(a.stop)} {_fmt(a.step)}"
-            if a.source2 is not None:
-                line += f" {a.source2} {_fmt(a.start2)} {_fmt(a.stop2)} {_fmt(a.step2)}"
-            out.append(line)
-        elif isinstance(a, Tran):
-            line = f".tran {_fmt(a.step)} {_fmt(a.stop)}"
-            if a.max_step is not None:
-                line += f" {_fmt(a.max_step)}"
-            out.append(line)
-        elif isinstance(a, Mc):
+        if isinstance(a, Mc):
             line = f".mc {a.count} {a.seed}"
             for pname, dname, aa, bb in a.dists:
                 line += f" {pname}={dname} {_fmt(aa)} {_fmt(bb)}"
             out.append(line)
+            continue
+        card = next(k for k, (r, _u) in _DIRECTIVES.items() if type(a) is r)
+        out.append(" ".join([card] + [_fmt(v) for v in astuple(a) if v is not None]))
     out.append(".end")
     return "\n".join(out) + "\n"

@@ -289,6 +289,21 @@ def test_sim_non_finite_number(tmp_path, capsys, card):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("card, needle", [
+    (".dc v1 -1e308 1e308 1e308", ".dc: sweeps more than"),   # was an OverflowError
+    (".dc v1 0 1 1e-300", ".dc: sweeps more than"),           # was numpy's size error
+    (".op 1", ".op takes no arguments"),                      # was ignored
+])
+def test_sim_record_rule(tmp_path, capsys, card, needle):
+    net = tmp_path / "rule.cir"
+    net.write_text(f"record rule\nv1 a 0 dc 1\nr1 a b 1k\nr3 b 0 1k\n{card}\n.end\n")
+    out = tmp_path / "o"
+    assert main(["sim", str(net), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"line 5: {needle}" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("sweep", [
     ".dc vbogus 0 1 0.5",             # unknown primary source
     ".dc vin 0 1 0.5 vbogus 0 2 1",   # unknown secondary source

@@ -7,6 +7,7 @@ parse-serialize-parse fixed point over the fixture corpus.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from ofetsim.netlist import (
     DcSweep,
     Mc,
     NetlistError,
+    SourceWave,
     Tran,
     parse,
     serialize,
@@ -231,6 +233,39 @@ def test_accepted_overrides_round_trip():
             c.with_otft_overrides({"mp": updates})
 
 
+def test_records_built_in_code_round_trip():
+    # a source level or directive built in code either raises ValueError
+    # under the parser's rule or survives serialization
+    c = parse(fixtures.read("inverter_cmos.cir"))
+    for level in (9.0, -3.5, 0.0, np.float64(2.5)):
+        c2 = c.with_source_level("VDD", level)
+        assert parse(serialize(c2)) == c2, level
+    for level in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="dc arguments must be finite"):
+            c.with_source_level("vdd", level)
+    accepted = [
+        [DcSweep("VIN", 0.0, 5.0, 0.1)],
+        [DcSweep("vin", 0.0, 5.0, 0.1, "VDD", 3.0, 7.0, 2.0)],
+        [Tran(1e-6, 1e-3, 1e-7)],
+        [DcOp(), Tran(1e-6, 1e-3), Mc(10, 42, (("vth", "normal", -0.8, 0.05),))],
+    ]
+    for analyses in accepted:
+        c2 = c.with_analyses(analyses)
+        assert parse(serialize(c2)) == c2, analyses
+    assert c.with_analyses(accepted[1]).analyses[0].source2 == "vdd"
+    refused = [
+        (lambda: Tran(1e-6, math.inf), "finite positive step and stop"),
+        (lambda: DcSweep("vin", 0.0, 5.0, 0.1, "vdd", 3.0), "SRC2 start2 stop2 step2"),
+        (lambda: SourceWave("pulse", (0.0,)), "pulse takes 2..7 arguments"),
+        (lambda: SourceWave("sin", (0.0, 1.0, math.nan)), "sin arguments must be finite"),
+        (lambda: c.with_analyses([DcSweep("vbogus", 0.0, 1.0, 0.5)]),
+         "'vbogus' names no V or I source"),
+    ]
+    for build, needle in refused:
+        with pytest.raises(ValueError, match=needle):
+            build()
+
+
 def test_with_strain_checks_the_state():
     c = parse(fixtures.read("inverter_cmos.cir"))
     with pytest.raises(ParameterError):
@@ -252,31 +287,50 @@ def test_card_with_applies_overrides_then_strain():
     assert netlist.card_with(base, ()) is base
 
 
-def test_mc_line_and_record_share_their_checks():
-    # each bad .mc line is a diagnostic on its own line, and the same record
+def test_directive_lines_and_records_share_their_checks():
+    # each bad card is a diagnostic on its own line, and the same record
     # built in code raises the same message
     Mc(1, 1, (("vth", "normal", 0.0, 0.0), ("mu0", "lognormal", 1e-5, 0.1)))
     cases = [
-        ("0 1", (0, 1, ()), "count must be a positive integer"),
-        ("2.5 1", (2.5, 1, ()), "count must be a positive integer"),
-        ("3 -1", (3, -1, ()), "seed must be an integer"),
-        ("3 1.5", (3, 1.5, ()), "seed must be an integer"),
-        ("3 1 vt=normal 0 0.5", (3, 1, (("vt", "normal", 0.0, 0.5),)),
+        (".mc 0 1", lambda: Mc(0, 1, ()), "count must be a positive integer"),
+        (".mc 2.5 1", lambda: Mc(2.5, 1, ()), "count must be a positive integer"),
+        (".mc 3 -1", lambda: Mc(3, -1, ()), "seed must be an integer"),
+        (".mc 3 1.5", lambda: Mc(3, 1.5, ()), "seed must be an integer"),
+        (".mc 3 1 vt=normal 0 0.5", lambda: Mc(3, 1, (("vt", "normal", 0.0, 0.5),)),
          "unknown parameter 'vt'"),
-        ("3 1 vth=cauchy 0 0.5", (3, 1, (("vth", "cauchy", 0.0, 0.5),)),
+        (".mc 3 1 vth=cauchy 0 0.5", lambda: Mc(3, 1, (("vth", "cauchy", 0.0, 0.5),)),
          "unknown distribution 'cauchy'"),
-        ("3 1 vth=normal 0 -0.5", (3, 1, (("vth", "normal", 0.0, -0.5),)),
+        (".mc 3 1 vth=normal 0 -0.5", lambda: Mc(3, 1, (("vth", "normal", 0.0, -0.5),)),
          "vth spread must be >= 0"),
-        ("3 1 vth=normal 0", None, "needs two arguments"),
-        ("3", None, ".mc takes count seed"),
+        (".mc 3 1 vth=normal 0", None, "needs two arguments"),
+        (".mc 3", None, ".mc takes count seed"),
+        (".dc v1 1 0 0.1", lambda: DcSweep("v1", 1.0, 0.0, 0.1), "stop >= start"),
+        (".dc v1 0 1 0", lambda: DcSweep("v1", 0.0, 1.0, 0.0), "finite step > 0"),
+        (".dc v1 0 1 0.5 v2 1 0 1", lambda: DcSweep("v1", 0.0, 1.0, 0.5, "v2", 1.0, 0.0, 1.0),
+         "stop >= start"),
+        (".dc v1 0 1 0.5 V1 5 6 1", lambda: DcSweep("V1", 0.0, 1.0, 0.5, "v1", 5.0, 6.0, 1.0),
+         "secondary source 'v1' is the swept source"),
+        (".dc v1 0 1 0.5 v2 0", lambda: DcSweep("v1", 0.0, 1.0, 0.5, "v2", 0.0),
+         "SRC2 start2 stop2 step2"),
+        (".dc v1 0 2 1u", lambda: DcSweep("v1", 0.0, 2.0, 1e-6),
+         "sweeps more than 1000000 points"),
+        (".dc v1 0 1 1m v2 0 1 0.1m",
+         lambda: DcSweep("v1", 0.0, 1.0, 1e-3, "v2", 0.0, 1.0, 1e-4),
+         "sweeps more than 1000000 points"),
+        (".tran 0 1m", lambda: Tran(0.0, 1e-3), "finite positive step and stop"),
+        (".tran 1u 1m 0", lambda: Tran(1e-6, 1e-3, 0.0), "finite positive maxstep"),
+        ("v2 b 0 pulse 0", lambda: SourceWave("pulse", (0.0,)), "pulse takes 2..7 arguments"),
+        ("v2 b 0 ramp 0 1", lambda: SourceWave("ramp", (0.0, 1.0)),
+         "unknown source shape 'ramp'"),
+        (".op 1", None, ".op takes no arguments"),
     ]
-    for args, record, needle in cases:
+    for card, record, needle in cases:
         with pytest.raises(NetlistError) as err:
-            parse(f"t\nv1 a 0 dc 1\nr1 a 0 1k\n.mc {args}\n.end")
-        assert [(d.line, needle in d.message) for d in err.value.diagnostics] == [(4, True)]
+            parse(f"t\nv1 a 0 dc 1\nr1 a 0 1k\n{card}\n.end")
+        assert [(d.line, needle in d.message) for d in err.value.diagnostics] == [(4, True)], card
         if record is not None:
             with pytest.raises(ValueError, match=needle):
-                Mc(*record)
+                record()
 
 
 # -- diagnostics --------------------------------------------------------------
@@ -321,6 +375,11 @@ def test_mc_line_and_record_share_their_checks():
     ("t\nv1 a 0 dc -1e400\nr1 a 0 1k\n.end", "v1: '-1e400' is not a finite number", 2),
     ("t\nv1 a 0 dc 1\nr1 a 0 1k\n.tran 1u 1e400\n.end", ".tran: '1e400' is not a finite", 4),
     ("t\nv1 a 0 dc 1\nr1 a 0 1k\n.dc v1 0 1e400 1\n.end", ".dc: '1e400' is not a finite", 4),
+    # a point count that overflows is an error at its line, not a crash
+    ("t\nv1 a 0 dc 1\nr1 a 0 1k\n.dc v1 -1e308 1e308 1e308\n.end",
+     ".dc: sweeps more than 1000000 points", 4),
+    ("t\nv1 a 0 dc 1\nr1 a 0 1k\n.dc v1 0 1 1e-300\n.end",
+     ".dc: sweeps more than 1000000 points", 4),
     ("t\n.model pm otftp mu0=1e-5 vth=-1 ss=0.2 cox=3e-4 w=1u l=1u rc=1e400\n"
      "m1 d g 0 pm\n.end", ".model pm key rc: '1e400' is not a finite number", 2),
     ("t\n.model pm otftp mu0=1e-5 vth=-1 ss=0.2 cox=3e-4 w=1u l=1u\n"
@@ -393,6 +452,48 @@ def test_validate_flags():
                 ".model unused otftp mu0=1e-5 vth=-1 ss=0.2 cox=3e-4 w=1u l=1u\n.end")
     msgs = [d.message for d in validate(bad)]
     assert any("never instantiated" in m for m in msgs)
+
+
+GOLDEN = """\
+golden deck
+.param rl=2.2k
+.model pm otftp mu0=2e-5 vth=-0.8 ss=0.2 cox=3e-4 w=100u l=10u rc=10k
+v1 in 0 5
+v2 clk 0 pulse(0 5 1u 2u 2u 10u 20u)
+v3 bias 0 sin(0.5 1m 1k)
+i1 0 out pulse 0 1u
+r1 in out rl
+c1 out 0 10p
+m1 out clk bias pm w=200u strain=0.25 dir=perp
+.op
+.dc v1 0 5 0.1 v3 0 1 0.5
+.tran 1u 1m 0.1u
+.mc 10 42 vth=normal -0.8 0.05 mu0=lognormal 2e-5 0.1
+.end
+"""
+
+
+def test_serialize_golden_text():
+    # benchmark decks and fitted cards are written by serialize, so its text
+    # is pinned byte for byte: every directive and every source shape
+    assert serialize(parse(GOLDEN)) == (
+        "golden deck\n"
+        ".param rl=2200.0\n"
+        ".model pm otftp mu0=2e-05 vth=-0.8 ss=0.2 lambda=0.0 gamma=0.0 rc=10000.0 "
+        "cox=0.0003 w=9.999999999999999e-05 l=9.999999999999999e-06 lov=0.0 order=3.0\n"
+        "v1 in 0 dc 5.0\n"
+        "v2 clk 0 pulse 0.0 5.0 1e-06 2e-06 2e-06 9.999999999999999e-06 "
+        "1.9999999999999998e-05\n"
+        "v3 bias 0 sin 0.5 0.001 1000.0 0.0 0.0\n"
+        "i1 0 out pulse 0.0 1e-06 0.0 0.0 0.0 0.0 0.0\n"
+        "r1 in out 2200.0\n"
+        "c1 out 0 1e-11\n"
+        "m1 out clk bias pm dir=perp strain=0.25 w=0.00019999999999999998\n"
+        ".op\n"
+        ".dc v1 0.0 5.0 0.1 v3 0.0 1.0 0.5\n"
+        ".tran 1e-06 0.001 1e-07\n"
+        ".mc 10 42 vth=normal -0.8 0.05 mu0=lognormal 2e-05 0.1\n"
+        ".end\n")
 
 
 def test_serialize_is_parseable_text():
