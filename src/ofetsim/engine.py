@@ -14,9 +14,10 @@ just evaluated is within abstol + reltol * (sum of |branch currents| at the
 node), or vntol + reltol * |V| on a voltage-source row, and every clipped node
 update is below vntol, it returns the point plus the update, with no further
 evaluation.  A failed call records its largest |residual| and that row for
-ConvergenceError.  DC falls back from plain damped Newton to a gmin ladder
-(1e-3 S down to gmin), then to source stepping (0.1 to 1.0); transient uses
-backward Euler or trapezoidal companions with step-doubling error control.
+ConvergenceError.  DC climbs one rescue ladder, a table of rungs each tried
+from zero: plain damped Newton, gmin (node shunts from 1e-3 S down to gmin,
+then none), source (source levels 0.1 to 1.0).  Transient uses backward
+Euler or trapezoidal companions with step-doubling error control.
 Every Newton solve after the first point starts from the predictor, as in
 SPICE2: the polynomial through the last accepted points at the solve's own
 time or swept value.  An attempt solves the first half step, to t + h/2,
@@ -34,9 +35,8 @@ stack when it converges or fails, and its failure record is its own.  A DC
 sweep solves blocks of SWEEP_BLOCK consecutive values, one call per block
 whose replicas are every (value, curve) pair; each starts from its curve's
 polynomial through the last three points before the block.  A replica that
-fails is retried alone from the polynomial through its own three preceding
-points, then falls back to a cold DC solve.  Every other solve is a lone
-call (B = 1).
+fails enters the ladder through one plain solve from the polynomial through
+its own three preceding points.  Every other solve is a lone call (B = 1).
 
 Transients stack 1-2 replicas of 12-24 transistors, so an iteration costs
 numpy calls, not arithmetic.  The stamp table of a stack therefore also
@@ -258,6 +258,9 @@ def _solve_each(a, b):
     return dx
 
 
+_PLAIN = ((0.0, 1.0),)   # one Newton solve: no node shunt, sources at full level
+
+
 class _System:
     """Assembled arrays and stamp table for one circuit, and its Newton solver."""
 
@@ -321,6 +324,13 @@ class _System:
              p.ss, p.gamma, p.lam, p.order) for *_dgs, p in otfts], dtype=float).reshape(-1, 8).T)
         # update clamp and floor: numpy takes 0-d arrays faster than floats
         self._clamp = np.array(-cfg.damping), np.array(cfg.damping), np.array(cfg.vntol)
+        # the DC rescue ladder, see solve_dc: (name, solves), a solve (gshunt, alpha)
+        gshunt, shunts = 1e-3, []
+        while gshunt >= cfg.gmin:   # repeated products, not 10.0 ** -k: the ladder's floats
+            shunts.append((gshunt, 1.0))
+            gshunt *= 0.1
+        self.rungs = (("plain", _PLAIN), ("gmin", (*shunts, *_PLAIN)),
+                      ("source", tuple((0.0, a) for a in np.linspace(0.1, 1.0, 10))))
         self._stacks = {}    # nrep -> _Replicas, views into self._full
         self._full = None    # the stacked arrays of the largest stack yet
         # per replica of the last Newton call: None, or the largest |residual|
@@ -336,7 +346,9 @@ class _System:
                                  _flat(dim0, ((va, k), (vb, k), (k, va), (k, vb)))))
         vals = np.concatenate(((self.cond_g[:, None] * _G_SIGNS).ravel(),
                                np.tile(_V_SIGNS, k.size)))
-        self.a_static = np.bincount(static, vals, dim0 * dim0).reshape(dim0, dim0)
+        # float even with no entry: np.bincount of nothing gives integers
+        self.a_static = np.bincount(static, vals, dim0 * dim0).astype(
+            float, copy=False).reshape(dim0, dim0)
         self.cap_stamp = _pair_stamp(dim0, self.cap_a, self.cap_b)
         self.m_jac = _flat(dim0, ((d, d), (d, g), (d, s), (s, d), (s, g), (s, s)),
                            by_element=False)
@@ -533,36 +545,26 @@ class _System:
         return ConvergenceError(f"{message}; largest residual {residual:.3g} at {row}",
                                 residual=residual, at=at, row=row)
 
-    def solve_dc(self, t=None, src_overrides=None, context="dc operating point"):
-        """Newton from zero with gmin-ladder and source-stepping fallbacks."""
-        x = self.newton(np.zeros(self.dim0 - 1), t=t, src_overrides=src_overrides)
-        if x is not None:
-            return x
-        # gmin ladder: decade continuation down to the configured gmin
-        x = np.zeros(self.dim0 - 1)
-        ladder_ok = True
-        g = 1e-3
-        while g >= self.cfg.gmin:
-            xn = self.newton(x, t=t, gshunt=g, src_overrides=src_overrides)
-            if xn is None:
-                ladder_ok = False
-                break
-            x = xn
-            g *= 0.1
-        if ladder_ok:
-            xn = self.newton(x, t=t, src_overrides=src_overrides)
-            if xn is not None:
-                return xn
-        # source stepping
-        x = np.zeros(self.dim0 - 1)
-        for alpha in np.linspace(0.1, 1.0, 10):
-            xn = self.newton(x, t=t, alpha=alpha, src_overrides=src_overrides)
-            if xn is None:
-                raise self.error(
-                    f"{context}: no convergence (failed at source step {alpha:.1f})",
-                    at=alpha)
-            x = xn
-        return x
+    def solve_dc(self, t=None, src_overrides=None, context="dc operating point",
+                 start=None):
+        """Newton up the rescue ladder: plain, then gmin (shunts of 1e-3 S down
+        to cfg.gmin, then none), then source (levels 0.1 to 1.0), each from
+        zero, after one plain solve from ``start`` when it is given.  A rung's
+        solve starts from the one before; the first rung whose solves all
+        converge gives the point."""
+        ladder = [(np.zeros(self.dim0 - 1), solves) for _name, solves in self.rungs]
+        if start is not None:
+            ladder.insert(0, (start, _PLAIN))
+        for x, solves in ladder:
+            for gshunt, alpha in solves:
+                x = self.newton(x, t=t, alpha=alpha, gshunt=gshunt,
+                                src_overrides=src_overrides)
+                if x is None:
+                    break
+            else:
+                return x
+        raise self.error(f"{context}: no convergence (failed at source step {alpha:.1f})",
+                         at=alpha)
 
     def node_voltages(self, x) -> dict[str, float]:
         xfull = np.concatenate(([0.0], x))
@@ -633,8 +635,8 @@ def _dc_sweep_curves(c, d, cfg, extras, labels):
     of up to SWEEP_BLOCK consecutive values is one Newton call whose replicas
     are every (value, live curve) pair; a replica starts from its curve's
     polynomial through the last three points before the block.  A replica
-    that fails is retried alone from the polynomial through its own three
-    preceding points, then falls back to a cold DC solve.  A curve that fails
+    that fails enters the rescue ladder through one plain solve from the
+    polynomial through its own three preceding points.  A curve that fails
     there leaves the sweep, whose error is raised once the other curves are
     done, so the first failing curve is the one reported."""
     sys = _System(c, cfg)
@@ -663,17 +665,14 @@ def _dc_sweep_curves(c, d, cfg, extras, labels):
             for k, x in zip(called, xs[j * len(called):(j + 1) * len(called)]):
                 if k not in live:
                     continue
-                ov = {d.source: val, **extras[k]}
-                # retry alone, except at a block's first value: its block
-                # start was this very polynomial
-                if x is None and j:
-                    lo = max(i + j - 3, 0)
-                    x = sys.newton(_extrapolate(points[lo:i + j], rows[lo:i + j, k], val),
-                                   src_overrides=ov)
                 if x is None:
+                    # retried alone from its own polynomial, except at a
+                    # block's first value: its block start was that polynomial
+                    lo = max(i + j - 3, 0)
+                    start = _extrapolate(points[lo:i + j], rows[lo:i + j, k], val) if j else None
                     try:
-                        x = sys.solve_dc(src_overrides=ov,
-                                         context=f"dc sweep at {d.source}={val:g}")
+                        x = sys.solve_dc(src_overrides={d.source: val, **extras[k]},
+                                         context=f"dc sweep at {d.source}={val:g}", start=start)
                     except ConvergenceError as e:
                         errors[k] = e
                         live.remove(k)

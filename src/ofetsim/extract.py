@@ -596,6 +596,10 @@ def fit_model(sweeps: list[IvSweep], polarity: str = "p",
         raise ExtractionError("fit needs at least one transfer sweep")
     if not any(s.kind == "output" for s in sweeps):
         raise ExtractionError("fit needs at least one output sweep")
+    lo, hi = _BOUNDS["vth"]
+    # written so that NaN fails: every comparison with NaN is False
+    if vth is not None and not lo <= vth <= hi:
+        raise model.ParameterError(f"held vth must be within [{lo:g}, {hi:g}] V, got {vth!r}")
     fields = [f for f in FIT_FIELDS if not (f == "vth" and vth is not None)]
     params = initial_guess(sweeps, polarity, vth)
     groups = _bias_groups(sweeps)

@@ -9,8 +9,11 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ofetsim
 from ofetsim import analyses, fixtures, netlist
@@ -165,6 +168,17 @@ def test_fit_card_name_clash(tmp_path, capsys):
     assert not (out / "cards.cir").exists()
 
 
+@pytest.mark.parametrize("vth", ["1e308", "-1e308", "1e100"])
+def test_fit_held_threshold_outside_bounds(tmp_path, capsys, vth):
+    # was a traceback (exit 1), "mu0 must be positive, got nan" and a card
+    # with vth=1e+100
+    out = tmp_path / "o"
+    assert main(["fit", REFERENCE, f"--vth={vth}", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"held vth must be within [-100, 100] V, got {float(vth)!r}\n")
+    assert not (out / "cards.cir").exists()
+
+
 # -- sim ---------------------------------------------------------------------
 
 
@@ -271,6 +285,66 @@ def test_sim_mc_draw_that_overflows(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "line 5: .mc replica 0: m1: vth draw must be finite, got inf from lognormal 1 1000\n")
     assert not (out / "mc_0_samples.csv").exists()
+
+
+@pytest.mark.parametrize("deck, context, residual", [
+    ("c1 a 0 1p\n.op", "dc operating point", "0"),
+    ("i1 0 a 1u\nc1 a 0 1p\n.tran 1u 10u", "transient t=0 operating point", "1e-07"),
+])
+def test_sim_deck_without_conductor(tmp_path, capsys, deck, context, residual):
+    # node a has no DC path, so every rung fails; with no resistor, V source
+    # or transistor the gmin rung shunted an integer matrix (exit 1)
+    net = tmp_path / "float.cir"
+    net.write_text(f"floating node\n{deck}\n.end\n")
+    assert main(["sim", str(net), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == (
+        f"{context}: no convergence (failed at source step 0.1); "
+        f"largest residual {residual} at node a\n")
+
+
+_NODE = st.sampled_from(["0", "a", "b", "c", "out"])
+# suffixes, signed zeros, negatives, the ends of the float range, overflow,
+# NaN, infinity and a .param name
+_NUMBER = st.sampled_from(["1", "2.5", "10k", "4.7u", "100p", "3meg", "0", "-0", "-5",
+                           "-1e-3", "1e-300", "1e308", "1e400", "1e306meg", "nan", "inf",
+                           "big"])
+_OVERRIDE = st.builds("{}={}".format,
+                      st.sampled_from(["mu0", "vth", "ss", "lambda", "rc", "w", "l"]), _NUMBER)
+
+
+@st.composite
+def _card(draw, k):
+    kind = draw(st.sampled_from("RCVIM"))
+    nodes = " ".join(draw(st.lists(_NODE, min_size=3 if kind == "M" else 2,
+                                   max_size=3 if kind == "M" else 2)))
+    if kind == "M":
+        overrides = draw(st.lists(_OVERRIDE, max_size=2))
+        return " ".join([f"m{k} {nodes}", draw(st.sampled_from(["pm", "nm"])), *overrides])
+    dc = "dc " if kind in "VI" else ""
+    return f"{kind.lower()}{k} {nodes} {dc}{draw(_NUMBER)}"
+
+
+_CARDS = st.integers(1, 6).flatmap(lambda n: st.tuples(*[_card(k) for k in range(n)]))
+_DIRECTIVE = st.one_of(st.just(".op"), st.builds(
+    ".mc {} 7 {}=normal {} {}".format, st.sampled_from(["1", "3"]),
+    st.sampled_from(["vth", "mu0", "ss"]), _NUMBER, _NUMBER))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(cards=_CARDS, directive=_DIRECTIVE)
+@example(cards=("c1 a 0 1p",), directive=".op")   # no conductor: a traceback (exit 1)
+def test_generated_deck_never_exits_1(cards, directive):
+    # a deck is run (0), bad input (2) or a numerics failure (3), never a
+    # crash; stdout and stderr go to pytest's capture
+    deck = "\n".join([
+        "generated deck", ".param big=20",
+        ".model pm otftp mu0=2.35e-5 vth=-0.8 ss=0.18 cox=3.5e-4 w=380u l=35u",
+        ".model nm otftn mu0=1.84e-5 vth=0.7 ss=0.25 rc=80k cox=3.5e-4 w=200u l=20u",
+        *cards, directive, ".end\n"])
+    with tempfile.TemporaryDirectory() as tmp:
+        net = pathlib.Path(tmp) / "deck.cir"
+        net.write_text(deck)
+        assert main(["sim", str(net), "--out", str(pathlib.Path(tmp) / "o")]) in (0, 2, 3), deck
 
 
 @pytest.mark.parametrize("card", [

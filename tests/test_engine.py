@@ -337,6 +337,43 @@ def test_conflicting_sources_raise():
         assert e.value.row == "i(v2)"
 
 
+def _dc_rung(c):
+    """The rescue rung on which the t = 0 operating point of c converges,
+    read off the gshunt and alpha of every Newton call of the solve, and
+    the number of those calls."""
+    newton = engine._System.newton
+    calls = []
+
+    def spy(self, x0, **kw):
+        calls.append((kw.get("gshunt", 0.0), kw.get("alpha", 1.0)))
+        return newton(self, x0, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine._System, "newton", spy)
+        engine._System(c, SolverConfig()).solve_dc(t=0.0)
+    if any(alpha != 1.0 for _g, alpha in calls):
+        return "source", len(calls)
+    if any(g > 0.0 for g, _alpha in calls):
+        return "gmin", len(calls)
+    return "plain", len(calls)
+
+
+@pytest.mark.parametrize("name,source,level,rung", [
+    *[("neuron.cir", "iex", iex, ("gmin", 12))
+      for iex in (9e-9, 20e-9, 50e-9, 100e-9, 500e-9)],
+    *[("ro_cmos.cir", "vdd", vdd, ("plain", 1)) for vdd in (30.0, 40.0)],
+    *[("ro_cmos.cir", "vdd", vdd, ("source", 12)) for vdd in (50.0, 60.0)],
+    *[("ro_pseudo_e.cir", "vdd", vdd, ("plain", 1)) for vdd in (3.0, 15.0, 30.0)],
+])
+def test_fixture_dc_rung(name, source, level, rung):
+    # the neuron fails plain Newton and converges on the gmin ladder (ten
+    # shunted solves, then one unshunted); the CMOS ring at 50 and 60 V fails
+    # plain Newton and the first gmin solve, then source stepping (ten
+    # levels) converges
+    c = netlist.parse(fixtures.read(name)).with_source_level(source, level)
+    assert _dc_rung(c) == rung
+
+
 # -- Newton work per solve ----------------------------------------------------
 
 
@@ -736,17 +773,19 @@ def test_stacked_secondary_sweep_matches_serial():
 
 def _diverge_starts(monkeypatch, vdd, vin, count):
     """Make the first count Newton starts at (vdd, vin) all NaN, stacked or
-    lone; the returned list records the replica each hit."""
+    lone.  The returned list records every start there: its replica in a
+    stacked call, "zero" for a lone start from zero, "lone" for another."""
     newton = engine._System.newton
     hit = []
 
     def patched(self, x0, **kw):
         ovs = kw.get("src_overrides")
         for k, ov in enumerate(ovs if isinstance(ovs, list) else [ovs]):
-            if len(hit) < count and ov and ov.get("vdd") == vdd and ov.get("vin") == vin:
-                hit.append(k)
-                x0 = x0.copy()
-                x0[k if x0.ndim == 2 else slice(None)] = np.nan
+            if ov and ov.get("vdd") == vdd and ov.get("vin") == vin:
+                hit.append(k if x0.ndim == 2 else "lone" if x0.any() else "zero")
+                if len(hit) <= count:
+                    x0 = x0.copy()
+                    x0[k if x0.ndim == 2 else slice(None)] = np.nan
         return newton(self, x0, **kw)
 
     monkeypatch.setattr(engine._System, "newton", patched)
@@ -756,57 +795,44 @@ def _diverge_starts(monkeypatch, vdd, vin, count):
 def test_failed_warm_start_falls_back_alone(monkeypatch):
     # the 5 V curve's block start at vin = 2 (value 40, the eighth of its
     # block, replica 7 * 3 + 1) diverges while the 3 V and 7 V curves
-    # converge.  It alone is retried, and the retry either converges or
-    # diverges too and falls back to a cold solve; the stacked sweep gives
-    # the serial answer either way
+    # converge.  It alone is retried from its own polynomial, and the retry
+    # either converges or diverges too and the rescue ladder starts from
+    # zero.  At vin = 1.65 (value 33, the first of its block, replica 1) the
+    # block start was that polynomial, so the ladder starts from zero at
+    # once.  The stacked sweep gives the serial answer every time
     c = netlist.parse(fixtures.read("inverter_cmos.cir"))
     d = replace(CMOS_VDDS, step=0.05)
-    solve_dc = engine._System.solve_dc
-    for count, colds in ((1, 3), (2, 4)):
+    first = engine._sweep_values(d.start, d.stop, d.step).tolist()[33]
+    for vin, count, starts in ((2.0, 1, [22, "lone"]), (2.0, 2, [22, "lone", "zero"]),
+                               (first, 1, [1, "zero"])):
         with monkeypatch.context() as mp:
-            hit = _diverge_starts(mp, 5.0, 2.0, count)
+            hit = _diverge_starts(mp, 5.0, vin, count)
             want = _serial_sweeps(c, d, SolverConfig())
-            assert hit == [0] * count
+            assert hit == ["lone", *starts[1:]]
             hit.clear()
-            cold = []
-            mp.setattr(engine._System, "solve_dc",
-                       lambda self, **kw: cold.append(kw["src_overrides"])
-                       or solve_dc(self, **kw))
             got = dc_sweep(c, d, SolverConfig())
-        assert hit == [22, 0][:count]
-        # the first point of each curve, and this one if the retry failed
-        assert len(cold) == colds
-        assert ({"vin": 2.0, "vdd": 5.0} in cold) == (count == 2)
+        assert hit == starts
         for a, b in zip(got, want):
             _same_waveform(a, b)
 
 
 def test_first_failing_curve_is_reported(monkeypatch):
     # curve order decides which failure is raised, as curve by curve.  The
-    # 3 V curve's block start at vin = 0.5 fails and its retry rescues it;
-    # at the 7 V curve's vin = 1 and the 5 V curve's vin = 2 the retry fails
-    # too, then the cold solve
+    # 3 V curve's block start at vin = 0.5 fails and its retry rescues it.
+    # At the 7 V curve's vin = 1 and then the 5 V curve's vin = 2 every start
+    # diverges: the block start, the retry and the first solve of each rung
     c = netlist.parse(fixtures.read("inverter_cmos.cir"))
     d = replace(CMOS_VDDS, step=0.05)
     rescued = _diverge_starts(monkeypatch, 3.0, 0.5, 1)
-    failed = [_diverge_starts(monkeypatch, vdd, vin, 2)
+    failed = [_diverge_starts(monkeypatch, vdd, vin, 5)
               for vdd, vin in ((7.0, 1.0), (5.0, 2.0))]
-    solve_dc = engine._System.solve_dc
-    cold = []
-
-    def failing(self, src_overrides=None, **kw):
-        cold.append(src_overrides)
-        if src_overrides in ({"vin": 1.0, "vdd": 7.0}, {"vin": 2.0, "vdd": 5.0}):
-            raise ConvergenceError(f"failed at {src_overrides}")
-        return solve_dc(self, src_overrides=src_overrides, **kw)
-
-    monkeypatch.setattr(engine._System, "solve_dc", failing)
-    with pytest.raises(ConvergenceError, match="'vdd': 5.0"):
+    with pytest.raises(ConvergenceError, match=r"^dc sweep at vin=2: no convergence "
+                                               r"\(failed at source step 0\.1\)"):
         dc_sweep(c, d, SolverConfig())
     # replica (value in block) * (live curves) + (place among them), then lone
-    assert rescued == [9 * 3] and failed == [[19 * 3 + 2, 0], [7 * 2 + 1, 0]]
-    assert {"vin": 0.5, "vdd": 3.0} not in cold
-    assert cold[3:] == [{"vin": 1.0, "vdd": 7.0}, {"vin": 2.0, "vdd": 5.0}]
+    assert rescued == [9 * 3, "lone"]
+    assert failed == [[19 * 3 + 2, "lone", "zero", "zero", "zero"],
+                      [7 * 2 + 1, "lone", "zero", "zero", "zero"]]
 
 
 def test_step_failure_names_the_first_failed_solve():

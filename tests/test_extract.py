@@ -35,6 +35,7 @@ from ofetsim.extract import (
 from ofetsim.model import (
     DeviceGeometry,
     OtftParams,
+    ParameterError,
     drain_current_with_contacts,
 )
 
@@ -94,6 +95,16 @@ def test_fit_with_held_threshold():
     sweeps = [synth_transfer(p, vds=-30.0), synth_output(p, vgs=-30.0)]
     res = fit_model(sweeps, polarity="p", vth=p.vth)
     assert res.params.vth == p.vth
+
+
+@pytest.mark.parametrize("vth", [1e308, -1e308, 1e100, -100.5, math.nan])
+def test_held_threshold_outside_bounds(vth):
+    # the fit's own vth bounds also hold a fixed vth; 1e308 raised from the
+    # kernel, -1e308 as a NaN mobility, and 1e100 was fitted and returned
+    p = ref_params()
+    sweeps = [synth_transfer(p, vds=-30.0), synth_output(p, vgs=-30.0)]
+    with pytest.raises(ParameterError, match=r"held vth must be within \[-100, 100\] V, got "):
+        fit_model(sweeps, polarity="p", vth=vth)
 
 
 # finite-difference step floors for parameters that may sit at or near 0
