@@ -394,6 +394,19 @@ def cmd_reproduce(args, run: Run) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads every float token as a value: argparse
+    takes a token that starts with '-' and is not a plain decimal, such as
+    "-8e-1" or "-inf", for an option.  Subparsers are of the same class."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="output directory (default: $OFETSIM_OUT "
@@ -404,7 +417,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         default="csv", help="waveform artifact format")
     common.add_argument("-v", "--verbose", action="store_true")
 
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="ofetsim",
         description="Transistor characterization and circuit simulation "
                     "toolkit for stretchable organic FETs.",

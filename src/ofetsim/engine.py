@@ -20,33 +20,32 @@ then none), source (source levels 0.1 to 1.0).  Transient uses backward
 Euler or trapezoidal companions with step-doubling error control.
 Every Newton solve after the first point starts from the predictor, as in
 SPICE2: the polynomial through the last accepted points at the solve's own
-time or swept value.  An attempt solves the first half step, to t + h/2,
-through the last four accepted points, then the full and second half steps,
-both to t + h, as one call of two replicas through the last three and the
-half step; a DC sweep point starts through the last three sweep points.
-Starts change the work of a solve, not its tolerances or the step control.
+time or swept value.  An attempt is one Newton call of three replicas, each
+started through the last four accepted points: the first half step to
+t + h/2, the full step and the second half step to t + h, whose capacitor
+history follows the first half step's iterate in every iteration, solved
+after the others.  A DC sweep point starts through the last three sweep
+points.  Starts change the work of a solve, not its tolerances.
 
-Newton runs over a leading replica axis: B solves of one circuit at one
-time, each with its own start, source overrides and capacitor companions,
-share every iteration's kernel call (over B x n_m devices), scatters, matrix
-product and stacked np.linalg.solve.  Each replica's entries keep the order
-of a lone solve, so its result is bit-identical to one; a replica leaves the
-stack when it converges or fails, and its failure record is its own.  A DC
-sweep solves blocks of SWEEP_BLOCK consecutive values, one call per block
-whose replicas are every (value, curve) pair; each starts from its curve's
+Newton runs over a leading replica axis: B solves of one circuit, each with
+its own time, start, source overrides and capacitor companions, share every
+iteration's kernel call (over B x n_m devices), scatters, matrix product and
+stacked np.linalg.solve.  Each replica's entries keep the order of a lone
+solve, so its result is bit-identical to one; a replica leaves the stack
+when it converges or fails, and its failure record is its own.  A DC sweep
+solves blocks of SWEEP_BLOCK consecutive values, one call per block whose
+replicas are every (value, curve) pair; each starts from its curve's
 polynomial through the last three points before the block.  A replica that
 fails enters the ladder through one plain solve from the polynomial through
-its own three preceding points.  Every other solve is a lone call (B = 1).
+its own three preceding points.  Fixed steps and DC solves are lone calls.
 
-Transients stack 1-2 replicas of 12-24 transistors, so an iteration costs
+Transients stack 1 or 3 replicas of 12-24 transistors, so an iteration costs
 numpy calls, not arithmetic.  The stamp table of a stack therefore also
 holds the tiled card arrays of its transistors and their card constants
-(kernels.card_constants, computed once per table instead of on every
-kernel call), all views into the arrays of the largest stack yet.  The
-matrices, residuals and scatter values are allocated by each call and
-iteration: at this size an allocation costs about what filling a kept
-array in place does.  A transient step computes the companions of all its
-replicas at once and evaluates the predictor once for all of them.
+(kernels.card_constants, computed once per table, not per kernel call), all
+views into the arrays of the largest stack yet.  The matrices, residuals and
+scatter values are allocated by each call and iteration: at this size an
+allocation costs about what filling a kept array in place does.
 
 Waveforms serialize to CSV and to a compact little-endian binary table; both
 writers are bit-reproducible for identical inputs.
@@ -54,6 +53,7 @@ writers are bit-reproducible for identical inputs.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import struct
 from dataclasses import dataclass
@@ -137,8 +137,8 @@ class Waveform:
         return list(self.columns)
 
 
-# rows per block of a CSV write: one tolist() call converts a block, and the
-# block bounds the memory its Python floats take
+# rows per block of a CSV write: one tolist() call converts a block and one
+# format call writes it, and the block bounds the memory its Python floats take
 _CSV_BLOCK = 32
 
 
@@ -146,11 +146,12 @@ def write_waveform_csv(w: Waveform, path) -> None:
     """Header, then one row per axis value; every number is repr() of a float."""
     names = w.names
     cols = [w.axis] + [w.columns[n] for n in names]
+    line = ",".join(["%r"] * len(cols)) + "\n"   # %r of a float is its repr()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join([w.axis_name] + names) + "\n")
         for k in range(0, w.axis.size, _CSV_BLOCK):
-            rows = np.column_stack([c[k:k + _CSV_BLOCK] for c in cols]).tolist()
-            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+            block = np.column_stack([c[k:k + _CSV_BLOCK] for c in cols])
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def read_waveform_csv(path) -> Waveform:
@@ -247,17 +248,6 @@ class _Replicas:
     card: kernels.Card
 
 
-def _solve_each(a, b):
-    """Replica-by-replica solve of stacked systems, NaN for a singular one."""
-    dx = np.full(b.shape, np.nan)
-    for k in range(b.shape[0]):
-        try:
-            dx[k] = np.linalg.solve(a[k], b[k])
-        except np.linalg.LinAlgError:
-            pass
-    return dx
-
-
 _PLAIN = ((0.0, 1.0),)   # one Newton solve: no node shunt, sources at full level
 
 
@@ -352,6 +342,7 @@ class _System:
         self.cap_stamp = _pair_stamp(dim0, self.cap_a, self.cap_b)
         self.m_jac = _flat(dim0, ((d, d), (d, g), (d, s), (s, d), (s, g), (s, s)),
                            by_element=False)
+        self.cap_inc = np.eye(dim0)[self.cap_a] - np.eye(dim0)[self.cap_b]
         self.lin_a = np.concatenate((cond_a, self.cap_a))
         self.lin_b = np.concatenate((cond_b, self.cap_b))
         # Each stamp-table array as a lone call's flat indices, and the size
@@ -408,10 +399,12 @@ class _System:
 
     def _source_values(self, t, alpha, overrides, nrep):
         """Voltage-source and current-source values, (nrep, n_v) and (nrep,
-        n_i), at the time t scaled by alpha; overrides is shared or a list of
-        one dict per replica, every dict over the same sources.  Each wave is
-        evaluated once, and each overridden source is set column by column."""
-        vals = np.array([[w.value(t) for w in self.waves]] * nrep, dtype=float)
+        n_i), at the time t (shared, or a list of one time per replica)
+        scaled by alpha; overrides is shared or a list of one dict per
+        replica, every dict over the same sources.  Each wave is evaluated
+        once per time, and each overridden source is set column by column."""
+        rows = [[w.value(tk) for w in self.waves] for tk in (t if isinstance(t, list) else [t])]
+        vals = np.array(rows if len(rows) == nrep else rows * nrep, dtype=float)
         if overrides:
             ovs = overrides if isinstance(overrides, list) else [overrides] * nrep
             for name in ovs[0]:
@@ -421,19 +414,25 @@ class _System:
         return vals[:, :self.n_branch], vals[:, self.n_branch:]
 
     def newton(self, x0, t=None, alpha=1.0, gshunt=0.0,
-               cap_geq=None, cap_ieq=None, src_overrides=None):
+               cap_geq=None, cap_ieq=None, src_overrides=None, chain=None):
         """Damped Newton over a leading replica axis.
 
-        ``x0`` is one start (n,) or B starts (B, n) of this circuit, all
-        solved at the one time ``t`` (None: the sources' DC levels).  With B
-        starts, ``src_overrides`` may be a list of B override dicts over the
-        same sources and ``cap_geq``/``cap_ieq`` are (B, n_cap) arrays;
-        ``alpha`` and ``gshunt`` are shared.  Returns the solution or None
-        for one start, a list of B of them for stacked starts.
+        ``x0`` is one start (n,) or B starts (B, n) of this circuit, solved
+        at the time ``t``: one float (None: the sources' DC levels) or a list
+        of B times.  With B starts, ``src_overrides`` may be a list of B
+        override dicts over the same sources and ``cap_geq``/``cap_ieq`` are
+        (B, n_cap) arrays; ``alpha`` and ``gshunt`` are shared.  Returns the
+        solution or None for one start, a list of B of them for stacked starts.
+
+        ``chain`` (n_cap,) couples the last replica to replica 0: its
+        ``cap_ieq`` row, formed from replica 0's start, moves by chain times
+        each update of replica 0's capacitor voltages, before it is solved:
+        exact Newton on the pair, which is linear in replica 0.  It converges
+        no earlier than replica 0, and any failure ends the call.
 
         All active replicas share each iteration's work: one kernel call over
         every replica's transistors, scatters over the stacked stamp table,
-        one stacked product and one stacked solve.  These act on each replica
+        one stacked product and stacked solves.  These act on each replica
         alone and in a lone call's order, so a replica's result is
         bit-identical to a lone call's.  A replica stops on the update that
         converges and returns the point plus that update, without evaluating
@@ -459,6 +458,9 @@ class _System:
             cap_geq, cap_ieq = cap_geq.reshape(nrep, -1), cap_ieq.reshape(nrep, -1)
             np.add.at(a_base.reshape(-1), tab.cap_stamp,
                       (cap_geq[:, :, None] * _G_SIGNS).ravel())
+        if chain is not None:   # the last row's currents and right-hand side
+            k_ieq = chain[:, None] * self.cap_inc[:, 1:]   # per unit update of replica 0
+            k_rhs, cap_ieq = self.cap_inc.T @ k_ieq, cap_ieq.copy()
         b_full = np.bincount(tab.rhs_idx, np.concatenate(
             ((cs[:, :, None] * _I_SIGNS).reshape(nrep, -1), vs, cap_ieq, -cap_ieq),
             axis=1).ravel(), nrep * dim0).reshape(nrep, dim0, 1)
@@ -472,7 +474,7 @@ class _System:
         xfull[:, 1:] = x
         xf, xcol = xfull.reshape(-1), xfull[:, :, None]
         n_g, n_lin = self.cond_g.size, self.lin_a.size
-        lo, hi, vntol = self._clamp
+        vntol = self._clamp[2]
         for _ in range(cfg.max_newton_iters):
             nrow = xfull.shape[0]
             v_d, v_g, v_s = xf[tab.m_dgs]
@@ -485,14 +487,16 @@ class _System:
             gsum = gm + gds
             np.add.at(jac.reshape(-1), tab.m_jac,
                       np.concatenate((gds, gm, -gsum, -gds, -gm, gsum), axis=1).ravel())
-            try:
-                dx = np.linalg.solve(jac[:, 1:, 1:], -f_col[:, 1:])[:, :, 0]
-            except np.linalg.LinAlgError:
-                dx = _solve_each(jac[:, 1:, 1:], -f_col[:, 1:, 0])
+            couple = chain is not None and live[0] == 0 and live[-1] == nrep - 1
+            dx = self._update(jac[:-1], f_col[:-1]) if couple else self._update(jac, f_col)
+            if couple:
+                cap_ieq[-1] += k_ieq @ dx[0]
+                db = k_rhs @ dx[0]
+                b_full[-1, :, 0] += db
+                f_col[-1, :, 0] -= db
+                dx = np.concatenate((dx, self._update(jac[-1:], f_col[-1:])))
             finite = np.isfinite(dx).all(axis=1).tolist()
-            dxn = dx[:, :nn]
-            np.minimum(np.maximum(dxn, lo, out=dxn), hi, out=dxn)
-            conv = (np.abs(dxn) < vntol).all(axis=1).tolist()
+            conv = (np.abs(dx[:, :nn]) < vntol).all(axis=1).tolist()
             if True in conv:
                 # residuals at the point just evaluated, against their tolerances;
                 # each |branch current| counts at both ends of its branch
@@ -507,17 +511,19 @@ class _System:
                 tol[:, nb0:] = tol_branch
                 within = (np.abs(f_col[:, 1:, 0]) <= tol[:, 1:]).all(axis=1).tolist()
                 conv = [a and b for a, b in zip(conv, within)]
+                if couple:
+                    conv[-1] = conv[-1] and conv[0]
             xfull[:, 1:] += dx
             if True in conv or False in finite:
                 keep = []
                 for k, (ok, fin) in enumerate(zip(conv, finite)):
                     if not fin:
-                        self._failed(live[k], f_col[k, :, 0])
+                        self._failed(live[k], f_col[k, :, 0], jac[k])
                     elif ok:
                         result[live[k]] = xfull[k, 1:]   # a row not written again
                     else:
                         keep.append(k)
-                if not keep:
+                if not keep or (chain is not None and False in finite):
                     break
                 live = [live[k] for k in keep]
                 if keep[-1] - keep[0] == len(keep) - 1:   # a run of rows: views
@@ -532,18 +538,35 @@ class _System:
                 self._failed(rep, f_col[k, :, 0])
         return result if x0.ndim == 2 else result[0]
 
-    def _failed(self, rep, f_full):
-        """Record the largest |residual| of a replica's failed Newton solve and its row."""
-        r = int(np.argmax(np.abs(f_full[1:]))) + 1
+    def _update(self, jac, f_col):
+        """Stacked Newton updates, NaN where singular, node updates clipped."""
+        a, b = jac[:, 1:, 1:], -f_col[:, 1:]
+        try:
+            dx = np.linalg.solve(a, b)[:, :, 0]
+        except np.linalg.LinAlgError:   # replica by replica
+            dx = np.full(b.shape[:2], np.nan)
+            for k in range(len(b)):
+                with contextlib.suppress(np.linalg.LinAlgError):
+                    dx[k] = np.linalg.solve(a[k], b[k, :, 0])
+        lo, hi, _vntol = self._clamp
+        dxn = dx[:, :self.n_nodes]
+        np.minimum(np.maximum(dxn, lo, out=dxn), hi, out=dxn)
+        return dx
+
+    def _failed(self, rep, f_full, jac=None):
+        """Record a replica's failed Newton solve: its largest |residual| and its
+        row, or the first node whose row of a singular matrix is all zero."""
+        zero = [] if jac is None else np.flatnonzero(~jac[1:self.branch0, 1:].any(axis=1))
+        r = int(zero[0] if len(zero) else np.argmax(np.abs(f_full[1:]))) + 1
         self.fail[rep] = (float(abs(f_full[r])),
                           f"node {self.unknown_names[r]}" if r < self.branch0
-                          else f"i({self.vsource_names[r - self.branch0]})")
+                          else f"i({self.vsource_names[r - self.branch0]})", len(zero) > 0)
 
     def error(self, message, at):
         """ConvergenceError for the first replica that failed in the last Newton call."""
-        residual, row = next(f for f in self.fail if f is not None)
-        return ConvergenceError(f"{message}; largest residual {residual:.3g} at {row}",
-                                residual=residual, at=at, row=row)
+        residual, row, no_path = next(f for f in self.fail if f is not None)
+        cause = f"{row} has no DC path" if no_path else f"largest residual {residual:.3g} at {row}"
+        return ConvergenceError(f"{message}; {cause}", residual=residual, at=at, row=row)
 
     def solve_dc(self, t=None, src_overrides=None, context="dc operating point",
                  start=None):
@@ -592,7 +615,8 @@ def _extrapolate(ts, xs, t):
     (ts[k], xs[k]), in Lagrange form: the predicted start of the next Newton
     solve.  An array t broadcasts against the points' values: t of shape
     (m, 1, ..., 1) gives the m values at once, also through a single point,
-    each equal bit for bit to its own float call."""
+    each equal bit for bit to its own float call; for a few values the float
+    calls are cheaper, as the weights are then Python floats."""
     ts, xs = ts[-4:], xs[-4:]
     p = np.zeros(np.shape(t))
     for j, (tj, xj) in enumerate(zip(ts, xs)):
@@ -718,23 +742,33 @@ def transient(c: Circuit, directive: Tran, cfg: SolverConfig | None = None,
         xfull = np.concatenate(([0.0], xv))
         return xfull[sys.cap_a] - xfull[sys.cap_b]
 
-    def steps_from(starts, t_new, hs, method, ts, xs):
-        """Solve the steps of widths hs that end at t_new from the states
-        starts (x, capacitor currents, capacitor voltages), one per step, as
-        replicas of one Newton call; a state or None each.  Every replica
-        starts from the polynomial through the points (ts, xs) at t_new."""
-        _x, i_in, v_in = map(np.array, zip(*starts))
-        h = np.array(hs)[:, None]
-        if method == "be":
-            geq = cap_c / h
-            ieq = geq * v_in
-        else:
-            geq = 2.0 * cap_c / h
-            ieq = geq * v_in + i_in
-        x0 = np.array([_extrapolate(ts, xs, t_new)] * len(hs))
-        sols = sys.newton(x0, t=t_new, cap_geq=geq, cap_ieq=ieq)
-        return [None if xn is None else (xn, g * (v := vab(xn)) - ie, v)
-                for xn, g, ie in zip(sols, geq, ieq)]
+    def steps_from(state, t_new, hs, method):
+        """Solve steps of widths hs ending at the times t_new from the state
+        (x, capacitor currents, capacitor voltages) as one Newton call, each
+        from the polynomial through the accepted points at its own time: the
+        solutions (None where failed) and the last step's new state.  Three
+        steps are an attempt, the last one chained to the first."""
+        _x, i_in, v_in = state
+        geq = (1.0 if method == "be" else 2.0) * cap_c / np.array(hs)[:, None]
+
+        def companion(g, v, i):
+            return g * v if method == "be" else g * v + i
+
+        def second_half(xv):   # its companions from the first half step's x
+            return companion(geq[2], v := vab(xv), geq[0] * v - ieq[0])
+
+        ieq = companion(geq, v_in, i_in)
+        starts = {tn: _extrapolate(times, states, tn) for tn in t_new}   # see _extrapolate
+        x0 = np.array([starts[tn] for tn in t_new])
+        chain = None
+        if len(hs) == 3:   # second_half is linear: the chain is its slope
+            ieq[2], chain = second_half(x0[0]), companion(geq[2], 1.0, geq[0])
+        sols = sys.newton(x0, t=t_new if len(hs) > 1 else t_new[0],
+                          cap_geq=geq, cap_ieq=ieq, chain=chain)
+        if sols[-1] is None:
+            return sols, None
+        ie = ieq[-1] if chain is None else second_half(sols[0])
+        return sols, (sols[-1], geq[-1] * (v := vab(sols[-1])) - ie, v)
 
     state = (x, np.zeros(cap_c.size), vab(x))
     times = [0.0]
@@ -747,7 +781,7 @@ def transient(c: Circuit, directive: Tran, cfg: SolverConfig | None = None,
         while t < stop - 1e-9 * h:
             h_eff = min(h, stop - t)
             method = "be" if (first_be and t == 0.0) else cfg.method
-            (state,) = steps_from([state], t + h_eff, [h_eff], method, times, states)
+            _x, state = steps_from(state, [t + h_eff], [h_eff], method)
             if state is None:
                 raise sys.error(f"transient: no convergence at t={t + h_eff:g}",
                                 at=t + h_eff)
@@ -761,17 +795,13 @@ def transient(c: Circuit, directive: Tran, cfg: SolverConfig | None = None,
         while t < stop - 1e-15 * stop:
             h = min(max(h, cfg.min_step), max_h, stop - t)
             method = "be" if (first_be and t == 0.0) else cfg.method
-            # the first half step, then the full and second half steps
-            (half,) = steps_from([state], t + 0.5 * h, [0.5 * h], method, times, states)
-            full, half = (None, None) if half is None else steps_from(
-                [state, half], t + h, [h, 0.5 * h], method,
-                times[-3:] + [t + 0.5 * h], states[-3:] + [half[0]])
-            if full is None or half is None:
+            (_xh, xf, xh2), half = steps_from(state, [t + 0.5 * h, t + h, t + h],
+                                              [0.5 * h, h, 0.5 * h], method)
+            if xf is None or half is None:
                 h *= 0.5
                 if h < cfg.min_step:
                     raise sys.error(f"transient: step underflow at t={t:g}", at=t)
                 continue
-            xf, xh2 = full[0], half[0]
             ratio = np.abs(xh2[:nn] - xf[:nn]) / (cfg.lte_tol * (1.0 + np.abs(xh2[:nn])))
             eta = float(np.max(ratio)) if nn else 0.0
             if eta <= 1.0:
