@@ -399,6 +399,9 @@ class _Parser(argparse.ArgumentParser):
     takes a token that starts with '-' and is not a plain decimal, such as
     "-8e-1" or "-inf", for an option.  Subparsers are of the same class."""
 
+    # overrides a private argparse method, whose None marks a positional or
+    # an option's value; if a Python release changes that, the spaced --vth
+    # tests in tests/test_cli.py fail
     def _parse_optional(self, arg_string):
         try:
             float(arg_string)

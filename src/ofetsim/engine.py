@@ -31,8 +31,8 @@ Newton runs over a leading replica axis: B solves of one circuit, each with
 its own time, start, source overrides and capacitor companions, share every
 iteration's kernel call (over B x n_m devices), scatters, matrix product and
 stacked np.linalg.solve.  Each replica's entries keep the order of a lone
-solve, so its result is bit-identical to one; a replica leaves the stack
-when it converges or fails, and its failure record is its own.  A DC sweep
+solve, so its result is bit-identical to one, except the chained second half
+step's; a replica leaves the stack when it converges or fails.  A DC sweep
 solves blocks of SWEEP_BLOCK consecutive values, one call per block whose
 replicas are every (value, curve) pair; each starts from its curve's
 polynomial through the last three points before the block.  A replica that
@@ -54,6 +54,7 @@ writers are bit-reproducible for identical inputs.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -199,9 +200,7 @@ def read_waveform_binary(path) -> Waveform:
             names.append(fh.read(n).decode())
         (nrows,) = struct.unpack("<Q", fh.read(8))
         axis = np.frombuffer(fh.read(8 * nrows), dtype="<f8")
-        cols = {}
-        for name in names:
-            cols[name] = np.frombuffer(fh.read(8 * nrows), dtype="<f8")
+        cols = {name: np.frombuffer(fh.read(8 * nrows), dtype="<f8") for name in names}
     return Waveform(axis_name=axis_name, axis=axis, columns=cols)
 
 
@@ -323,9 +322,7 @@ class _System:
                       ("source", tuple((0.0, a) for a in np.linspace(0.1, 1.0, 10))))
         self._stacks = {}    # nrep -> _Replicas, views into self._full
         self._full = None    # the stacked arrays of the largest stack yet
-        # per replica of the last Newton call: None, or the largest |residual|
-        # of a failed solve and its row
-        self.fail = []
+        self.fail = []   # per replica of the last Newton call: None, or see _failed
 
         # The stamp table; ground is slot 0 and is sliced off at the solve.
         # Matrix and right-hand-side entries are laid out in the order the
@@ -428,13 +425,15 @@ class _System:
         ``cap_ieq`` row, formed from replica 0's start, moves by chain times
         each update of replica 0's capacitor voltages, before it is solved:
         exact Newton on the pair, which is linear in replica 0.  It converges
-        no earlier than replica 0, and any failure ends the call.
+        no earlier than replica 0, with cfg.max_newton_iters iterations from
+        replica 0's converging one; any failure ends the call.
 
         All active replicas share each iteration's work: one kernel call over
         every replica's transistors, scatters over the stacked stamp table,
         one stacked product and stacked solves.  These act on each replica
-        alone and in a lone call's order, so a replica's result is
-        bit-identical to a lone call's.  A replica stops on the update that
+        alone and in a lone call's order, so an unchained replica's result is
+        bit-identical to a lone call's; the chained one's currents gather the
+        rounding of their moves.  A replica stops on the update that
         converges and returns the point plus that update, without evaluating
         the devices again; it leaves the stack then, as does a replica whose
         solve fails.  Terms that do not depend on the iterate (sources,
@@ -475,7 +474,12 @@ class _System:
         xf, xcol = xfull.reshape(-1), xfull[:, :, None]
         n_g, n_lin = self.cond_g.size, self.lin_a.size
         vntol = self._clamp[2]
-        for _ in range(cfg.max_newton_iters):
+        limit = cfg.max_newton_iters   # moved on for a chained replica, below
+        for it in itertools.count():
+            if it == limit or it == cfg.max_newton_iters and live[0] < nrep - 1:
+                for k, rep in enumerate(live):
+                    self._failed(rep, f_col[k, :, 0])
+                break
             nrow = xfull.shape[0]
             v_d, v_g, v_s = xf[tab.m_dgs]
             # the kernel's rows, one row per replica
@@ -513,6 +517,7 @@ class _System:
                 conv = [a and b for a, b in zip(conv, within)]
                 if couple:
                     conv[-1] = conv[-1] and conv[0]
+                    limit += it * conv[0]
             xfull[:, 1:] += dx
             if True in conv or False in finite:
                 keep = []
@@ -533,9 +538,6 @@ class _System:
                                       tol_branch))
                 tab = self._replicas(len(live))
                 xf, xcol = xfull.reshape(-1), xfull[:, :, None]
-        else:
-            for k, rep in enumerate(live):
-                self._failed(rep, f_col[k, :, 0])
         return result if x0.ndim == 2 else result[0]
 
     def _update(self, jac, f_col):
@@ -595,9 +597,7 @@ class _System:
 
     def columns_of(self, xs: np.ndarray) -> dict[str, np.ndarray]:
         """Waveform columns v(node) for circuit nodes and i(src) per V source."""
-        cols = {}
-        for n in self.circuit_nodes:
-            cols[f"v({n})"] = xs[:, self.node_index[n] - 1]
+        cols = {f"v({n})": xs[:, self.node_index[n] - 1] for n in self.circuit_nodes}
         for k, name in enumerate(self.vsource_names):
             cols[f"i({name})"] = xs[:, self.branch0 - 1 + k]
         return cols
@@ -606,8 +606,7 @@ class _System:
 def dc_operating_point(c: Circuit, cfg: SolverConfig | None = None) -> dict[str, float]:
     """Node voltages of the DC solution (sources at their t = 0- levels)."""
     sys = _System(c, cfg or SolverConfig())
-    x = sys.solve_dc()
-    return sys.node_voltages(x)
+    return sys.node_voltages(sys.solve_dc())
 
 
 def _extrapolate(ts, xs, t):
@@ -747,7 +746,8 @@ def transient(c: Circuit, directive: Tran, cfg: SolverConfig | None = None,
         (x, capacitor currents, capacitor voltages) as one Newton call, each
         from the polynomial through the accepted points at its own time: the
         solutions (None where failed) and the last step's new state.  Three
-        steps are an attempt, the last one chained to the first."""
+        steps are an attempt, the last chained to the first; the new state
+        re-forms its history from the first's solution: the iterated one to rounding."""
         _x, i_in, v_in = state
         geq = (1.0 if method == "be" else 2.0) * cap_c / np.array(hs)[:, None]
 

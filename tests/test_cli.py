@@ -180,11 +180,11 @@ def test_fit_held_threshold_spaced_negative(tmp_path):
     assert "vth=-0.8 " in cards[0].decode()
 
 
-@pytest.mark.parametrize("vth", ["1e308", "-1e308", "1e100"])
+@pytest.mark.parametrize("vth", ["1e308", "-1e308", "1e100", "-inf", "-infinity", "-nan"])
 @pytest.mark.parametrize("spaced", [False, True])
 def test_fit_held_threshold_outside_bounds(tmp_path, capsys, vth, spaced):
     # was a traceback (exit 1), "mu0 must be positive, got nan" and a card
-    # with vth=1e+100; spaced, "-1e308" was read as an option (exit 1)
+    # with vth=1e+100; spaced, "-1e308" and "-inf" were read as options (exit 1)
     out = tmp_path / "o"
     args = ["--vth", vth] if spaced else [f"--vth={vth}"]
     assert main(["fit", REFERENCE, *args, "--out", str(out)]) == 2

@@ -736,21 +736,56 @@ def _ring24():
 def test_stacked_step_doubling_matches_serial(case):
     # the coupled attempt is exact Newton on the equations of the three
     # serial solves, stopped by the same test, so it takes the same steps
-    # and lands every node within vntol of them.  Its starts differ, so its
-    # solutions differ by about 1e-13 V (after the 24 V ring's first step).
-    # A step width scales as eta ** (-1/3), where eta divides the full-half
-    # difference, down to about 1e-5 V while the growth is below its cap of
-    # 2, by lte_tol: so step widths move by up to about 1e-13 / 3e-5 = 3e-9
-    # relative (2.3e-10 measured on that ring)
+    # and lands every node within vntol and every source current within
+    # abstol + reltol * |i| of them (4.1e-7 of that bound at most, measured).
+    # Its starts differ, so its solutions differ within the Newton tolerance,
+    # and a step width follows eta ** (-1/3) of the full-half difference:
+    # the 24 V ring's axis moves by 2.3e-10 relative, the other three by
+    # 4.2e-12 at most
     c, d, ic = case()
     cfg = SolverConfig()
     got, want = transient(c, d, cfg, ic=ic), _serial_transient(c, d, cfg, ic=ic)
     assert got.names == want.names and got.axis.size == want.axis.size
-    np.testing.assert_allclose(got.axis, want.axis, rtol=3e-9, atol=0.0)
+    np.testing.assert_allclose(got.axis, want.axis, rtol=5e-10, atol=0.0)
     for name in got.names:
-        if name.startswith("v("):
-            np.testing.assert_allclose(got.columns[name], want.columns[name],
-                                       rtol=0.0, atol=cfg.vntol, err_msg=name)
+        v = name.startswith("v(")
+        np.testing.assert_allclose(got.columns[name], want.columns[name],
+                                   rtol=0.0 if v else cfg.reltol,
+                                   atol=cfg.vntol if v else cfg.abstol, err_msg=name)
+
+
+def test_chained_replica_has_a_full_budget_after_the_first():
+    # an RC attempt with a budget of 10 iterations, node updates clipped to
+    # 0.5 V: the first half step starts 4.4 V off and converges on the 10th
+    # iteration, the second half step starts 6 V off and needs 3 more, which
+    # it gets; it lands within vntol of a lone solve from its start with its
+    # history formed from the first half step's solution.  The full step
+    # keeps a lone call's budget: 6 V off, it fails, and so does the call
+    c = netlist.parse(RC_NET)
+    sys = engine._System(c, SolverConfig(max_newton_iters=10))
+    out, h = sys.node_index["out"] - 1, 1e-5
+    geq = 2.0 * sys.cap_c / np.array([[0.5 * h], [h], [0.5 * h]])
+    ieq = geq * 2.0 + 3e-4   # trapezoidal companions from 2 V and 0.3 mA
+
+    def second_half(x):   # its currents from the first half step's x
+        return (geq[2] + geq[0]) * x[out] - ieq[0]
+
+    x0 = np.array([[5.0, 2.0, -3e-4]] * 3)
+    x0[0, out] += 4.4
+    x0[2, out] += 6.0
+    ieq[2] = second_half(x0[0])
+    times, chain = [0.5 * h, h, h], geq[2] + geq[0]
+    sols = sys.newton(x0, t=times, cap_geq=geq, cap_ieq=ieq, chain=chain)
+    assert np.array_equal(sols[0], sys.newton(x0[0], t=0.5 * h, cap_geq=geq[0],
+                                              cap_ieq=ieq[0]))
+    # alone, 10 iterations from its start are too few
+    assert sys.newton(x0[2], t=h, cap_geq=geq[2], cap_ieq=second_half(sols[0])) is None
+    lone = engine._System(c, SolverConfig()).newton(
+        x0[2], t=h, cap_geq=geq[2], cap_ieq=second_half(sols[0]))
+    np.testing.assert_allclose(sols[2], lone, rtol=0.0, atol=SolverConfig().vntol)
+    x0[1, out] += 6.0
+    sols = sys.newton(x0, t=times, cap_geq=geq, cap_ieq=ieq, chain=chain)
+    assert [x is None for x in sols] == [False, True, True]
 
 
 CMOS_VDDS = netlist.DcSweep("vin", 0.0, 7.0, 0.01, "vdd", 3.0, 7.0, 2.0)
