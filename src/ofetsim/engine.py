@@ -19,13 +19,16 @@ from zero: plain damped Newton, gmin (node shunts from 1e-3 S down to gmin,
 then none), source (source levels 0.1 to 1.0).  Transient uses backward
 Euler or trapezoidal companions with step-doubling error control.
 Every Newton solve after the first point starts from the predictor, as in
-SPICE2: the polynomial through the last accepted points at the solve's own
-time or swept value.  An attempt is one Newton call of three replicas, each
-started through the last four accepted points: the first half step to
-t + h/2, the full step and the second half step to t + h, whose capacitor
-history follows the first half step's iterate in every iteration, solved
-after the others.  A DC sweep point starts through the last three sweep
-points.  Starts change the work of a solve, not its tolerances.
+SPICE2: the polynomial through the last points of the solution path at the
+solve's own time or swept value.  An attempt is one Newton call of three
+replicas: the first half step to t + h/2, the full step and the second half
+step to t + h, whose capacitor history follows the first half step's
+iterate in every iteration, solved after the others.  Each starts through
+the last four points of the half-step path: every accepted attempt adds its
+first half step's solution and its accepted point, h/2 apart; a fixed step
+starts through the last four accepted points.  A DC sweep point starts
+through the last three sweep points.  Starts change the work of a solve,
+not its tolerances.
 
 Newton runs over a leading replica axis: B solves of one circuit, each with
 its own time, start, source overrides and capacitor companions, share every
@@ -741,13 +744,15 @@ def transient(c: Circuit, directive: Tran, cfg: SolverConfig | None = None,
         xfull = np.concatenate(([0.0], xv))
         return xfull[sys.cap_a] - xfull[sys.cap_b]
 
-    def steps_from(state, t_new, hs, method):
+    def steps_from(state, t_new, hs, method, path):
         """Solve steps of widths hs ending at the times t_new from the state
         (x, capacitor currents, capacitor voltages) as one Newton call, each
-        from the polynomial through the accepted points at its own time: the
-        solutions (None where failed) and the last step's new state.  Three
-        steps are an attempt, the last chained to the first; the new state
-        re-forms its history from the first's solution: the iterated one to rounding."""
+        from the polynomial through the points path = (times, xs) at its own
+        time: the solutions (None where failed) and the last step's new
+        state.  Three steps are an attempt, the last chained to the first;
+        the new state re-forms its history from the first's solution: the
+        iterated one to rounding, so an accepted attempt's half step and new
+        point lie on one path."""
         _x, i_in, v_in = state
         geq = (1.0 if method == "be" else 2.0) * cap_c / np.array(hs)[:, None]
 
@@ -758,7 +763,8 @@ def transient(c: Circuit, directive: Tran, cfg: SolverConfig | None = None,
             return companion(geq[2], v := vab(xv), geq[0] * v - ieq[0])
 
         ieq = companion(geq, v_in, i_in)
-        starts = {tn: _extrapolate(times, states, tn) for tn in t_new}   # see _extrapolate
+        starts = {tn: _extrapolate(*path, tn)   # see _extrapolate
+                  for tn in dict.fromkeys(t_new)}
         x0 = np.array([starts[tn] for tn in t_new])
         chain = None
         if len(hs) == 3:   # second_half is linear: the chain is its slope
@@ -781,7 +787,7 @@ def transient(c: Circuit, directive: Tran, cfg: SolverConfig | None = None,
         while t < stop - 1e-9 * h:
             h_eff = min(h, stop - t)
             method = "be" if (first_be and t == 0.0) else cfg.method
-            _x, state = steps_from(state, [t + h_eff], [h_eff], method)
+            _x, state = steps_from(state, [t + h_eff], [h_eff], method, (times, states))
             if state is None:
                 raise sys.error(f"transient: no convergence at t={t + h_eff:g}",
                                 at=t + h_eff)
@@ -792,11 +798,12 @@ def transient(c: Circuit, directive: Tran, cfg: SolverConfig | None = None,
         h = min(directive.step, stop / 1000.0, max_h)
         order = 1 if cfg.method == "be" else 2
         nn = sys.n_nodes
+        path = (times[:], states[:])   # the last four points of the half-step path
         while t < stop - 1e-15 * stop:
             h = min(max(h, cfg.min_step), max_h, stop - t)
             method = "be" if (first_be and t == 0.0) else cfg.method
-            (_xh, xf, xh2), half = steps_from(state, [t + 0.5 * h, t + h, t + h],
-                                              [0.5 * h, h, 0.5 * h], method)
+            (xh, xf, xh2), half = steps_from(state, [t + 0.5 * h, t + h, t + h],
+                                             [0.5 * h, h, 0.5 * h], method, path)
             if xf is None or half is None:
                 h *= 0.5
                 if h < cfg.min_step:
@@ -805,6 +812,7 @@ def transient(c: Circuit, directive: Tran, cfg: SolverConfig | None = None,
             ratio = np.abs(xh2[:nn] - xf[:nn]) / (cfg.lte_tol * (1.0 + np.abs(xh2[:nn])))
             eta = float(np.max(ratio)) if nn else 0.0
             if eta <= 1.0:
+                path = (path[0][-2:] + [t + 0.5 * h, t + h], path[1][-2:] + [xh, xh2])
                 t += h
                 state = half
                 first_be = False

@@ -415,12 +415,14 @@ def test_ring_step_kernel_calls(kernel_calls):
     steps = w.axis.size - 1
     assert steps == 193
     # the first half step, the full step and the second half step as one
-    # coupled call, all from the cubic through the last four points: 3.40
-    # per step, against 4.95 with the first half step solved alone before
-    # the other two, 5.91 with the full and first half steps stacked and the
-    # second half step started from the full step's solution, and 9.50 with
-    # three lone calls per attempt
-    assert kernel_calls[0] <= 3.6 * steps
+    # coupled call, all from the cubic through the last four points of the
+    # half-step path (each accepted attempt's first half step, then its
+    # accepted point): 2.82 per step, against 3.40 from the cubic through
+    # the last four accepted points, 4.95 with the first half step solved
+    # alone before the other two, 5.91 with the full and first half steps
+    # stacked and the second half step started from the full step's
+    # solution, and 9.50 with three lone calls per attempt
+    assert kernel_calls[0] <= 3.0 * steps
 
 
 @pytest.mark.parametrize("name,sweep", [
@@ -541,40 +543,54 @@ def test_extrapolate_one_point_broadcasts_over_t():
 def test_one_newton_call_per_attempt(monkeypatch, fixed_step):
     # an adaptive attempt from t with step h is one Newton call of three
     # replicas at (t + h/2, t + h, t + h), each started from the cubic
-    # through the last four accepted points at its own time; a fixed step
-    # is a lone call at one float time, and so is the t = 0 DC solve
+    # through the last four points of the half-step path at its own time:
+    # each accepted attempt's first half step solution at t + h/2, then its
+    # accepted point at t + h.  A fixed step is a lone call at one float
+    # time from the cubic through the last four accepted points, and so is
+    # the t = 0 DC solve
     newton = engine._System.newton
     calls = []
 
     def recorded(self, x0, **kw):
-        calls.append((np.array(x0), kw.get("t")))
-        return newton(self, x0, **kw)
+        sols = newton(self, x0, **kw)
+        calls.append((np.array(x0), kw.get("t"), sols))
+        return sols
 
     monkeypatch.setattr(engine._System, "newton", recorded)
     c, d, _ic = _ring24()
     w = transient(c, d, SolverConfig(fixed_step=fixed_step))
     steps = w.axis.size - 1
-    attempts = [(x0, t) for x0, t in calls if isinstance(t, list)]
-    lone = [(x0, t) for x0, t in calls if not isinstance(t, list)]
-    assert all(isinstance(t, float) and len(np.atleast_2d(x0)) == 1 for x0, t in lone)
-    if fixed_step:
-        assert not attempts and len(lone) > steps
-        return
-    assert all(t == 0.0 for _x0, t in lone)
-    assert steps <= len(attempts) < 1.2 * steps
+    attempts = [call for call in calls if isinstance(call[1], list)]
+    lone = [call for call in calls if not isinstance(call[1], list)]
+    assert all(isinstance(t, float) and len(np.atleast_2d(x0)) == 1 for x0, t, _ in lone)
     sys = engine._System(c, SolverConfig())
     idx = [sys.node_index[n] - 1 for n in sys.circuit_nodes]
     v = np.column_stack([w.columns[f"v({n})"] for n in sys.circuit_nodes])
+    if fixed_step:
+        assert not attempts
+        stepped = [(np.atleast_2d(x0)[0], t) for x0, t, _ in lone if t > 0.0]
+        assert len(stepped) == steps
+        for k, (x0, t) in enumerate(stepped, start=1):
+            assert t == w.axis[k]
+            want = _extrapolate_reference(list(w.axis[max(k - 4, 0):k]),
+                                          list(v[max(k - 4, 0):k]), t)
+            assert np.array_equal(x0[idx], want)
+        return
+    assert all(t == 0.0 for _x0, t, _ in lone)
+    assert steps <= len(attempts) < 1.2 * steps
+    path_t, path_x = [w.axis[0]], [v[0]]
     k = 1   # accepted points before the attempt
-    for x0, (t_half, t_full, t_full2) in attempts:
+    for x0, (t_half, t_full, t_full2), sols in attempts:
         assert x0.shape[0] == 3 and t_full2 == t_full
         assert t_half == pytest.approx(0.5 * (w.axis[k - 1] + t_full), rel=1e-12)
         assert np.array_equal(x0[1], x0[2])
         for row, t in zip(x0, (t_half, t_full)):
-            want = _extrapolate_reference(list(w.axis[max(k - 4, 0):k]),
-                                          list(v[max(k - 4, 0):k]), t)
+            want = _extrapolate_reference(path_t[-4:], path_x[-4:], t)
             assert np.array_equal(row[idx], want)
-        k += bool(k <= steps and t_full == w.axis[k])
+        if k <= steps and t_full == w.axis[k]:   # accepted
+            path_t += [t_half, t_full]
+            path_x += [sols[0][idx], v[k]]
+            k += 1
     assert k == steps + 1
 
 
@@ -582,9 +598,11 @@ def _serial_transient(c, d, cfg, ic=None):
     """Adaptive step-doubling with its three Newton calls per attempt made
     one at a time, the second half step from the first one's solution: the
     reference for the coupled attempt.  Each solve starts from the
-    predictor at its own time: the first half step from the polynomial
-    through the last four accepted points, the full and second half steps
-    from the polynomial through the last three and the first half step."""
+    predictor at its own time, through the half-step path (each accepted
+    attempt's first half step solution, then its accepted point): the first
+    half step from the polynomial through the last four path points, the
+    full and second half steps from the polynomial through the last three
+    path points and this attempt's first half step solution."""
     sys = engine._System(c, cfg)
     stop = d.stop
     max_h = d.max_step if d.max_step is not None else d.step
@@ -612,14 +630,15 @@ def _serial_transient(c, d, cfg, ic=None):
         return (None, None) if xn is None else (xn, geq * vab(xn) - ieq)
 
     times, states, t = [0.0], [x.copy()], 0.0
+    path = ([0.0], [x.copy()])
     h = min(d.step, stop / 1000.0, max_h)
     order = 1 if cfg.method == "be" else 2
     nn = sys.n_nodes
     while t < stop - 1e-15 * stop:
         h = min(max(h, cfg.min_step), max_h, stop - t)
         method = "be" if (first_be and t == 0.0) else cfg.method
-        xh1, ci1 = step_once(x, cap_i, t + 0.5 * h, 0.5 * h, method, times, states)
-        pts = (times[-3:] + [t + 0.5 * h], states[-3:] + [xh1])
+        xh1, ci1 = step_once(x, cap_i, t + 0.5 * h, 0.5 * h, method, *path)
+        pts = (path[0][-3:] + [t + 0.5 * h], path[1][-3:] + [xh1])
         xf, _ = (None, None) if xh1 is None else step_once(
             x, cap_i, t + h, h, method, *pts)
         xh2, ci2 = (None, None) if xf is None else step_once(
@@ -631,6 +650,7 @@ def _serial_transient(c, d, cfg, ic=None):
         diff = np.abs(xh2[:nn] - xf[:nn])
         eta = float(np.max(diff / (cfg.lte_tol * (1.0 + np.abs(xh2[:nn])))))
         if eta <= 1.0:
+            path = (pts[0][-3:] + [t + h], pts[1][-3:] + [xh2])
             t += h
             x, cap_i = xh2, ci2
             first_be = False
@@ -737,10 +757,10 @@ def test_stacked_step_doubling_matches_serial(case):
     # the coupled attempt is exact Newton on the equations of the three
     # serial solves, stopped by the same test, so it takes the same steps
     # and lands every node within vntol and every source current within
-    # abstol + reltol * |i| of them (4.1e-7 of that bound at most, measured).
+    # abstol + reltol * |i| of them (1.8e-7 of that bound at most, measured).
     # Its starts differ, so its solutions differ within the Newton tolerance,
     # and a step width follows eta ** (-1/3) of the full-half difference:
-    # the 24 V ring's axis moves by 2.3e-10 relative, the other three by
+    # the 24 V ring's axis moves by 1.0e-10 relative, the other three by
     # 4.2e-12 at most
     c, d, ic = case()
     cfg = SolverConfig()
