@@ -30,17 +30,19 @@ starts through the last four accepted points.  A DC sweep point starts
 through the last three sweep points.  Starts change the work of a solve,
 not its tolerances.
 
-Newton runs over a leading replica axis: B solves of one circuit, each with
-its own time, start, source overrides and capacitor companions, share every
-iteration's kernel call (over B x n_m devices), scatters, matrix product and
-stacked np.linalg.solve.  Each replica's entries keep the order of a lone
-solve, so its result is bit-identical to one, except the chained second half
-step's; a replica leaves the stack when it converges or fails.  A DC sweep
-solves blocks of SWEEP_BLOCK consecutive values, one call per block whose
-replicas are every (value, curve) pair; each starts from its curve's
-polynomial through the last three points before the block.  A replica that
-fails enters the ladder through one plain solve from the polynomial through
-its own three preceding points.  Fixed steps and DC solves are lone calls.
+Newton takes B starts and B source rows and returns B solutions: B solves
+of one circuit, each with its own start, source row and capacitor
+companions, share every iteration's kernel call (over B x n_m devices),
+scatters, matrix product and stacked np.linalg.solve.  Callers build the
+rows from _System.sources, so Newton reads no waveform.  Each replica's
+entries keep the order of a lone solve, so its result is bit-identical to
+one, except the chained second half step's; a replica leaves the stack when
+it converges or fails.  A DC sweep solves blocks of SWEEP_BLOCK consecutive
+values, one call per block whose replicas are every (value, curve) pair;
+each starts from its curve's polynomial through the last three points
+before the block.  A replica that fails enters the ladder through one plain
+solve from the polynomial through its own three preceding points.  Fixed
+steps and DC solves are stacks of one.
 
 Transients stack 1 or 3 replicas of 12-24 transistors, so an iteration costs
 numpy calls, not arithmetic.  The stamp table of a stack therefore also
@@ -61,6 +63,7 @@ import itertools
 import math
 import struct
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -233,23 +236,6 @@ def _pair_stamp(dim, a, b):
     return _flat(dim, ((a, a), (b, b), (a, b), (b, a)))
 
 
-@dataclass(frozen=True)
-class _Replicas:
-    """Flat indices into the stacked arrays of nrep replicas of one circuit,
-    their card arrays and card constants, replica after replica; see
-    _System._replicas."""
-
-    m_dgs: np.ndarray        # (3, nrep * n_m) drain, gate, source
-    m_inj: np.ndarray
-    res_idx: np.ndarray
-    rhs_idx: np.ndarray
-    scale_idx: np.ndarray
-    m_jac: np.ndarray
-    cap_stamp: np.ndarray
-    m_par: tuple
-    card: kernels.Card
-
-
 _PLAIN = ((0.0, 1.0),)   # one Newton solve: no node shunt, sources at full level
 
 
@@ -323,7 +309,7 @@ class _System:
             gshunt *= 0.1
         self.rungs = (("plain", _PLAIN), ("gmin", (*shunts, *_PLAIN)),
                       ("source", tuple((0.0, a) for a in np.linspace(0.1, 1.0, 10))))
-        self._stacks = {}    # nrep -> _Replicas, views into self._full
+        self._stacks = {}    # nrep -> stack table, views into self._full
         self._full = None    # the stacked arrays of the largest stack yet
         self.fail = []   # per replica of the last Newton call: None, or see _failed
 
@@ -363,7 +349,8 @@ class _System:
             m_jac=(self.m_jac, dim0 * dim0), cap_stamp=(self.cap_stamp, dim0 * dim0))
 
     def _replicas(self, nrep):
-        """Stamp table and kernel arguments of a stack of nrep replicas.
+        """Stamp table and kernel arguments of a stack of nrep replicas: the
+        arrays of self._lone, the card arrays m_par and their constants card.
 
         Replica r's entries are a lone call's, moved by r vectors of dim0 or
         r (dim0, dim0) matrices into the flattened stacked arrays, and follow
@@ -389,7 +376,7 @@ class _System:
                             card=kernels.card_constants(mu0, ss, gamma, order))
                 self._stacks.clear()
             n = nrep * self.m_d.size   # devices of the stack
-            tab = self._stacks[nrep] = _Replicas(
+            tab = self._stacks[nrep] = SimpleNamespace(
                 **{name: full[name][..., :nrep * lone.shape[-1]]
                    for name, (lone, _step) in self._lone.items()},
                 m_par=tuple(col[:n] for col in full["m_par"]),
@@ -397,32 +384,22 @@ class _System:
                                     for f in full["card"])))
         return tab
 
-    def _source_values(self, t, alpha, overrides, nrep):
-        """Voltage-source and current-source values, (nrep, n_v) and (nrep,
-        n_i), at the time t (shared, or a list of one time per replica)
-        scaled by alpha; overrides is shared or a list of one dict per
-        replica, every dict over the same sources.  Each wave is evaluated
-        once per time, and each overridden source is set column by column."""
-        rows = [[w.value(tk) for w in self.waves] for tk in (t if isinstance(t, list) else [t])]
-        vals = np.array(rows if len(rows) == nrep else rows * nrep, dtype=float)
-        if overrides:
-            ovs = overrides if isinstance(overrides, list) else [overrides] * nrep
-            for name in ovs[0]:
-                vals[:, self.source_index[name]] = [ov[name] for ov in ovs]
-        if alpha != 1.0:
-            vals *= alpha
-        return vals[:, :self.n_branch], vals[:, self.n_branch:]
+    def sources(self, t=None, overrides=None):
+        """One source row, voltage sources first: each wave's value at the
+        time t (None: its DC level), with the sources named in overrides set."""
+        row = np.array([w.value(t) for w in self.waves], dtype=float)
+        for name, v in (overrides or {}).items():
+            row[self.source_index[name]] = v
+        return row
 
-    def newton(self, x0, t=None, alpha=1.0, gshunt=0.0,
-               cap_geq=None, cap_ieq=None, src_overrides=None, chain=None):
+    def newton(self, x0, src, alpha=1.0, gshunt=0.0, cap_geq=None, cap_ieq=None, chain=None):
         """Damped Newton over a leading replica axis.
 
-        ``x0`` is one start (n,) or B starts (B, n) of this circuit, solved
-        at the time ``t``: one float (None: the sources' DC levels) or a list
-        of B times.  With B starts, ``src_overrides`` may be a list of B
-        override dicts over the same sources and ``cap_geq``/``cap_ieq`` are
-        (B, n_cap) arrays; ``alpha`` and ``gshunt`` are shared.  Returns the
-        solution or None for one start, a list of B of them for stacked starts.
+        ``x0`` is B starts (B, n) of this circuit and ``src`` their B source
+        rows (B, n_src), see sources; ``cap_geq``/``cap_ieq`` are (B, n_cap)
+        capacitor companions, and ``alpha`` (the scale of every source) and
+        ``gshunt`` (a shunt on every node) are shared.  Returns a list of B
+        solutions, None where a solve failed.
 
         ``chain`` (n_cap,) couples the last replica to replica 0: its
         ``cap_ieq`` row, formed from replica 0's start, moves by chain times
@@ -445,9 +422,10 @@ class _System:
         """
         cfg = self.cfg
         dim0, nb0, nn = self.dim0, self.branch0, self.n_nodes
-        x = x0 if x0.ndim == 2 else x0[None]
-        nrep = x.shape[0]
-        vs, cs = self._source_values(t, alpha, src_overrides, nrep)
+        nrep = len(x0)
+        if alpha != 1.0:
+            src = src * alpha
+        vs, cs = src[:, :self.n_branch], src[:, self.n_branch:]
         tab = self._stacks.get(nrep) or self._replicas(nrep)
 
         a_base = np.array([self.a_static] * nrep)
@@ -457,7 +435,6 @@ class _System:
         if cap_geq is None:
             cap_geq = cap_ieq = np.zeros((nrep, self.cap_c.size))
         else:
-            cap_geq, cap_ieq = cap_geq.reshape(nrep, -1), cap_ieq.reshape(nrep, -1)
             np.add.at(a_base.reshape(-1), tab.cap_stamp,
                       (cap_geq[:, :, None] * _G_SIGNS).ravel())
         if chain is not None:   # the last row's currents and right-hand side
@@ -473,7 +450,7 @@ class _System:
         result = [None] * nrep
         self.fail = [None] * nrep
         xfull = np.zeros((nrep, dim0))
-        xfull[:, 1:] = x
+        xfull[:, 1:] = x0
         xf, xcol = xfull.reshape(-1), xfull[:, :, None]
         n_g, n_lin = self.cond_g.size, self.lin_a.size
         vntol = self._clamp[2]
@@ -541,7 +518,7 @@ class _System:
                                       tol_branch))
                 tab = self._replicas(len(live))
                 xf, xcol = xfull.reshape(-1), xfull[:, :, None]
-        return result if x0.ndim == 2 else result[0]
+        return result
 
     def _update(self, jac, f_col):
         """Stacked Newton updates, NaN where singular, node updates clipped."""
@@ -573,20 +550,18 @@ class _System:
         cause = f"{row} has no DC path" if no_path else f"largest residual {residual:.3g} at {row}"
         return ConvergenceError(f"{message}; {cause}", residual=residual, at=at, row=row)
 
-    def solve_dc(self, t=None, src_overrides=None, context="dc operating point",
-                 start=None):
-        """Newton up the rescue ladder: plain, then gmin (shunts of 1e-3 S down
-        to cfg.gmin, then none), then source (levels 0.1 to 1.0), each from
-        zero, after one plain solve from ``start`` when it is given.  A rung's
-        solve starts from the one before; the first rung whose solves all
-        converge gives the point."""
+    def solve_dc(self, src, context="dc operating point", start=None):
+        """Newton at the source row ``src`` up the rescue ladder: plain, then
+        gmin (shunts of 1e-3 S down to cfg.gmin, then none), then source
+        (levels 0.1 to 1.0), each from zero, after one plain solve from
+        ``start`` when it is given.  A rung's solve starts from the one
+        before; the first rung whose solves all converge gives the point."""
         ladder = [(np.zeros(self.dim0 - 1), solves) for _name, solves in self.rungs]
         if start is not None:
             ladder.insert(0, (start, _PLAIN))
         for x, solves in ladder:
             for gshunt, alpha in solves:
-                x = self.newton(x, t=t, alpha=alpha, gshunt=gshunt,
-                                src_overrides=src_overrides)
+                (x,) = self.newton(x[None], src[None], alpha=alpha, gshunt=gshunt)
                 if x is None:
                     break
             else:
@@ -609,7 +584,7 @@ class _System:
 def dc_operating_point(c: Circuit, cfg: SolverConfig | None = None) -> dict[str, float]:
     """Node voltages of the DC solution (sources at their t = 0- levels)."""
     sys = _System(c, cfg or SolverConfig())
-    return sys.node_voltages(sys.solve_dc())
+    return sys.node_voltages(sys.solve_dc(sys.sources()))
 
 
 def _extrapolate(ts, xs, t):
@@ -670,6 +645,8 @@ def _dc_sweep_curves(c, d, cfg, extras, labels):
         if name not in sys.source_index:
             raise KeyError(f"dc sweep: unknown source {name!r}")
     values = _sweep_values(d.start, d.stop, d.step)
+    curves = np.array([sys.sources(overrides=extra) for extra in extras])
+    swept = sys.source_index[d.source]
     rows = np.zeros((values.size, len(extras), sys.dim0 - 1))
     live = list(range(len(extras)))   # curves that have not failed
     errors = {}
@@ -678,32 +655,32 @@ def _dc_sweep_curves(c, d, cfg, extras, labels):
     while i < values.size and live:
         end = min(i + SWEEP_BLOCK, values.size) if i else 1
         called = list(live)
+        # a source row per replica, (value, curve) pairs value after value
+        src = np.tile(curves[called], (end - i, 1))
+        src[:, swept] = values[i:end].repeat(len(called))
         if i:
             lo = max(i - 3, 0)
             # (values, curves, unknowns)
             x0 = _extrapolate(points[lo:i], rows[lo:i, called], values[i:end, None, None])
-            x0 = x0.reshape(-1, x0.shape[-1])
-            xs = sys.newton(x0, src_overrides=[
-                {d.source: val, **extras[k]} for val in points[i:end] for k in called])
+            xs = sys.newton(x0.reshape(-1, x0.shape[-1]), src)
         else:
             xs = [None] * len(called)
-        for j, val in enumerate(points[i:end]):
-            for k, x in zip(called, xs[j * len(called):(j + 1) * len(called)]):
-                if k not in live:
+        for r, (x, row) in enumerate(zip(xs, src)):
+            j, k = r // len(called), called[r % len(called)]
+            if k not in live:
+                continue
+            if x is None:
+                # retried alone from its own polynomial, except at a block's
+                # first value: its block start was that polynomial
+                lo, val = max(i + j - 3, 0), points[i + j]
+                start = _extrapolate(points[lo:i + j], rows[lo:i + j, k], val) if j else None
+                try:
+                    x = sys.solve_dc(row, f"dc sweep at {d.source}={val:g}", start)
+                except ConvergenceError as e:
+                    errors[k] = e
+                    live.remove(k)
                     continue
-                if x is None:
-                    # retried alone from its own polynomial, except at a
-                    # block's first value: its block start was that polynomial
-                    lo = max(i + j - 3, 0)
-                    start = _extrapolate(points[lo:i + j], rows[lo:i + j, k], val) if j else None
-                    try:
-                        x = sys.solve_dc(src_overrides={d.source: val, **extras[k]},
-                                         context=f"dc sweep at {d.source}={val:g}", start=start)
-                    except ConvergenceError as e:
-                        errors[k] = e
-                        live.remove(k)
-                        continue
-                rows[i + j, k] = x
+            rows[i + j, k] = x
         i = end
     if errors:
         raise errors[min(errors)]
@@ -728,7 +705,7 @@ def transient(c: Circuit, directive: Tran, cfg: SolverConfig | None = None,
 
     cap_c = sys.cap_c
     if ic is None:
-        x = sys.solve_dc(t=0.0, context="transient t=0 operating point")
+        x = sys.solve_dc(sys.sources(0.0), "transient t=0 operating point")
         first_be = False
     else:
         x = np.zeros(sys.dim0 - 1)
@@ -747,8 +724,8 @@ def transient(c: Circuit, directive: Tran, cfg: SolverConfig | None = None,
     def steps_from(state, t_new, hs, method, path):
         """Solve steps of widths hs ending at the times t_new from the state
         (x, capacitor currents, capacitor voltages) as one Newton call, each
-        from the polynomial through the points path = (times, xs) at its own
-        time: the solutions (None where failed) and the last step's new
+        from the polynomial through the points path = (times, xs) and with
+        the sources at its own time: the solutions (None where failed) and the last step's new
         state.  Three steps are an attempt, the last chained to the first;
         the new state re-forms its history from the first's solution: the
         iterated one to rounding, so an accepted attempt's half step and new
@@ -763,14 +740,13 @@ def transient(c: Circuit, directive: Tran, cfg: SolverConfig | None = None,
             return companion(geq[2], v := vab(xv), geq[0] * v - ieq[0])
 
         ieq = companion(geq, v_in, i_in)
-        starts = {tn: _extrapolate(*path, tn)   # see _extrapolate
-                  for tn in dict.fromkeys(t_new)}
-        x0 = np.array([starts[tn] for tn in t_new])
+        at = {tn: (_extrapolate(*path, tn), sys.sources(tn))   # see _extrapolate
+              for tn in dict.fromkeys(t_new)}
+        x0, src = (np.array(a) for a in zip(*(at[tn] for tn in t_new)))
         chain = None
         if len(hs) == 3:   # second_half is linear: the chain is its slope
             ieq[2], chain = second_half(x0[0]), companion(geq[2], 1.0, geq[0])
-        sols = sys.newton(x0, t=t_new if len(hs) > 1 else t_new[0],
-                          cap_geq=geq, cap_ieq=ieq, chain=chain)
+        sols = sys.newton(x0, src, cap_geq=geq, cap_ieq=ieq, chain=chain)
         if sols[-1] is None:
             return sols, None
         ie = ieq[-1] if chain is None else second_half(sols[0])

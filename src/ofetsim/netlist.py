@@ -27,8 +27,8 @@ them, whether by the parser or in code, so no circuit that round-trips
 badly can be built: `SourceWave` (shape, argument count, finite values),
 `DcSweep` (finite positive steps, stop >= start, a secondary sweep given
 whole and on another source, at most MAX_SWEEP_POINTS points in all),
-`Tran` (finite positive step, stop and maxstep) and `Mc` (count, seed,
-parameters, distributions, spreads).  The parser reports a record's
+`Tran` (finite positive step, stop and maxstep) and `Mc` (count of at
+most MAX_MC_COUNT, seed, parameters, distributions, spreads).  The parser reports a record's
 ValueError at its card line.  One table, `_DIRECTIVES`, gives the card
 grammar of `.op`, `.dc` and `.tran` to both parse and serialize.  An
 override is a model-card key, `strain` or `dir` (`par` or `perp`); the
@@ -168,6 +168,8 @@ class DcOp:
 
 # most points one .dc may solve, its secondary sweep included
 MAX_SWEEP_POINTS = 10 ** 6
+# most replicas one .mc may draw
+MAX_MC_COUNT = 10 ** 5
 
 
 def sweep_count(start: float, stop: float, step: float) -> int:
@@ -237,8 +239,8 @@ class Mc:
     dists entries are (param, kind, a, b) with param one of vth, mu0, ss,
     lambda, gamma, rc and kind "normal" (a = mean, b = sigma) or "lognormal"
     (a = median, b = sigma of log).  Every transistor instance receives an independent draw
-    of each parameter.  Raises ValueError on a count that is not a positive
-    integer, a seed that is no Philox key (an integer in [0, 2**128)), an
+    of each parameter.  Raises ValueError on a count that is not an integer
+    in [1, MAX_MC_COUNT], a seed that is no Philox key (an integer in [0, 2**128)), an
     unknown parameter or kind, or a negative sigma.  ``line`` is the netlist
     line of the `.mc` card (0 when built in code).
     """
@@ -249,8 +251,8 @@ class Mc:
     line: int = field(default=0, compare=False)
 
     def __post_init__(self):
-        if not (self.count >= 1 and float(self.count).is_integer()):
-            raise ValueError(f"count must be a positive integer, got {self.count}")
+        if not (1 <= self.count <= MAX_MC_COUNT and float(self.count).is_integer()):
+            raise ValueError(f"count must be an integer in [1, {MAX_MC_COUNT}], got {self.count}")
         if not (0 <= self.seed < 2 ** 128 and float(self.seed).is_integer()):
             raise ValueError(f"seed must be an integer in [0, 2**128), got {self.seed}")
         for p, kind, _a, b in self.dists:

@@ -291,6 +291,19 @@ def test_sim_mc_draw_outside_card_rules(tmp_path, capsys):
     assert not (out / "mc_0_samples.csv").exists()
 
 
+def test_sim_mc_count_over_bound(tmp_path, capsys):
+    # the draws of 1e12 replicas were numpy's allocation error, a traceback
+    # (exit 1); the count is bad input at the .mc line
+    net = tmp_path / "mc.cir"
+    net.write_text(MC_OVERFLOW.replace("3 1 {}=lognormal 1 1000",
+                                       "1000000000000 1 vth=normal -1 0.1"))
+    out = tmp_path / "o"
+    assert main(["sim", str(net), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: line 5: .mc: count must be an integer in [1, 100000], got ")
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_sim_mc_draw_that_overflows(tmp_path, capsys):
     net = tmp_path / "mc.cir"
     net.write_text(MC_OVERFLOW.format("vth"))
@@ -382,6 +395,8 @@ def test_sim_non_finite_number(tmp_path, capsys, card):
     (".dc v1 -1e308 1e308 1e308", ".dc: sweeps more than"),   # was an OverflowError
     (".dc v1 0 1 1e-300", ".dc: sweeps more than"),           # was numpy's size error
     (".op 1", ".op takes no arguments"),                      # was ignored
+    # no transistor to draw for: was 1e12 runs of the deck
+    (".mc 1000000000000 1 vth=normal -1 0.1", ".mc: count must be an integer in [1, 100000]"),
 ])
 def test_sim_record_rule(tmp_path, capsys, card, needle):
     net = tmp_path / "rule.cir"

@@ -344,13 +344,14 @@ def _dc_rung(c):
     newton = engine._System.newton
     calls = []
 
-    def spy(self, x0, **kw):
+    def spy(self, x0, src, **kw):
         calls.append((kw.get("gshunt", 0.0), kw.get("alpha", 1.0)))
-        return newton(self, x0, **kw)
+        return newton(self, x0, src, **kw)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine._System, "newton", spy)
-        engine._System(c, SolverConfig()).solve_dc(t=0.0)
+        sys = engine._System(c, SolverConfig())
+        sys.solve_dc(sys.sources(0.0))
     if any(alpha != 1.0 for _g, alpha in calls):
         return "source", len(calls)
     if any(g > 0.0 for g, _alpha in calls):
@@ -398,9 +399,9 @@ def test_newton_exits_on_converging_update(name, kernel_calls):
     # tolerance and the update below vntol; no second evaluation re-checks it
     c = netlist.parse(fixtures.read(name))
     sys = engine._System(c, SolverConfig())
-    x = sys.solve_dc(t=0.0)
+    x = sys.solve_dc(sys.sources(0.0))
     kernel_calls[0] = 0
-    xn = sys.newton(x, t=0.0)
+    (xn,) = sys.newton(x[None], sys.sources(0.0)[None])
     assert kernel_calls[0] == 1
     nn = sys.n_nodes
     assert np.max(np.abs(xn[:nn] - x[:nn])) < sys.cfg.vntol
@@ -545,30 +546,38 @@ def test_one_newton_call_per_attempt(monkeypatch, fixed_step):
     # replicas at (t + h/2, t + h, t + h), each started from the cubic
     # through the last four points of the half-step path at its own time:
     # each accepted attempt's first half step solution at t + h/2, then its
-    # accepted point at t + h.  A fixed step is a lone call at one float
+    # accepted point at t + h.  A fixed step is a stack of one at one float
     # time from the cubic through the last four accepted points, and so is
-    # the t = 0 DC solve
-    newton = engine._System.newton
-    calls = []
+    # the t = 0 DC solve.  A call's times are those its source rows were
+    # evaluated at since the call before
+    newton, sources = engine._System.newton, engine._System.sources
+    calls, times = [], []
 
-    def recorded(self, x0, **kw):
-        sols = newton(self, x0, **kw)
-        calls.append((np.array(x0), kw.get("t"), sols))
+    def timed(self, t=None, overrides=None):
+        times.append(t)
+        return sources(self, t, overrides)
+
+    def recorded(self, x0, src, **kw):
+        sols = newton(self, x0, src, **kw)
+        calls.append((x0.copy(), times[:], sols))
+        times.clear()
         return sols
 
+    monkeypatch.setattr(engine._System, "sources", timed)
     monkeypatch.setattr(engine._System, "newton", recorded)
     c, d, _ic = _ring24()
     w = transient(c, d, SolverConfig(fixed_step=fixed_step))
     steps = w.axis.size - 1
-    attempts = [call for call in calls if isinstance(call[1], list)]
-    lone = [call for call in calls if not isinstance(call[1], list)]
-    assert all(isinstance(t, float) and len(np.atleast_2d(x0)) == 1 for x0, t, _ in lone)
+    attempts = [call for call in calls if len(call[0]) == 3]
+    lone = [call for call in calls if len(call[0]) == 1]
+    assert len(attempts) + len(lone) == len(calls)
+    assert all(len(ts) == 1 and isinstance(ts[0], float) for _x0, ts, _ in lone)
     sys = engine._System(c, SolverConfig())
     idx = [sys.node_index[n] - 1 for n in sys.circuit_nodes]
     v = np.column_stack([w.columns[f"v({n})"] for n in sys.circuit_nodes])
     if fixed_step:
         assert not attempts
-        stepped = [(np.atleast_2d(x0)[0], t) for x0, t, _ in lone if t > 0.0]
+        stepped = [(x0[0], ts[0]) for x0, ts, _ in lone if ts[0] > 0.0]
         assert len(stepped) == steps
         for k, (x0, t) in enumerate(stepped, start=1):
             assert t == w.axis[k]
@@ -576,12 +585,11 @@ def test_one_newton_call_per_attempt(monkeypatch, fixed_step):
                                           list(v[max(k - 4, 0):k]), t)
             assert np.array_equal(x0[idx], want)
         return
-    assert all(t == 0.0 for _x0, t, _ in lone)
+    assert all(ts == [0.0] for _x0, ts, _ in lone)
     assert steps <= len(attempts) < 1.2 * steps
     path_t, path_x = [w.axis[0]], [v[0]]
     k = 1   # accepted points before the attempt
-    for x0, (t_half, t_full, t_full2), sols in attempts:
-        assert x0.shape[0] == 3 and t_full2 == t_full
+    for x0, (t_half, t_full), sols in attempts:
         assert t_half == pytest.approx(0.5 * (w.axis[k - 1] + t_full), rel=1e-12)
         assert np.array_equal(x0[1], x0[2])
         for row, t in zip(x0, (t_half, t_full)):
@@ -607,7 +615,7 @@ def _serial_transient(c, d, cfg, ic=None):
     stop = d.stop
     max_h = d.max_step if d.max_step is not None else d.step
     if ic is None:
-        x, first_be = sys.solve_dc(t=0.0), False
+        x, first_be = sys.solve_dc(sys.sources(0.0)), False
     else:
         x, first_be = np.zeros(sys.dim0 - 1), True
         for name, v in ic.items():
@@ -625,8 +633,8 @@ def _serial_transient(c, d, cfg, ic=None):
         else:
             geq = 2.0 * sys.cap_c / h
             ieq = geq * vab(x_in) + i_in
-        xn = sys.newton(_extrapolate_reference(ts, xs, t_new), t=t_new,
-                        cap_geq=geq, cap_ieq=ieq)
+        (xn,) = sys.newton(_extrapolate_reference(ts, xs, t_new)[None],
+                           sys.sources(t_new)[None], cap_geq=geq[None], cap_ieq=ieq[None])
         return (None, None) if xn is None else (xn, geq * vab(xn) - ieq)
 
     times, states, t = [0.0], [x.copy()], 0.0
@@ -683,16 +691,16 @@ def _sweeps(c, d, cfg, starts):
         values = engine._sweep_values(d.start, d.stop, d.step)
         rows = np.empty((values.size, sys.dim0 - 1))
         for i, val in enumerate(values):
-            ov = {d.source.lower(): float(val), **extra}
+            src = sys.sources(overrides={d.source.lower(): float(val), **extra})
             x = None
             for end in starts(i) if i else ():
                 lo = max(end - 3, 0)
-                x = sys.newton(_extrapolate_reference(values[lo:end], rows[lo:end], val),
-                               src_overrides=ov)
+                (x,) = sys.newton(
+                    _extrapolate_reference(values[lo:end], rows[lo:end], val)[None], src[None])
                 if x is not None:
                     break
             if x is None:
-                x = sys.solve_dc(src_overrides=ov)
+                x = sys.solve_dc(src)
             rows[i] = x
         out.append(Waveform(axis_name=d.source.lower(), axis=values,
                             columns=sys.columns_of(rows), label=label))
@@ -719,25 +727,35 @@ def test_stacked_newton_matches_lone_calls(kernel_calls):
     # with a budget of 5 iterations, from the DC point moved by dv: 0 V
     # converges on iteration 1, 0.1 V on 3, 1.4 V on 5 (the last), 2 V runs
     # out of iterations and a NaN start fails on its first update; the 1.4 V
-    # replica leaves the stack on the same update that exhausts the 2 V one
+    # replica leaves the stack on the same update that exhausts the 2 V one.
+    # Then replicas with their own source rows, the supply at 20, 24 and 28 V
     c = netlist.parse(fixtures.read("ro_pseudo_e.cir")).with_source_level("vdd", 24.0)
-    x = engine._System(c, SolverConfig()).solve_dc(t=0.0)
+    sys = engine._System(c, SolverConfig())
+    src = sys.sources(0.0)
+    x = sys.solve_dc(src)
     sys = engine._System(c, SolverConfig(max_newton_iters=5))
     starts = np.stack([x + dv for dv in (1.4, 0.0, np.nan, 2.0, 0.1)])
     lone, records, calls = [], [], []
     for x0 in starts:
         kernel_calls[0] = 0
-        lone.append(sys.newton(x0, t=0.0))
+        lone += sys.newton(x0[None], src[None])
         records += sys.fail
         calls.append(kernel_calls[0])
     assert calls == [5, 1, 1, 5, 3]
     assert [r is None for r in lone] == [False, False, True, True, False]
     kernel_calls[0] = 0
-    stacked = sys.newton(starts, t=0.0)
+    stacked = sys.newton(starts, np.tile(src, (5, 1)))
     assert kernel_calls[0] == 5
     assert repr(sys.fail) == repr(records)   # the NaN start records residual nan
     for a, b in zip(stacked, lone):
         assert (a is None and b is None) or np.array_equal(a, b)
+
+    sys = engine._System(c, SolverConfig())
+    rows = np.array([sys.sources(0.0, {"vdd": vdd}) for vdd in (20.0, 24.0, 28.0)])
+    starts = np.tile(x, (3, 1))
+    for x0, row, got in zip(starts, rows, sys.newton(starts, rows)):
+        (want,) = sys.newton(x0[None], row[None])
+        assert got is not None and np.array_equal(got, want)
 
 
 def _ring24():
@@ -794,17 +812,17 @@ def test_chained_replica_has_a_full_budget_after_the_first():
     x0[0, out] += 4.4
     x0[2, out] += 6.0
     ieq[2] = second_half(x0[0])
-    times, chain = [0.5 * h, h, h], geq[2] + geq[0]
-    sols = sys.newton(x0, t=times, cap_geq=geq, cap_ieq=ieq, chain=chain)
-    assert np.array_equal(sols[0], sys.newton(x0[0], t=0.5 * h, cap_geq=geq[0],
-                                              cap_ieq=ieq[0]))
+    src, chain = np.array([sys.sources(t) for t in (0.5 * h, h, h)]), geq[2] + geq[0]
+    sols = sys.newton(x0, src, cap_geq=geq, cap_ieq=ieq, chain=chain)
+    assert np.array_equal(sols[0], sys.newton(x0[:1], src[:1], cap_geq=geq[:1],
+                                              cap_ieq=ieq[:1])[0])
     # alone, 10 iterations from its start are too few
-    assert sys.newton(x0[2], t=h, cap_geq=geq[2], cap_ieq=second_half(sols[0])) is None
-    lone = engine._System(c, SolverConfig()).newton(
-        x0[2], t=h, cap_geq=geq[2], cap_ieq=second_half(sols[0]))
+    last = dict(cap_geq=geq[2:], cap_ieq=second_half(sols[0])[None])
+    assert sys.newton(x0[2:], src[2:], **last) == [None]
+    (lone,) = engine._System(c, SolverConfig()).newton(x0[2:], src[2:], **last)
     np.testing.assert_allclose(sols[2], lone, rtol=0.0, atol=SolverConfig().vntol)
     x0[1, out] += 6.0
-    sols = sys.newton(x0, t=times, cap_geq=geq, cap_ieq=ieq, chain=chain)
+    sols = sys.newton(x0, src, cap_geq=geq, cap_ieq=ieq, chain=chain)
     assert [x is None for x in sols] == [False, True, True]
 
 
@@ -862,21 +880,22 @@ def test_stacked_secondary_sweep_matches_serial():
 
 
 def _diverge_starts(monkeypatch, vdd, vin, count):
-    """Make the first count Newton starts at (vdd, vin) all NaN, stacked or
-    lone.  The returned list records every start there: its replica in a
-    stacked call, "zero" for a lone start from zero, "lone" for another."""
+    """Make the first count Newton starts at (vdd, vin) all NaN.  The
+    returned list records every start there: its replica in a stacked call,
+    "zero" for a stack of one from zero, "lone" for another stack of one
+    (the block calls of these sweeps stack several replicas)."""
     newton = engine._System.newton
     hit = []
 
-    def patched(self, x0, **kw):
-        ovs = kw.get("src_overrides")
-        for k, ov in enumerate(ovs if isinstance(ovs, list) else [ovs]):
-            if ov and ov.get("vdd") == vdd and ov.get("vin") == vin:
-                hit.append(k if x0.ndim == 2 else "lone" if x0.any() else "zero")
+    def patched(self, x0, src, **kw):
+        cols = [self.source_index["vdd"], self.source_index["vin"]]
+        for k, row in enumerate(src):
+            if row[cols].tolist() == [vdd, vin]:
+                hit.append(k if len(x0) > 1 else "lone" if x0.any() else "zero")
                 if len(hit) <= count:
                     x0 = x0.copy()
-                    x0[k if x0.ndim == 2 else slice(None)] = np.nan
-        return newton(self, x0, **kw)
+                    x0[k] = np.nan
+        return newton(self, x0, src, **kw)
 
     monkeypatch.setattr(engine._System, "newton", patched)
     return hit
@@ -1005,36 +1024,21 @@ def test_waveform_csv_matches_row_writer(tmp_path, rows):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
-def test_source_values_match_row_by_row():
-    # at a shared time, at one time per replica or at the DC levels, with
-    # overrides shared, on none, per replica over one or two sources, and
-    # scaled by alpha, against one row per replica
+def test_sources_match_waves():
+    # at the DC levels and at pulse, sin and dc times, with no override and
+    # with overrides on a V source and an I source, against each wave's value
     c = netlist.parse("srcs\nv1 a 0 pulse 0 5 1u 1u 1u 3u 10u\nv2 b 0 sin 1 2 50k\n"
                       "i1 a b dc 1m\nr1 a b 1k\nr2 b 0 1k\n.end")
     sys = engine._System(c, SolverConfig())
-
-    def rows(t, alpha, overrides, nrep):
-        ovs = overrides if isinstance(overrides, list) else [overrides] * nrep
-        ts = t if isinstance(t, list) else [t] * nrep
-        out = []
-        for ov, tk in zip(ovs, ts):
-            row = [wv.value(tk) for wv in sys.waves]
-            for name, v in (ov or {}).items():
-                row[sys.source_index[name]] = v
-            out.append(row)
-        vals = np.array(out, dtype=float)
-        if alpha != 1.0:
-            vals *= alpha
-        return vals[:, :sys.n_branch], vals[:, sys.n_branch:]
-
-    two = [{"v1": 1.5 * k, "i1": -1e-3 * k} for k in range(5)]
-    times = [1.5e-6, 3e-6, 3e-6, 9e-6, 1.3e-5]   # one time per replica
-    for args in ((None, 1.0, None, 1), (3e-6, 0.3, {"v2": 7.0}, 4), (2.5e-6, 1.0, None, 5),
-                 (1.3e-5, 0.7, two, 5), (2.5e-6, 1.0, [{}] * 3, 3),
-                 (None, 1.0, [{"v2": 0.1 * k} for k in range(6)], 6),
-                 (times, 1.0, None, 5), (times[:3], 0.5, {"v1": 2.0}, 3), (times, 1.0, two, 5)):
-        for got, ref in zip(sys._source_values(*args), rows(*args)):
-            assert np.array_equal(got.view(np.int64), ref.view(np.int64)), args
+    assert [sys.source_index[n] for n in ("v1", "v2", "i1")] == [0, 1, 2]
+    for t in (None, 1.5e-6, 2.5e-6, 3e-6, 9e-6, 1.3e-5):
+        for overrides in (None, {}, {"v2": 7.0}, {"v1": 1.5, "i1": -2e-3}):
+            want = [w.value(t) for w in sys.waves]
+            for name, v in (overrides or {}).items():
+                want[sys.source_index[name]] = v
+            got = sys.sources(t, overrides)
+            assert got.shape == (3,) and got.dtype == float
+            assert got.tolist() == want, (t, overrides)
 
 
 def test_waveform_binary_round_trip(tmp_path):
