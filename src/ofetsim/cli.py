@@ -184,12 +184,12 @@ def cmd_fit(args, run: Run) -> int:
     sweeps = []
     for p in args.csv:
         run.note_input(p)
-        sweeps.extend(extract.read_iv_csv(p))
-    if args.device:
-        sweeps = [s for s in sweeps if s.device_id == args.device]
+        sweeps.extend(extract.read_iv_csv(p, args.device))
     devices = sorted({s.device_id for s in sweeps})
     if not devices:
-        print("no sweeps to fit", file=sys.stderr)
+        print("no sweeps to fit" if args.device is None else
+              f"no sweeps of device {args.device!r} in {', '.join(args.csv)}",
+              file=sys.stderr)
         return E_INPUT
 
     names = {dev: "fit_" + "".join(ch if ch.isalnum() else "_" for ch in dev)
@@ -439,7 +439,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--polarity", choices=("p", "n"), default="p")
     p.add_argument("--vth", type=float, default=None,
                    help="hold threshold voltage fixed at this value")
-    p.add_argument("--device", default=None, help="fit only this device id")
+    p.add_argument("--device", default=None,
+                   help="fit only this device id; only its rows are read and checked")
     p.set_defaults(fn=cmd_fit)
 
     p = sub.add_parser("sim", parents=[common],

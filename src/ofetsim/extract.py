@@ -112,7 +112,7 @@ _KINDS = ("transfer", "output")
 _NUMBERS = CSV_COLUMNS[2:]   # in the order a row's cells are checked
 
 
-def read_iv_csv(path) -> list[IvSweep]:
+def read_iv_csv(path, device: str | None = None) -> list[IvSweep]:
     """Read sweeps from a schema-v1 measurement CSV.
 
     Rows are grouped into sweeps whenever device_id, kind, geometry or fixed
@@ -128,20 +128,27 @@ def read_iv_csv(path) -> list[IvSweep]:
     The file is read in one pass: one csv.reader over the kept lines, the
     v and id columns converted whole, each row key converted only where its
     text changes, and sweep boundaries where adjacent rows' keys differ.
+
+    With ``device``, only the rows whose stripped device_id cell equals it
+    are checked and converted, and the sweeps are those the full read gives
+    for that device: a row of another device between two of its rows still
+    ends a sweep.  Other devices' rows are not checked.
     """
     lines: list[int] = []
+    seats: list[int] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         try:
-            rows = list(csv.reader(_kept_lines(fh, lines)))
+            rows = list(csv.reader(_kept_lines(fh, lines, seats, device)))
         except csv.Error:   # a quote left open can run a field past the size limit
             rows = []
     if len(rows) != len(lines):
         # a quote left open ran on into the next line: read each line on
         # its own, as one row
         lines.clear()
+        seats.clear()
         rows = []
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            for t in _kept_lines(fh, lines):
+            for t in _kept_lines(fh, lines, seats, device):
                 try:
                     rows.append(next(csv.reader([t])))
                 except csv.Error as e:   # a cell past csv's field size limit
@@ -150,23 +157,44 @@ def read_iv_csv(path) -> list[IvSweep]:
         raise SchemaError("empty file: no header row")
     header = [c.strip() for c in rows[0]]
     _check_header(header, lines[0])
-    del rows[0], lines[0]
+    del rows[0], lines[0], seats[:1]   # seats is empty without a device
+    blocks = None
+    if device is not None:
+        d = header.index("device_id")
+        keep = [k for k, r in enumerate(rows) if len(r) > d and r[d].strip() == device]
+        rows, lines = [rows[k] for k in keep], [lines[k] for k in keep]
+        # rows of one block are adjacent among all the file's rows
+        blocks = [seats[k] - j for j, k in enumerate(keep)]
     if not rows:
         return []
     if set(map(len, rows)) - {len(header)}:
         k = next(k for k, r in enumerate(rows) if len(r) != len(header))
         raise SchemaError(f"expected {len(header)} cells, got {len(rows[k])}", lines[k])
-    return _sweeps(rows, {c: header.index(c) for c in CSV_COLUMNS}, lines)
+    return _sweeps(rows, {c: header.index(c) for c in CSV_COLUMNS}, lines, blocks)
 
 
-def _kept_lines(fh, lines: list[int]):
+def _kept_lines(fh, lines: list[int], seats: list[int], device: str | None):
     """Stripped text of each line that is neither blank nor a comment; its
-    line number is appended to ``lines``."""
+    line number is appended to ``lines``.
+
+    With ``device``, only the first such line (the header) and the lines
+    that may hold a row of that device are kept, and each kept line's place
+    among all such lines is appended to ``seats``.  A cell's text is a
+    substring of its line unless the line holds a quote (``"de"v1`` reads
+    as dev1), so a line is kept if it holds the id or a quote.
+    """
+    seat = 0
     for n, raw in enumerate(fh, start=1):
         text = raw.strip()
         if text and text[0] != "#":
-            lines.append(n)
-            yield text
+            seat += 1
+            if device is None:
+                lines.append(n)
+                yield text
+            elif seat == 1 or device in text or '"' in text:
+                lines.append(n)
+                seats.append(seat)
+                yield text
 
 
 def _check_header(header: list[str], line: int) -> None:
@@ -201,18 +229,22 @@ def _first_bad_cell(rows, idx: dict, lines: list[int]) -> SchemaError:
     raise AssertionError("a conversion failed but every cell converts")
 
 
-def _sweeps(rows: list[list[str]], idx: dict, lines: list[int]) -> list[IvSweep]:
-    """Split the data rows into sweeps and check each one."""
+def _sweeps(rows: list[list[str]], idx: dict, lines: list[int],
+            blocks: list[int] | None = None) -> list[IvSweep]:
+    """Split the data rows into sweeps and check each one.  ``blocks``, if
+    given, numbers each row's block; no sweep spans two blocks."""
     n = len(rows)
-    # the key cells (device_id, kind, W_um ... fixed_bias_V) of each row; a
-    # sweep can start only where they differ as text from the row before,
-    # and the key there is stripped and converted once for its run
+    # the key cells (device_id, kind, W_um ... fixed_bias_V) of each row, and
+    # its block; a sweep can start only where they differ as text from the
+    # row before, and the key there is stripped and converted once for its run
     keys = list(map(itemgetter(*(idx[c] for c in CSV_COLUMNS[:7])), rows))
+    if blocks is not None:
+        keys = [(*k, b) for k, b in zip(keys, blocks)]
     runs = [0, *(np.flatnonzero(np.fromiter(
         map(ne, islice(keys, 1, None), keys), bool, n - 1)) + 1).tolist()]
     try:
-        norm = [(dev.strip(), kind.strip().lower(), *(float(c.strip()) for c in nums))
-                for dev, kind, *nums in map(keys.__getitem__, runs)]
+        norm = [(k[0].strip(), k[1].strip().lower(), *(float(c.strip()) for c in k[2:7]),
+                 *k[7:]) for k in map(keys.__getitem__, runs)]
         v, i = (np.fromiter(map(float, map(str.strip, map(itemgetter(idx[c]), rows))),
                             float, n) for c in ("v_V", "id_A"))
     except ValueError:
@@ -229,7 +261,7 @@ def _sweeps(rows: list[list[str]], idx: dict, lines: list[int]) -> list[IvSweep]
 
     sweeps = []
     ends = [a for a, _ in starts[1:]] + [n]
-    for (a, (dev, kind, w, l, lov, cox, fb)), b in zip(starts, ends):
+    for (a, (dev, kind, w, l, lov, cox, fb, *_)), b in zip(starts, ends):
         vs, cs, first = v[a:b], i[a:b], lines[a]
         dv = vs[1:] - vs[:-1]
         if vs.size >= 3 and not ((dv > 0).all() or (dv < 0).all()):

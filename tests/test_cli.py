@@ -20,6 +20,7 @@ from ofetsim import analyses, fixtures, netlist
 from ofetsim.cli import main
 from ofetsim.model import ParameterError
 from test_analyses import MC_OUTSIDE_RULES, MC_OVERFLOW
+from test_extract import _batch_like_benchmark
 
 
 BATCH = str(fixtures.path("batch_3dev_iv.csv"))
@@ -178,6 +179,28 @@ def test_fit_held_threshold_spaced_negative(tmp_path):
         cards.append((out / "cards.cir").read_bytes())
     assert cards[0] == cards[1]
     assert "vth=-0.8 " in cards[0].decode()
+
+
+def test_fit_missing_device(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["fit", REFERENCE, BATCH, "--device", "nosuch", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"no sweeps of device 'nosuch' in {REFERENCE}, {BATCH}\n"
+    assert not (out / "cards.cir").exists()
+
+
+def test_fit_device_card_matches_whole_file_fit(tmp_path):
+    # fitting one device of a 13-device file writes its card byte for byte
+    # as fitting the whole file does
+    path = tmp_path / "batch.csv"
+    _batch_like_benchmark(path)
+    assert main(["fit", str(path), "--out", str(tmp_path / "all")]) == 0
+    cards = (tmp_path / "all" / "cards.cir").read_bytes().splitlines(keepends=True)
+    for dev in ("dev3", "dev11"):
+        out = tmp_path / dev
+        assert main(["fit", str(path), "--device", dev, "--out", str(out)]) == 0
+        card = [ln for ln in (out / "cards.cir").read_bytes().splitlines(keepends=True)
+                if ln.startswith(b".model ")]
+        assert card == [ln for ln in cards if ln.startswith(f".model fit_{dev} ".encode())]
 
 
 @pytest.mark.parametrize("vth", ["1e308", "-1e308", "1e100", "-inf", "-infinity", "-nan"])

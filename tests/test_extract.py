@@ -6,6 +6,7 @@ per-window np.polyfit loop they replace, kept here as references."""
 from __future__ import annotations
 
 import csv
+import io
 import math
 
 import numpy as np
@@ -437,10 +438,11 @@ def test_fit_error_carries_best_result():
 # -- one-pass reader against the row-by-row reference -------------------------
 
 
-def _serial_read_iv_csv(path):
+def _serial_read_iv_csv(path, device=None):
     """Row by row: one csv.reader and seven checked float() calls per row,
     each row's key compared with its sweep's first row.  The reference for
-    read_iv_csv, which reads the same file column by column."""
+    read_iv_csv, which reads the same file column by column.  With a device
+    id, every other row is skipped unchecked and ends the sweep before it."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = []
         header = None
@@ -462,6 +464,10 @@ def _serial_read_iv_csv(path):
                     raise SchemaError(f"unknown column(s) {', '.join(unknown)}", lineno)
                 idx = {c: header.index(c) for c in extract.CSV_COLUMNS}
                 continue
+            d = idx["device_id"]
+            if device is not None and (len(cells) <= d or cells[d].strip() != device):
+                rows.append((lineno, None))
+                continue
             if len(cells) != len(header):
                 raise SchemaError(
                     f"expected {len(header)} cells, got {len(cells)}", lineno)
@@ -478,6 +484,9 @@ def _serial_read_iv_csv(path):
 
     groups = []   # key, lines, v, i
     for lineno, cells in rows:
+        if cells is None:   # another device's row
+            groups.append((None, [], [], []))
+            continue
         kind = cells[idx["kind"]].strip().lower()
         if kind not in ("transfer", "output"):
             raise SchemaError(f"column kind: must be transfer or output, got {kind!r}", lineno)
@@ -492,7 +501,7 @@ def _serial_read_iv_csv(path):
         groups[-1][3].append(i)
 
     sweeps = []
-    for (dev, kind, w, l, lov, cox, fb), lines, vs, cs in groups:
+    for (dev, kind, w, l, lov, cox, fb), lines, vs, cs in (g for g in groups if g[0]):
         first = lines[0]
         v = np.array(vs)
         i = np.array(cs)
@@ -522,20 +531,24 @@ def _serial_read_iv_csv(path):
     return sweeps
 
 
-def _read_both(path):
-    """What each reader makes of the file: its sweeps, or its error's
-    message and line."""
+def _read_both(path, device=None):
+    """What each reader makes of the file (of one device's rows, given its
+    id): its sweeps, or its error's message and line."""
     out = []
     for read in (read_iv_csv, _serial_read_iv_csv):
         try:
-            out.append(read(path))
+            out.append(read(path, device))
         except SchemaError as e:
             out.append((type(e), str(e), e.line))
     return out
 
 
 def _assert_same_reading(path):
-    got, want = _read_both(path)
+    _assert_same_sweeps(*_read_both(path))
+
+
+def _assert_same_sweeps(got, want):
+    """The same sweeps, bit for bit, or the same error."""
     if isinstance(want, tuple):
         assert got == want
         return
@@ -662,6 +675,125 @@ def test_reader_matches_serial_reference_on_generated_files(tmp_path_factory, te
     path = tmp_path_factory.mktemp("gen") / "iv.csv"
     path.write_bytes(text.encode("utf-8"))
     _assert_same_reading(path)
+
+
+# -- one device's rows ----------------------------------------------------------
+
+
+def _assert_device_parity(path, extra=("nosuch",)):
+    """Each device's read is, bit for bit, its share of the full read."""
+    full = read_iv_csv(path)
+    for d in sorted({s.device_id for s in full}) + list(extra):
+        got, want = _read_both(path, d)
+        _assert_same_sweeps(got, [s for s in full if s.device_id == d])
+        _assert_same_sweeps(got, want)
+
+
+@pytest.mark.parametrize("name", ["reference_p_iv.csv", "batch_3dev_iv.csv", "batch_13dev"])
+def test_device_reader_matches_full_reader_on_fixtures(tmp_path, name):
+    if name == "batch_13dev":
+        path = tmp_path / "batch.csv"
+        _batch_like_benchmark(path)
+    else:
+        path = fixtures.path(name)
+    # "dev" and "ref" are substrings of ids, not ids
+    _assert_device_parity(path, extra=("nosuch", "dev", "ref", ""))
+
+
+def test_device_reader_keeps_the_file_order_of_sweeps(tmp_path):
+    # x's rows on both sides of y's, or of "xx"'s, are two sweeps; a comment
+    # or a blank line between two rows is not a row and does not split one
+    path = tmp_path / "xyx.csv"
+    x = _sweep_rows(20, dev="x").splitlines(keepends=True)
+    for between in ("y", "xx"):
+        path.write_text(_HEADER + "".join(x[:10]) + _sweep_rows(10, dev=between)
+                        + "".join(x[10:15]) + "# note\n\n" + "".join(x[15:]))
+        _assert_device_parity(path)
+        assert [s.v.size for s in read_iv_csv(path, "x")] == [10, 10]
+
+
+def test_device_reader_on_quoted_ids(tmp_path):
+    # a quote in the id is doubled in the file, a comma is quoted; "d" is
+    # in every other id's lines; dev1 is written quoted in pieces, which
+    # csv reads as dev1, so its lines do not hold its text
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(
+        [dev, "transfer", 380, 35, 5, 35, -30, -0.5 * k, -1e-9]
+        for dev in ('d,"1', "d", 'a,"b', "d", "dev1") for k in range(10))
+    text = _HEADER + out.getvalue().replace("dev1,", '"de"v1,')
+    path = tmp_path / "quoted.csv"
+    assert '"d,""1"' in text and '"de"v1' in text
+    path.write_text(text)
+    _assert_device_parity(path, extra=("nosuch", '"', ""))
+    assert [s.device_id for s in read_iv_csv(path, "d")] == ["d", "d"]
+
+
+def test_device_reader_reads_an_open_quote_line_by_line(tmp_path):
+    rows = _sweep_rows(4000).splitlines()
+    rows[0] = rows[0].replace(",-1e-9", ',"-1e-9')
+    path = tmp_path / "open.csv"
+    path.write_text(_HEADER + _sweep_rows(10, dev="e") + "\n".join(rows) + "\n")
+    _assert_device_parity(path)
+    assert read_iv_csv(path, "d")[0].v.size == 4000
+
+
+@pytest.mark.parametrize("body,needle", _SCHEMA_CASES)
+def test_device_schema_errors_match_serial_reference(tmp_path, body, needle):
+    # every line of these files holds "d" and "e", so both readers parse
+    # every line (the serial reference reports a line csv cannot split
+    # wherever it is)
+    path = tmp_path / "bad.csv"
+    path.write_text(body)
+    for device in ("d", "e"):
+        _assert_same_sweeps(*_read_both(path, device))
+    full = _read_both(path)[0]
+    first = body.splitlines()[full[2] - 1] if full[2] else ""
+    if not first.startswith("e,"):
+        # the file's first fault is in its header or in d's rows
+        assert _read_both(path, "d")[0] == full
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(measurement_csv())
+def test_device_reader_matches_serial_reference_on_generated_files(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("gen") / "iv.csv"
+    path.write_bytes(text.encode("utf-8"))
+    full = _read_both(path)[0]
+    for device in ("dev1", "dev 2", "d,3", "x", "dev", "nosuch"):
+        got, want = _read_both(path, device)
+        _assert_same_sweeps(got, want)
+        if isinstance(full, list):
+            _assert_same_sweeps(got, [s for s in full if s.device_id == device])
+
+
+def test_device_reader_skips_other_devices_faults(tmp_path):
+    # y's rows between x's two sweeps hold, in turn, each kind of fault the
+    # full reader reports; x reads as if they were sound
+    x = _sweep_rows(20, dev="x").splitlines(keepends=True)
+    tail = "".join(x[10:])
+    sound = tmp_path / "sound.csv"
+    sound.write_text(_HEADER + "".join(x[:10]) + _sweep_rows(10, dev="y") + tail)
+    want = [s for s in read_iv_csv(sound) if s.device_id == "x"]
+    assert len(want) == 2
+    path, ref = tmp_path / "bad.csv", tmp_path / "ref.csv"
+    for fault in ("y,transfer,380,35,5,35,-30,0\n",
+                  "y,sideways,380,35,5,35,-30,0,1e-9\n",
+                  "y,transfer,380,35,5,35,-30,-2,-1" + "0" * 140000 + "\n",
+                  _sweep_rows(10, dev="y", v=[0, 1]),
+                  _sweep_rows(10, dev="y", cox=0),
+                  _sweep_rows(5, dev="y")):
+        path.write_text(_HEADER + "".join(x[:10]) + fault + tail)
+        with pytest.raises(SchemaError):
+            read_iv_csv(path)
+        _assert_same_sweeps(read_iv_csv(path, "x"), want)
+        # a fault in x's own rows is the full reader's error for the file
+        # with y's rows made comments
+        for old, new in (("-1e-9", "-1e-9,0"), ("-1e-9", "abc"), ("transfer", "sideways")):
+            head = _HEADER + "".join(x[:4]) + x[4].replace(old, new) + "".join(x[5:10])
+            path.write_text(head + fault + tail)
+            ref.write_text(head + "# y\n" * fault.count("\n") + tail)
+            got = _read_both(path, "x")[0]
+            assert got == _read_both(ref)[0] and got[2] == 6
 
 
 # -- window fits against a per-window polyfit loop -----------------------------
