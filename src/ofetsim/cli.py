@@ -83,7 +83,6 @@ class Run:
         self.dir = Path(root)
         self.dir.mkdir(parents=True, exist_ok=True)
         self.seed = args.seed
-        self.fmt = args.format
         self.inputs: dict[str, str] = {}
         self.outputs: list[str] = []
         self.command = " ".join(sys.argv[1:] if argv is None else argv)
@@ -104,10 +103,7 @@ class Run:
                                   else str(x) for x in row) + "\n")
 
     def write_waveform(self, stem: str, w: engine.Waveform) -> None:
-        if self.fmt in ("csv", "both"):
-            engine.write_waveform_csv(w, self.path(stem + ".csv"))
-        if self.fmt in ("binary", "both"):
-            engine.write_waveform_binary(w, self.path(stem + ".wfb"))
+        engine.write_waveform_csv(w, self.path(stem + ".csv"))
 
     def finish(self) -> None:
         manifest = {
@@ -416,8 +412,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                       "or ./ofetsim-out)")
     common.add_argument("--seed", type=int, default=0,
                         help="seed recorded in the manifest (default 0)")
-    common.add_argument("--format", choices=("csv", "binary", "both"),
-                        default="csv", help="waveform artifact format")
     common.add_argument("-v", "--verbose", action="store_true")
 
     ap = _Parser(

@@ -52,8 +52,8 @@ views into the arrays of the largest stack yet.  The matrices, residuals and
 scatter values are allocated by each call and iteration: at this size an
 allocation costs about what filling a kept array in place does.
 
-Waveforms serialize to CSV and to a compact little-endian binary table; both
-writers are bit-reproducible for identical inputs.
+Waveforms serialize to CSV, the one waveform file: every number is repr() of
+a float, so read_waveform_csv returns the written bits.
 """
 
 from __future__ import annotations
@@ -61,14 +61,13 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
-import struct
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
 from . import kernels
-from .model import device_capacitances
+from .model import device_capacitances, kernel_args
 from .netlist import Circuit, DcSweep, Tran, card_with, sweep_count
 
 
@@ -162,52 +161,12 @@ def write_waveform_csv(w: Waveform, path) -> None:
 
 
 def read_waveform_csv(path) -> Waveform:
+    """Inverse of write_waveform_csv, bit for bit, at any row count (0 too)."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        data = np.array([ln.split(",") for ln in fh], dtype=float).reshape(-1, len(header))
     cols = {name: data[:, j + 1] for j, name in enumerate(header[1:])}
     return Waveform(axis_name=header[0], axis=data[:, 0], columns=cols)
-
-
-_MAGIC = b"OFWV"
-_BINARY_VERSION = 1
-
-
-def write_waveform_binary(w: Waveform, path) -> None:
-    """Binary table: magic OFWV, version byte, little-endian float64 columns."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<BB", _BINARY_VERSION, 0))
-        name = w.axis_name.encode()
-        fh.write(struct.pack("<H", len(name)) + name)
-        fh.write(struct.pack("<I", len(w.columns)))
-        for n in w.names:
-            nb = n.encode()
-            fh.write(struct.pack("<H", len(nb)) + nb)
-        fh.write(struct.pack("<Q", w.axis.size))
-        fh.write(np.ascontiguousarray(w.axis, dtype="<f8").tobytes())
-        for n in w.names:
-            fh.write(np.ascontiguousarray(w.columns[n], dtype="<f8").tobytes())
-
-
-def read_waveform_binary(path) -> Waveform:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError("not a waveform file (bad magic)")
-        version, _flags = struct.unpack("<BB", fh.read(2))
-        if version != _BINARY_VERSION:
-            raise ValueError(f"unsupported waveform version {version}")
-        (n,) = struct.unpack("<H", fh.read(2))
-        axis_name = fh.read(n).decode()
-        (ncols,) = struct.unpack("<I", fh.read(4))
-        names = []
-        for _ in range(ncols):
-            (n,) = struct.unpack("<H", fh.read(2))
-            names.append(fh.read(n).decode())
-        (nrows,) = struct.unpack("<Q", fh.read(8))
-        axis = np.frombuffer(fh.read(8 * nrows), dtype="<f8")
-        cols = {name: np.frombuffer(fh.read(8 * nrows), dtype="<f8") for name in names}
-    return Waveform(axis_name=axis_name, axis=axis, columns=cols)
 
 
 # -- elaboration --------------------------------------------------------------
@@ -297,9 +256,8 @@ class _System:
         ia, ib = _ends(isrc)
         self.m_d, self.m_g, self.m_s = d, g, s = _ends(otfts, 3)
         # kernel arguments after vgs and vds, one array per card quantity
-        self.m_par = tuple(np.array([
-            (p.sign, p.geom.w / p.geom.l * p.cox, p.mu0, p.sign * p.vth,
-             p.ss, p.gamma, p.lam, p.order) for *_dgs, p in otfts], dtype=float).reshape(-1, 8).T)
+        self.m_par = tuple(np.array([kernel_args(p) for *_dgs, p in otfts],
+                                    dtype=float).reshape(-1, 8).T)
         # update clamp and floor: numpy takes 0-d arrays faster than floats
         self._clamp = np.array(-cfg.damping), np.array(cfg.damping), np.array(cfg.vntol)
         # the DC rescue ladder, see solve_dc: (name, solves), a solve (gshunt, alpha)

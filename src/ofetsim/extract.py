@@ -137,22 +137,20 @@ def read_iv_csv(path, device: str | None = None) -> list[IvSweep]:
     lines: list[int] = []
     seats: list[int] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        try:
-            rows = list(csv.reader(_kept_lines(fh, lines, seats, device)))
-        except csv.Error:   # a quote left open can run a field past the size limit
-            rows = []
-    if len(rows) != len(lines):
+        texts = list(_kept_lines(fh, lines, seats, device))
+    try:
+        rows = list(csv.reader(texts))
+    except csv.Error:   # a quote left open can run a field past the size limit
+        rows = []
+    if len(rows) != len(texts):
         # a quote left open ran on into the next line: read each line on
         # its own, as one row
-        lines.clear()
-        seats.clear()
         rows = []
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            for t in _kept_lines(fh, lines, seats, device):
-                try:
-                    rows.append(next(csv.reader([t])))
-                except csv.Error as e:   # a cell past csv's field size limit
-                    raise SchemaError(str(e), lines[-1]) from None
+        for t, line in zip(texts, lines):
+            try:
+                rows.append(next(csv.reader([t])))
+            except csv.Error as e:   # a cell past csv's field size limit
+                raise SchemaError(str(e), line) from None
     if not rows:
         raise SchemaError("empty file: no header row")
     header = [c.strip() for c in rows[0]]

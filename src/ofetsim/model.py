@@ -98,6 +98,13 @@ class OtftParams:
         return dataclasses.replace(self, **changes)
 
 
+def kernel_args(p: OtftParams) -> tuple:
+    """The card arguments of kernels.otft_eval after vgs and vds, in order:
+    sign, W/L * cox, mu0, sign * vth, ss, gamma, lam, order."""
+    return (p.sign, p.geom.w / p.geom.l * p.cox, p.mu0, p.sign * p.vth,
+            p.ss, p.gamma, p.lam, p.order)
+
+
 def _eval_batch(p: OtftParams, vgs, vds, rows: int = 3) -> tuple[np.ndarray, tuple]:
     vg = np.asarray(vgs, dtype=float)
     vd = np.asarray(vds, dtype=float)
@@ -106,12 +113,12 @@ def _eval_batch(p: OtftParams, vgs, vds, rows: int = 3) -> tuple[np.ndarray, tup
     vg, vd = np.broadcast_arrays(vg, vd)
     shape = vg.shape
     n = vg.size
+    sign, kwl, mu0, vthn, ss, gamma, lam, order = kernel_args(p)
     # the exponents gamma and order stay arrays: see kernels.otft_eval
     out = kernels.otft_eval(
         np.ascontiguousarray(vg.ravel(), dtype=float),
         np.ascontiguousarray(vd.ravel(), dtype=float),
-        p.sign, p.geom.w / p.geom.l * p.cox, p.mu0, p.sign * p.vth,
-        p.ss, np.full(n, p.gamma), p.lam, np.full(n, p.order),
+        sign, kwl, mu0, vthn, ss, np.full(n, gamma), lam, np.full(n, order),
         out=np.empty((rows, n)),
     )
     return out, shape

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -446,16 +447,27 @@ def test_sim_dc_unknown_source(tmp_path, capsys, sweep):
     assert not (out / "manifest.json").exists()
 
 
-def test_sim_waveform_binary_format(tmp_path):
+def test_sim_writes_the_transient_as_csv_only(tmp_path, capsys):
+    text = "rc\nv1 in 0 dc 5\nr1 in out 1k\nc1 out 0 1n\n.tran 1u 20u\n.end\n"
     net = tmp_path / "rc.cir"
-    net.write_text("rc\nv1 in 0 dc 5\nr1 in out 1k\nc1 out 0 1n\n"
-                   ".tran 1u 20u\n.end\n")
+    net.write_text(text)
     out = tmp_path / "o"
-    assert main(["sim", str(net), "--out", str(out), "--format", "binary"]) == 0
-    from ofetsim.engine import read_waveform_binary
-    w = read_waveform_binary(out / "tran_0.wfb")
-    assert "v(out)" in w.columns
-    assert not (out / "tran_0.csv").exists()
+    assert main(["sim", str(net), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "metrics_0.csv",
+                                                    "tran_0.csv"]
+    from ofetsim.engine import SolverConfig, read_waveform_csv, transient
+    c = netlist.parse(text)
+    want = transient(c, c.analyses[0], SolverConfig())
+    got = read_waveform_csv(out / "tran_0.csv")
+    assert (got.axis_name, got.names) == (want.axis_name, want.names)
+    for g, w in zip([got.axis, *got.columns.values()], [want.axis, *want.columns.values()]):
+        assert np.array_equal(g.view(np.int64), w.view(np.int64))
+    # the one waveform file: there is no option to choose another
+    for fmt in ("csv", "binary"):
+        gone = tmp_path / fmt
+        assert main(["sim", str(net), "--out", str(gone), "--format", fmt]) == 1
+        assert "--format" in capsys.readouterr().err
+        assert not gone.exists()
 
 
 # -- reproduce ---------------------------------------------------------------
