@@ -597,6 +597,26 @@ def test_reader_reads_an_open_quote_line_by_line(tmp_path):
     assert read_iv_csv(path)[0].v.size == 4000
 
 
+def test_reader_opens_an_open_quote_file_once(tmp_path, monkeypatch):
+    # the line-by-line re-read of an open quote works on the lines already
+    # read, for the whole file and for one device's rows
+    rows = _sweep_rows(20).splitlines()
+    rows[0] = rows[0].replace(",-1e-9", ',"-1e-9')
+    path = tmp_path / "open.csv"
+    path.write_text(_HEADER + _sweep_rows(10, dev="e") + "\n".join(rows) + "\n")
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(extract, "open", counting_open, raising=False)
+    for device, sizes in ((None, [10, 20]), ("d", [20])):
+        opened.clear()
+        assert [s.v.size for s in read_iv_csv(path, device)] == sizes
+        assert opened == [path]
+
+
 @pytest.mark.parametrize("body,needle", _SCHEMA_CASES)
 def test_schema_errors_match_serial_reference(tmp_path, body, needle):
     path = tmp_path / "bad.csv"

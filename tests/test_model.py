@@ -7,12 +7,14 @@ transforms, and parameter validation.
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 from conftest import REF_GEOM, ref_params
+from ofetsim import kernels
 from ofetsim.model import (
     DeviceGeometry,
     OtftParams,
@@ -22,6 +24,7 @@ from ofetsim.model import (
     device_capacitances,
     drain_current,
     drain_current_with_contacts,
+    kernel_args,
     load_strain_table,
     output_conductance,
     transconductance,
@@ -267,3 +270,21 @@ def test_scalar_and_array_shapes(pcard):
     assert isinstance(drain_current(pcard, -10.0, -10.0), float)
     out = drain_current(pcard, np.zeros((3, 4)) - 10.0, np.zeros((3, 4)) - 5.0)
     assert out.shape == (3, 4)
+
+
+def test_kernel_args_are_the_card_in_kernel_order():
+    # each card argument sits at the otft_eval parameter it names, and
+    # feeding them to the kernel gives the model's drain current bit for bit
+    names = list(inspect.signature(kernels.otft_eval).parameters)[2:10]
+    vg = np.linspace(-20.0, 20.0, 41)
+    vd = np.linspace(15.0, -15.0, 41)
+    for p in random_cards(6, seed=31):
+        want = {"sign": p.sign, "kwl": p.geom.w / p.geom.l * p.cox, "mu0": p.mu0,
+                "vthn": p.sign * p.vth, "ss": p.ss, "gamma": p.gamma, "lam": p.lam,
+                "order": p.order}
+        args = kernel_args(p)
+        assert dict(zip(names, args)) == want
+        sign, kwl, mu0, vthn, ss, gamma, lam, order = args
+        got = kernels.otft_eval(vg, vd, sign, kwl, mu0, vthn, ss, np.full(41, gamma),
+                                lam, np.full(41, order))[0]
+        assert np.array_equal(got.view(np.int64), drain_current(p, vg, vd).view(np.int64))
