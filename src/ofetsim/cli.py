@@ -4,8 +4,8 @@ Subcommands map onto the library layers: ``extract`` and ``fit`` wrap the
 measurement-CSV pipeline, ``sim`` runs the analysis directives of a netlist,
 and ``reproduce`` regenerates the canned figure-analogue datasets from the
 checked-in fixtures.  Every run writes a ``manifest.json`` recording input
-hashes, the seed, and the tool version, and never writes outside the chosen
-output directory.
+hashes, the solver settings and the tool version, and never writes outside
+the chosen output directory.
 
 Exit codes: 0 success, 1 usage, 2 bad input or schema, 3 numerical failure.
 """
@@ -82,7 +82,6 @@ class Run:
         root = args.out or os.environ.get("OFETSIM_OUT") or "ofetsim-out"
         self.dir = Path(root)
         self.dir.mkdir(parents=True, exist_ok=True)
-        self.seed = args.seed
         self.inputs: dict[str, str] = {}
         self.outputs: list[str] = []
         self.command = " ".join(sys.argv[1:] if argv is None else argv)
@@ -110,7 +109,6 @@ class Run:
             "command": self.command,
             "inputs": dict(sorted(self.inputs.items())),
             "outputs": {n: _sha256(self.dir / n) for n in sorted(self.outputs)},
-            "seed": self.seed,
             "solver": asdict(self.cfg),
             "version": __version__,
         }
@@ -229,10 +227,10 @@ def cmd_sim(args, run: Run) -> int:
     run.note_input(src)
     text = src.read_text(encoding="utf-8")
     c = netlist.parse(text)  # NetlistError propagates before any artifact
-    errors = [d for d in netlist.validate(c) if d.severity == "error"]
-    if errors:
-        for d in errors:
-            print(d, file=sys.stderr)
+    diagnostics = netlist.validate(c)
+    for d in diagnostics:   # warnings too, though they stop no run
+        print(d, file=sys.stderr)
+    if any(d.severity == "error" for d in diagnostics):
         return E_INPUT
     if not c.analyses:
         print("netlist has no analysis directives", file=sys.stderr)
@@ -410,8 +408,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="output directory (default: $OFETSIM_OUT "
                                       "or ./ofetsim-out)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed recorded in the manifest (default 0)")
     common.add_argument("-v", "--verbose", action="store_true")
 
     ap = _Parser(

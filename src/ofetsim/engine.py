@@ -10,13 +10,13 @@ drain-current injection, plus the node incidence of every branch current for
 the residual scale.  A Newton iteration applies it in two scatters (and a
 third for the residual scale once the update is small), solves for the
 update and stops on that update: when every KCL residual at the point
-just evaluated is within abstol + reltol * (sum of |branch currents| at the
-node), or vntol + reltol * |V| on a voltage-source row, and every clipped node
-update is below vntol, it returns the point plus the update, with no further
-evaluation.  A failed call records its largest |residual| and that row for
-ConvergenceError.  DC climbs one rescue ladder, a table of rungs each tried
-from zero: plain damped Newton, gmin (node shunts from 1e-3 S down to gmin,
-then none), source (source levels 0.1 to 1.0).  Transient uses backward
+just evaluated is within ABSTOL + reltol * (sum of |branch currents| at the
+node), or VNTOL + reltol * |V| on a voltage-source row, and every node update,
+clipped to DAMPING, is below VNTOL, it returns the point plus the update, with
+no further evaluation.  A failed call records its largest |residual| and that
+row for ConvergenceError.  DC climbs one rescue ladder, a table of rungs each
+tried from zero: plain damped Newton, gmin (node shunts from 1e-3 S down to
+GMIN, then none), source (source levels 0.1 to 1.0).  Transient uses backward
 Euler or trapezoidal companions with step-doubling error control.
 Every Newton solve after the first point starts from the predictor, as in
 SPICE2: the polynomial through the last points of the solution path at the
@@ -88,23 +88,24 @@ class ConvergenceError(Exception):
         super().__init__(message)
 
 
+# Newton and elaboration constants, the same for every solve
+ABSTOL = 1e-12    # KCL residual floor, A
+VNTOL = 1e-6      # Newton update floor, V
+GMIN = 1e-12      # permanent transistor shunt, S
+DAMPING = 0.5     # max node-voltage update per iteration, V
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    abstol: float = 1e-12        # KCL residual floor, A
     reltol: float = 1e-4
-    vntol: float = 1e-6          # Newton update floor, V
     max_newton_iters: int = 100
-    gmin: float = 1e-12          # permanent transistor shunt, S
-    damping: float = 0.5         # max node-voltage update per iteration, V
     method: str = "trap"         # "trap" | "be"
     lte_tol: float = 1e-4
     min_step: float = 1e-15
-    max_step: float | None = None
     fixed_step: bool = False     # integrate exactly at the directive step
 
     def __post_init__(self):
-        positive = ["abstol", "reltol", "vntol", "gmin", "damping", "lte_tol", "min_step"]
-        for name in positive + ([] if self.max_step is None else ["max_step"]):
+        for name in ("reltol", "lte_tol", "min_step"):
             v = getattr(self, name)
             # written so that NaN fails: every comparison with NaN is False
             if not 0.0 < v < math.inf:
@@ -197,6 +198,15 @@ def _pair_stamp(dim, a, b):
 
 _PLAIN = ((0.0, 1.0),)   # one Newton solve: no node shunt, sources at full level
 
+# the DC rescue ladder, see solve_dc: (name, solves), a solve (gshunt, alpha)
+_SHUNTS = [1e-3]
+while _SHUNTS[-1] * 0.1 >= GMIN:   # repeated products, not 10.0 ** -k: the ladder's floats
+    _SHUNTS.append(_SHUNTS[-1] * 0.1)
+_RUNGS = (("plain", _PLAIN), ("gmin", (*((g, 1.0) for g in _SHUNTS), *_PLAIN)),
+          ("source", tuple((0.0, a) for a in np.linspace(0.1, 1.0, 10))))
+# update clamp and floor: numpy takes 0-d arrays faster than floats
+_CLAMP = np.array(-DAMPING), np.array(DAMPING), np.array(VNTOL)
+
 
 class _System:
     """Assembled arrays and stamp table for one circuit, and its Newton solver."""
@@ -229,7 +239,7 @@ class _System:
                     di, si = len(names), len(names) + 1
                     names += [f"{e.name}#d", f"{e.name}#s"]
                     cond += [(d, di, gc), (s, si, gc)]
-                cond += [(di, si, cfg.gmin), (g, si, cfg.gmin)]
+                cond += [(di, si, GMIN), (g, si, GMIN)]
                 cgs, cgd = device_capacitances(p)
                 caps += [(g, s, cgs), (g, d, cgd)]
                 otfts.append((di, g, si, p))
@@ -245,8 +255,9 @@ class _System:
         # sources, voltage sources first; overrides find theirs by name
         srcs = vsrc + isrc
         self.waves = [w for _a, _b, w, _n in srcs]
-        self.source_index = {name: k for k, (_a, _b, _w, name) in enumerate(srcs)}
-        self.vsource_names = [name for _a, _b, _w, name in vsrc]
+        self.source_names = [name for _a, _b, _w, name in srcs]
+        self.source_index = {name: k for k, name in enumerate(self.source_names)}
+        self.vsource_names = self.source_names[:len(vsrc)]
 
         cond_a, cond_b = _ends(cond)
         self.cond_g = np.array([g for _a, _b, g in cond], dtype=float)
@@ -258,15 +269,6 @@ class _System:
         # kernel arguments after vgs and vds, one array per card quantity
         self.m_par = tuple(np.array([kernel_args(p) for *_dgs, p in otfts],
                                     dtype=float).reshape(-1, 8).T)
-        # update clamp and floor: numpy takes 0-d arrays faster than floats
-        self._clamp = np.array(-cfg.damping), np.array(cfg.damping), np.array(cfg.vntol)
-        # the DC rescue ladder, see solve_dc: (name, solves), a solve (gshunt, alpha)
-        gshunt, shunts = 1e-3, []
-        while gshunt >= cfg.gmin:   # repeated products, not 10.0 ** -k: the ladder's floats
-            shunts.append((gshunt, 1.0))
-            gshunt *= 0.1
-        self.rungs = (("plain", _PLAIN), ("gmin", (*shunts, *_PLAIN)),
-                      ("source", tuple((0.0, a) for a in np.linspace(0.1, 1.0, 10))))
         self._stacks = {}    # nrep -> stack table, views into self._full
         self._full = None    # the stacked arrays of the largest stack yet
         self.fail = []   # per replica of the last Newton call: None, or see _failed
@@ -344,8 +346,16 @@ class _System:
 
     def sources(self, t=None, overrides=None):
         """One source row, voltage sources first: each wave's value at the
-        time t (None: its DC level), with the sources named in overrides set."""
-        row = np.array([w.value(t) for w in self.waves], dtype=float)
+        time t (None: its DC level), with the sources named in overrides set.
+        A wave with no float value at t (a sine whose phase or envelope leaves
+        the float range) is a ConvergenceError that names its source."""
+        vals = []
+        try:
+            vals.extend(w.value(t) for w in self.waves)   # appends wave by wave
+        except (ValueError, OverflowError):
+            raise ConvergenceError(f"source {self.source_names[len(vals)]}: value out of "
+                                   f"the float range at t={t:g}", at=t) from None
+        row = np.array(vals, dtype=float)
         for name, v in (overrides or {}).items():
             row[self.source_index[name]] = v
         return row
@@ -402,7 +412,7 @@ class _System:
             ((cs[:, :, None] * _I_SIGNS).reshape(nrep, -1), vs, cap_ieq, -cap_ieq),
             axis=1).ravel(), nrep * dim0).reshape(nrep, dim0, 1)
         # voltage-source rows are potential differences, not currents
-        tol_branch = cfg.vntol + cfg.reltol * np.abs(vs)
+        tol_branch = VNTOL + cfg.reltol * np.abs(vs)
 
         live = range(nrep)   # replica of each stacked row
         result = [None] * nrep
@@ -411,7 +421,7 @@ class _System:
         xfull[:, 1:] = x0
         xf, xcol = xfull.reshape(-1), xfull[:, :, None]
         n_g, n_lin = self.cond_g.size, self.lin_a.size
-        vntol = self._clamp[2]
+        vntol = _CLAMP[2]
         limit = cfg.max_newton_iters   # moved on for a chained replica, below
         for it in itertools.count():
             if it == limit or it == cfg.max_newton_iters and live[0] < nrep - 1:
@@ -449,7 +459,7 @@ class _System:
                                               v[:, 2 * n_lin:], idr), axis=1))
                 scale = np.bincount(tab.scale_idx, np.concatenate((a_br, a_br), axis=1).ravel(),
                                     xf.size)
-                tol = (cfg.abstol + cfg.reltol * scale).reshape(xfull.shape)
+                tol = (ABSTOL + cfg.reltol * scale).reshape(xfull.shape)
                 tol[:, nb0:] = tol_branch
                 within = (np.abs(f_col[:, 1:, 0]) <= tol[:, 1:]).all(axis=1).tolist()
                 conv = [a and b for a, b in zip(conv, within)]
@@ -488,7 +498,7 @@ class _System:
             for k in range(len(b)):
                 with contextlib.suppress(np.linalg.LinAlgError):
                     dx[k] = np.linalg.solve(a[k], b[k, :, 0])
-        lo, hi, _vntol = self._clamp
+        lo, hi, _vntol = _CLAMP
         dxn = dx[:, :self.n_nodes]
         np.minimum(np.maximum(dxn, lo, out=dxn), hi, out=dxn)
         return dx
@@ -510,11 +520,11 @@ class _System:
 
     def solve_dc(self, src, context="dc operating point", start=None):
         """Newton at the source row ``src`` up the rescue ladder: plain, then
-        gmin (shunts of 1e-3 S down to cfg.gmin, then none), then source
+        gmin (shunts of 1e-3 S down to GMIN, then none), then source
         (levels 0.1 to 1.0), each from zero, after one plain solve from
         ``start`` when it is given.  A rung's solve starts from the one
         before; the first rung whose solves all converge gives the point."""
-        ladder = [(np.zeros(self.dim0 - 1), solves) for _name, solves in self.rungs]
+        ladder = [(np.zeros(self.dim0 - 1), solves) for _name, solves in _RUNGS]
         if start is not None:
             ladder.insert(0, (start, _PLAIN))
         for x, solves in ladder:
@@ -658,8 +668,6 @@ def transient(c: Circuit, directive: Tran, cfg: SolverConfig | None = None,
     sys = _System(c, cfg)
     stop = directive.stop
     max_h = directive.max_step if directive.max_step is not None else directive.step
-    if cfg.max_step is not None:
-        max_h = min(max_h, cfg.max_step)
 
     cap_c = sys.cap_c
     if ic is None:

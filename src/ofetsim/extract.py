@@ -60,7 +60,7 @@ class IvSweep:
 
     kind        "transfer" (v = VGS, fixed_bias = VDS) or "output" (v = VDS,
                 fixed_bias = VGS)
-    fixed_bias  the non-swept terminal voltage, V
+    fixed_bias  the non-swept terminal voltage, V; finite
     v, i        swept voltage and drain current arrays
     """
 
@@ -75,6 +75,8 @@ class IvSweep:
     def __post_init__(self):
         if self.kind not in ("transfer", "output"):
             raise ValueError(f"sweep kind must be transfer or output, got {self.kind!r}")
+        if not math.isfinite(self.fixed_bias):
+            raise ValueError(f"fixed bias must be finite, got {self.fixed_bias}")
         v = np.asarray(self.v, dtype=float)
         i = np.asarray(self.i, dtype=float)
         if v.ndim != 1 or v.shape != i.shape:
@@ -250,11 +252,8 @@ def _sweeps(rows: list[list[str]], idx: dict, lines: list[int],
     if norm is None or any(k[1] not in _KINDS for k in norm):
         raise _first_bad_cell(rows, idx, lines)
     starts = []   # (first row, key) of each sweep
-    for k, (a, b) in enumerate(zip(runs, runs[1:] + [n])):
-        if any(x != x for x in norm[k][2:]):
-            # a NaN equals nothing, so each row is a sweep of its own
-            starts.extend((r, norm[k]) for r in range(a, b))
-        elif k == 0 or norm[k] != norm[k - 1]:
+    for k, a in enumerate(runs):
+        if k == 0 or norm[k] != norm[k - 1]:
             starts.append((a, norm[k]))
 
     sweeps = []

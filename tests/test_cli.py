@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 import ofetsim
 from ofetsim import analyses, fixtures, netlist
 from ofetsim.cli import main
+from ofetsim.engine import SolverConfig
 from ofetsim.model import ParameterError
 from test_analyses import MC_OUTSIDE_RULES, MC_OVERFLOW
 from test_extract import _batch_like_benchmark
@@ -180,6 +182,22 @@ def test_fit_held_threshold_spaced_negative(tmp_path):
         cards.append((out / "cards.cir").read_bytes())
     assert cards[0] == cards[1]
     assert "vth=-0.8 " in cards[0].decode()
+
+
+@pytest.mark.parametrize("bias", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("device", [[], ["--device", "ref-p"]])
+def test_fit_non_finite_fixed_bias(tmp_path, capsys, bias, device):
+    # inf was a traceback from the model (exit 1), and NaN made each row a
+    # sweep of one point; both are bad input at the sweep's first line
+    text = pathlib.Path(REFERENCE).read_text()
+    assert text.splitlines()[122].startswith("ref-p,output,380.0,35.0,5.0,35.0,-10.0,")
+    path = tmp_path / "bias.csv"
+    path.write_text(text.replace("35.0,-10.0,", f"35.0,{bias},"))
+    out = tmp_path / "o"
+    assert main(["fit", str(path), *device, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"line 123: output sweep of 'ref-p': fixed bias must be finite, got {float(bias)}\n")
+    assert not (out / "cards.cir").exists()
 
 
 def test_fit_missing_device(tmp_path, capsys):
@@ -345,21 +363,49 @@ def test_sim_mc_draw_that_overflows(tmp_path, capsys):
 def test_sim_deck_without_conductor(tmp_path, capsys, deck, context):
     # node a has no DC path, so every rung fails; with no resistor, V source
     # or transistor the gmin rung shunted an integer matrix (exit 1), and
-    # the singular solve was reported as "largest residual 0 at node a"
+    # the singular solve was reported as "largest residual 0 at node a";
+    # netlist.validate's warning names the node before the run
     net = tmp_path / "float.cir"
     net.write_text(f"floating node\n{deck}\n.end\n")
     assert main(["sim", str(net), "--out", str(tmp_path / "o")]) == 3
     assert capsys.readouterr().err == (
+        "warning: line 0: node 'a' has no DC path to ground\n"
         f"{context}: no convergence (failed at source step 0.1); "
         "node a has no DC path\n")
+
+
+@pytest.mark.parametrize("wave", ["sin(0 1 1e308)", "sin(0 1 1k 0 -1e308)"])
+def test_sim_sine_past_the_float_range(tmp_path, capsys, wave):
+    # the phase 2 pi f t, or the envelope exp(-theta t), leaves the float
+    # range at the first step: it was math's ValueError or OverflowError, a
+    # traceback (exit 1)
+    net = tmp_path / "sin.cir"
+    net.write_text(f"sine\nv0 c 0 dc 1\nr0 c 0 1k\nv1 a 0 {wave}\nr1 a b 1k\nc1 b 0 1n\n"
+                   ".tran 1u 10u\n.end\n")
+    out = tmp_path / "o"
+    assert main(["sim", str(net), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "source v1: value out of the float range at t=5e-09\n"
+    assert not (out / "tran_0.csv").exists()
+
+
+def test_sim_prints_validation_warnings(tmp_path, capsys):
+    # they were computed and dropped; they stop no run
+    net = tmp_path / "unused.cir"
+    net.write_text("unused model\n.model m otftp mu0=2e-5 vth=-1 ss=0.2 cox=3.5e-4 w=100u l=10u\n"
+                   "v1 a 0 dc 1\nr1 a 0 1k\n.op\n.end\n")
+    out = tmp_path / "o"
+    assert main(["sim", str(net), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == "warning: line 0: model 'm' is never instantiated\n"
+    assert (out / "op_0.csv").is_file()
 
 
 _NODE = st.sampled_from(["0", "a", "b", "c", "out"])
 # suffixes, signed zeros, negatives, the ends of the float range, overflow,
 # NaN, infinity and a .param name
-_NUMBER = st.sampled_from(["1", "2.5", "10k", "4.7u", "100p", "3meg", "0", "-0", "-5",
-                           "-1e-3", "1e-300", "1e308", "1e400", "1e306meg", "nan", "inf",
-                           "big"])
+_NUMBERS = ["1", "2.5", "10k", "4.7u", "100p", "3meg", "0", "-0", "-5", "-1e-3", "1e-300",
+            "1e308", "1e400", "1e306meg", "nan", "inf", "big"]
+_NUMBER = st.sampled_from(_NUMBERS)
+_FINITE = st.sampled_from([x for x in _NUMBERS if x not in ("1e400", "1e306meg", "nan", "inf")])
 _OVERRIDE = st.builds("{}={}".format,
                       st.sampled_from(["mu0", "vth", "ss", "lambda", "rc", "w", "l"]), _NUMBER)
 
@@ -372,19 +418,28 @@ def _card(draw, k):
     if kind == "M":
         overrides = draw(st.lists(_OVERRIDE, max_size=2))
         return " ".join([f"m{k} {nodes}", draw(st.sampled_from(["pm", "nm"])), *overrides])
-    dc = "dc " if kind in "VI" else ""
-    return f"{kind.lower()}{k} {nodes} {dc}{draw(_NUMBER)}"
+    if kind in "RC":
+        return f"{kind.lower()}{k} {nodes} {draw(_NUMBER)}"
+    shape = draw(st.sampled_from([("dc {}", 1, 1), ("pulse({})", 2, 7), ("sin({})", 3, 5)]))
+    # half the sources finite, so that transients of pulses and sines run
+    numbers = draw(st.sampled_from([_NUMBER, _FINITE]))
+    args = draw(st.lists(numbers, min_size=shape[1], max_size=shape[2]))
+    return f"{kind.lower()}{k} {nodes} " + shape[0].format(" ".join(args))
 
 
 _CARDS = st.integers(1, 6).flatmap(lambda n: st.tuples(*[_card(k) for k in range(n)]))
-_DIRECTIVE = st.one_of(st.just(".op"), st.builds(
+_DIRECTIVE = st.one_of(st.just(".op"), st.just(".tran 1u 10u"), st.builds(
     ".mc {} 7 {}=normal {} {}".format, st.sampled_from(["1", "3"]),
     st.sampled_from(["vth", "mu0", "ss"]), _NUMBER, _NUMBER))
+_SIN_RC = ("r1 a b 1k", "c1 b 0 1n")
 
 
-@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(cards=_CARDS, directive=_DIRECTIVE)
 @example(cards=("c1 a 0 1p",), directive=".op")   # no conductor: a traceback (exit 1)
+# a sine whose phase, or whose envelope, leaves the float range: a traceback
+@example(cards=("v1 a 0 sin(0 1 1e308)", *_SIN_RC), directive=".tran 1u 10u")
+@example(cards=("v1 a 0 sin(0 1 1k 0 -1e308)", *_SIN_RC), directive=".tran 1u 10u")
 def test_generated_deck_never_exits_1(cards, directive):
     # a deck is run (0), bad input (2) or a numerics failure (3), never a
     # crash; stdout and stderr go to pytest's capture
@@ -497,6 +552,25 @@ def test_unknown_solver_key(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def test_solver_config_has_six_fields():
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+        "reltol", "max_newton_iters", "method", "lte_tol", "min_step", "fixed_step"]
+
+
+@pytest.mark.parametrize("opts, word", [
+    *[([f"--solver.{key}=1e-6"], repr(key))
+      for key in ("abstol", "vntol", "gmin", "damping", "max_step")],
+    (["--seed", "1"], "--seed"), (["--seed=1"], "--seed")])
+def test_removed_option_is_a_usage_error(tmp_path, capsys, opts, word):
+    # the engine constants and the seed are no options: a usage error, and
+    # no output directory
+    out = tmp_path / "o"
+    assert main(["sim", str(fixtures.path("nand_pseudo_e.cir")),
+                 "--out", str(out), *opts]) == 1
+    assert word in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("opt", ["reltol=abc", "max_newton_iters=1.5",
                                  "fixed_step=maybe", "fixed_step="])
 def test_malformed_solver_value(tmp_path, capsys, opt):
@@ -508,8 +582,8 @@ def test_malformed_solver_value(tmp_path, capsys, opt):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("opt", ["reltol=nan", "abstol=inf", "max_step=nan",
-                                 "max_step=-1", "min_step=inf", "max_newton_iters=0"])
+@pytest.mark.parametrize("opt", ["reltol=nan", "lte_tol=inf", "lte_tol=0",
+                                 "min_step=-1", "min_step=inf", "max_newton_iters=0"])
 def test_invalid_solver_setting(tmp_path, capsys, opt):
     # well-formed values that no solve can use are bad input, not a numerics
     # failure, a crash or a run

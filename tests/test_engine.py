@@ -216,7 +216,7 @@ def test_nonlinear_kcl_residual():
     card = c.model_card("pm")
     i_m = float(drain_current(card, vd, vd))  # rc = 0 on this card
     scale = max(abs(i_r), abs(i_m))
-    assert abs(i_r - i_m) <= cfg.abstol + 10.0 * cfg.reltol * scale
+    assert abs(i_r - i_m) <= engine.ABSTOL + 10.0 * cfg.reltol * scale
 
     # rc = 0 on both cards, so the two channels stamp the same matrix entries
     c = netlist.parse(SHARED_NET)
@@ -228,7 +228,7 @@ def test_nonlinear_kcl_residual():
     assert abs(i_1) > 1e-7 and abs(i_2) > 1e-7  # both channels conduct
     scale = max(abs(i_top), abs(i_s), abs(i_1), abs(i_2))
     for i_r in (i_top, i_s):  # KCL at the shared drain and the shared source
-        assert abs(i_r - i_1 - i_2) <= cfg.abstol + 10.0 * cfg.reltol * scale
+        assert abs(i_r - i_1 - i_2) <= engine.ABSTOL + 10.0 * cfg.reltol * scale
 
 
 def test_stamp_table_replays_element_loops():
@@ -394,7 +394,7 @@ def kernel_calls(monkeypatch):
     p.name for p in fixtures.path("ro_pseudo_e.cir").parent.glob("*.cir")))
 def test_newton_exits_on_converging_update(name, kernel_calls):
     # from a converged point, one evaluation shows the residual within
-    # tolerance and the update below vntol; no second evaluation re-checks it
+    # tolerance and the update below VNTOL; no second evaluation re-checks it
     c = netlist.parse(fixtures.read(name))
     sys = engine._System(c, SolverConfig())
     x = sys.solve_dc(sys.sources(0.0))
@@ -402,7 +402,7 @@ def test_newton_exits_on_converging_update(name, kernel_calls):
     (xn,) = sys.newton(x[None], sys.sources(0.0)[None])
     assert kernel_calls[0] == 1
     nn = sys.n_nodes
-    assert np.max(np.abs(xn[:nn] - x[:nn])) < sys.cfg.vntol
+    assert np.max(np.abs(xn[:nn] - x[:nn])) < engine.VNTOL
 
 
 def test_ring_step_kernel_calls(kernel_calls):
@@ -772,8 +772,8 @@ def _ring24():
 def test_stacked_step_doubling_matches_serial(case):
     # the coupled attempt is exact Newton on the equations of the three
     # serial solves, stopped by the same test, so it takes the same steps
-    # and lands every node within vntol and every source current within
-    # abstol + reltol * |i| of them (1.8e-7 of that bound at most, measured).
+    # and lands every node within VNTOL and every source current within
+    # ABSTOL + reltol * |i| of them (1.8e-7 of that bound at most, measured).
     # Its starts differ, so its solutions differ within the Newton tolerance,
     # and a step width follows eta ** (-1/3) of the full-half difference:
     # the 24 V ring's axis moves by 1.0e-10 relative, the other three by
@@ -787,14 +787,14 @@ def test_stacked_step_doubling_matches_serial(case):
         v = name.startswith("v(")
         np.testing.assert_allclose(got.columns[name], want.columns[name],
                                    rtol=0.0 if v else cfg.reltol,
-                                   atol=cfg.vntol if v else cfg.abstol, err_msg=name)
+                                   atol=engine.VNTOL if v else engine.ABSTOL, err_msg=name)
 
 
 def test_chained_replica_has_a_full_budget_after_the_first():
     # an RC attempt with a budget of 10 iterations, node updates clipped to
     # 0.5 V: the first half step starts 4.4 V off and converges on the 10th
     # iteration, the second half step starts 6 V off and needs 3 more, which
-    # it gets; it lands within vntol of a lone solve from its start with its
+    # it gets; it lands within VNTOL of a lone solve from its start with its
     # history formed from the first half step's solution.  The full step
     # keeps a lone call's budget: 6 V off, it fails, and so does the call
     c = netlist.parse(RC_NET)
@@ -818,7 +818,7 @@ def test_chained_replica_has_a_full_budget_after_the_first():
     last = dict(cap_geq=geq[2:], cap_ieq=second_half(sols[0])[None])
     assert sys.newton(x0[2:], src[2:], **last) == [None]
     (lone,) = engine._System(c, SolverConfig()).newton(x0[2:], src[2:], **last)
-    np.testing.assert_allclose(sols[2], lone, rtol=0.0, atol=SolverConfig().vntol)
+    np.testing.assert_allclose(sols[2], lone, rtol=0.0, atol=engine.VNTOL)
     x0[1, out] += 6.0
     sols = sys.newton(x0, src, cap_geq=geq, cap_ieq=ieq, chain=chain)
     assert [x is None for x in sols] == [False, True, True]
@@ -842,7 +842,7 @@ SWEEPS = {
 @pytest.mark.parametrize("case", sorted(SWEEPS))
 def test_block_sweep_within_vntol_of_pointwise(case):
     # the block starts change only the work of a solve: every node lands
-    # within vntol of the sweep of one Newton call per value
+    # within VNTOL of the sweep of one Newton call per value
     c, d = SWEEPS[case]()
     d = d or c.analyses[0]
     got = dc_sweep(c, d, SolverConfig())
@@ -855,7 +855,7 @@ def test_block_sweep_within_vntol_of_pointwise(case):
         for name in a.names:
             if name.startswith("v("):
                 np.testing.assert_allclose(a.columns[name], b.columns[name],
-                                           rtol=0.0, atol=SolverConfig().vntol,
+                                           rtol=0.0, atol=engine.VNTOL,
                                            err_msg=name)
 
 

@@ -326,10 +326,10 @@ def test_csv_round_trip(tmp_path):
 _HEADER = "device_id,kind,W_um,L_um,LOV_um,cox_nF_cm2,fixed_bias_V,v_V,id_A\n"
 
 
-def _sweep_rows(n, dev="d", cox=35, v=None, i="-1e-9", geom="380,35,5"):
+def _sweep_rows(n, dev="d", cox=35, v=None, i="-1e-9", geom="380,35,5", fb=-30):
     """n transfer rows of one sweep; v cycles through the given values, or runs 0, -0.5, ..."""
     vs = [-0.5 * k for k in range(n)] if v is None else [v[k % len(v)] for k in range(n)]
-    return "".join(f"{dev},transfer,{geom},{cox},-30,{x},{i}\n" for x in vs)
+    return "".join(f"{dev},transfer,{geom},{cox},{fb},{x},{i}\n" for x in vs)
 
 
 _SCHEMA_CASES = [
@@ -350,6 +350,14 @@ _SCHEMA_CASES = [
     (_HEADER + _sweep_rows(10, i="nan"),
      "line 2: transfer sweep of 'd': sweep contains non-finite"),
     (_HEADER + _sweep_rows(10, cox=0), "line 2: column cox_nF_cm2: must be positive, got 0.0"),
+    # a non-finite fixed bias is an error at its sweep's first line, before
+    # the point count (a NaN split each row into a sweep of one point)
+    (_HEADER + _sweep_rows(10, fb="nan"),
+     "line 2: transfer sweep of 'd': fixed bias must be finite, got nan"),
+    (_HEADER + _sweep_rows(10) + _sweep_rows(10, fb="inf"),
+     "line 12: transfer sweep of 'd': fixed bias must be finite, got inf"),
+    (_HEADER + _sweep_rows(3, fb="-inf"),
+     "line 2: transfer sweep of 'd': fixed bias must be finite, got -inf"),
     (_HEADER + _sweep_rows(10, cox=-35), "line 2: column cox_nF_cm2: must be positive, got -35.0"),
     # geometry is checked in the CSV's units, at the sweep's first line
     (_HEADER + _sweep_rows(10) + _sweep_rows(10, geom="0,35,5"),
@@ -440,9 +448,11 @@ def test_fit_error_carries_best_result():
 
 def _serial_read_iv_csv(path, device=None):
     """Row by row: one csv.reader and seven checked float() calls per row,
-    each row's key compared with its sweep's first row.  The reference for
-    read_iv_csv, which reads the same file column by column.  With a device
-    id, every other row is skipped unchecked and ends the sweep before it."""
+    each row's key compared with its sweep's first row; a NaN in it, which
+    equals nothing, continues the sweep only where the key cells read as
+    the row before's.  The reference for read_iv_csv, which reads the same
+    file column by column.  With a device id, every other row is skipped
+    unchecked and ends the sweep before it."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = []
         header = None
@@ -483,9 +493,11 @@ def _serial_read_iv_csv(path, device=None):
             raise SchemaError(f"column {col}: not a number: {text!r}", lineno) from None
 
     groups = []   # key, lines, v, i
+    before = None   # the key cells of the row before
     for lineno, cells in rows:
         if cells is None:   # another device's row
             groups.append((None, [], [], []))
+            before = None
             continue
         kind = cells[idx["kind"]].strip().lower()
         if kind not in ("transfer", "output"):
@@ -494,8 +506,10 @@ def _serial_read_iv_csv(path, device=None):
                *(fval(cells, c, lineno) for c in extract.CSV_COLUMNS[2:7]))
         v = fval(cells, "v_V", lineno)
         i = fval(cells, "id_A", lineno)
-        if not groups or groups[-1][0] != key:
+        text = [cells[idx[c]] for c in extract.CSV_COLUMNS[:7]]
+        if not groups or groups[-1][0] != key and text != before:
             groups.append((key, [], [], []))
+        before = text
         groups[-1][1].append(lineno)
         groups[-1][2].append(v)
         groups[-1][3].append(i)
@@ -644,7 +658,7 @@ def measurement_csv(draw):
     padded and quoted cells, numbers written several ways, hysteresis
     sweeps and several devices; and, in some files, one corrupted cell, an
     extra or a lost cell, a quote left open, or a sweep whose fixed bias is
-    NaN (each of its rows then is a sweep of its own)."""
+    not finite (an error at the sweep's first line)."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     order = draw(st.permutations(extract.CSV_COLUMNS))
     lines = [",".join(_cell(rng, c) for c in order)]
@@ -658,7 +672,8 @@ def measurement_csv(draw):
         if rng.random() < 0.5:   # up-down pass: the forward branch is kept
             v = np.concatenate([v, v[::-1][1:int(rng.integers(2, n + 1))]])
         i = -rng.lognormal(-20.0, 3.0, v.size)
-        fixed_bias = math.nan if rng.random() < 0.05 else -10.0 - k
+        fixed_bias = (-10.0 - k if rng.random() >= 0.05
+                      else float(rng.choice([math.nan, math.inf, -math.inf])))
         key = {}
         for x, y in zip(v.tolist(), i.tolist()):
             if not key or rng.random() < 0.2:   # mostly the same text down a sweep

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ofetsim import netlist
-from ofetsim.engine import ConvergenceError, SolverConfig, dc_sweep
+from ofetsim.engine import ABSTOL, GMIN, ConvergenceError, SolverConfig, dc_sweep
 from ofetsim.model import drain_current_with_contacts
 
 CFG = SolverConfig()
@@ -60,7 +60,7 @@ def _chain(stages):
 
 
 def _kcl_worst(c, w):
-    """Largest |KCL residual| / (abstol + reltol * sum of |currents|) over the
+    """Largest |KCL residual| / (ABSTOL + reltol * sum of |currents|) over the
     transistor-driven nodes of a returned sweep, from the device model."""
     v = {n[2:-1]: col for n, col in w.columns.items() if n.startswith("v(")}
     v["0"] = np.zeros(w.axis.size)
@@ -81,11 +81,11 @@ def _kcl_worst(c, w):
             d, g, s = e.nodes
             i = drain_current_with_contacts(c.model_card(e.model), v[g] - v[s], v[d] - v[s])
             # the solver's gmin shunts, drain-source and gate-source
-            i_ds, i_gs = CFG.gmin * (v[d] - v[s]), CFG.gmin * (v[g] - v[s])
+            i_ds, i_gs = GMIN * (v[d] - v[s]), GMIN * (v[g] - v[s])
             leave(d, i + i_ds)
             leave(s, -i - i_ds - i_gs)
             leave(g, i_gs)
-    return max(float(np.max(np.abs(s) / (CFG.abstol + CFG.reltol * a)))
+    return max(float(np.max(np.abs(s) / (ABSTOL + CFG.reltol * a)))
                for node, (s, a) in out.items() if node.startswith("o"))
 
 
