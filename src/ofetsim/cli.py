@@ -4,8 +4,10 @@ Subcommands map onto the library layers: ``extract`` and ``fit`` wrap the
 measurement-CSV pipeline, ``sim`` runs the analysis directives of a netlist,
 and ``reproduce`` regenerates the canned figure-analogue datasets from the
 checked-in fixtures.  Every run writes a ``manifest.json`` recording input
-hashes, the solver settings and the tool version, and never writes outside
-the chosen output directory.
+hashes and the tool version, and never writes outside the chosen output
+directory.  Only ``sim`` and ``reproduce`` solve circuits: they alone take
+the ``--solver.<field>`` options, one per ``SolverConfig`` field, and
+record the solver settings in the manifest.
 
 Exit codes: 0 success, 1 usage, 2 bad input or schema, 3 numerical failure.
 """
@@ -13,12 +15,14 @@ Exit codes: 0 success, 1 usage, 2 bad input or schema, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
 import sys
 from dataclasses import asdict, fields as dc_fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -28,46 +32,16 @@ from .model import ParameterError
 
 E_OK, E_USAGE, E_INPUT, E_NUMERIC = 0, 1, 2, 3
 
-_SOLVER_TYPES = {f.name: f.type for f in dc_fields(SolverConfig)}
-
-
-def _parse_solver_overrides(argv: list[str]) -> tuple[list[str], dict]:
-    """Split --solver.<key>=<value> tokens out of argv."""
-    rest, overrides = [], {}
-    for tok in argv:
-        if tok.startswith("--solver."):
-            body = tok[len("--solver."):]
-            if "=" not in body:
-                raise SystemExit_usage(f"expected --solver.<key>=<value>, got {tok}")
-            key, val = body.split("=", 1)
-            if key not in _SOLVER_TYPES:
-                raise SystemExit_usage(f"unknown solver option {key!r}")
-            overrides[key] = _coerce(key, val)
-        else:
-            rest.append(tok)
-    return rest, overrides
-
-
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
                "0": False, "false": False, "no": False, "off": False}
 
 
-def _coerce(key: str, val: str):
-    t = str(_SOLVER_TYPES[key])
+def _bool_word(text: str) -> bool:
     try:
-        if "bool" in t:
-            return _BOOL_WORDS[val.lower()]
-        if "int" in t:
-            return int(val)
-        if "str" in t:
-            return val
-        return float(val)
-    except (KeyError, ValueError):
-        raise SystemExit_usage(f"bad value for solver option {key!r}: {val!r}") from None
-
-
-class SystemExit_usage(Exception):
-    pass
+        return _BOOL_WORDS[text.lower()]
+    except KeyError:
+        raise argparse.ArgumentTypeError(
+            f"invalid bool value: {text!r} (one of {', '.join(_BOOL_WORDS)})") from None
 
 
 def _sha256(path: Path) -> str:
@@ -77,14 +51,18 @@ def _sha256(path: Path) -> str:
 class Run:
     """Output-directory context: collects artifacts and writes the manifest."""
 
-    def __init__(self, args, solver: dict, argv: list[str] | None = None):
-        self.cfg = SolverConfig(**solver)   # before the directory: bad input writes nothing
-        root = args.out or os.environ.get("OFETSIM_OUT") or "ofetsim-out"
-        self.dir = Path(root)
+    def __init__(self, args, argv: list[str]):
+        # built before the directory, so bad settings write nothing; only
+        # sim and reproduce solve circuits and take solver options
+        self.cfg = (SolverConfig(**{k.removeprefix("solver."): v
+                                    for k, v in vars(args).items()
+                                    if k.startswith("solver.")})
+                    if args.cmd in ("sim", "reproduce") else None)
+        self.dir = Path(args.out or os.environ.get("OFETSIM_OUT") or "ofetsim-out")
         self.dir.mkdir(parents=True, exist_ok=True)
         self.inputs: dict[str, str] = {}
         self.outputs: list[str] = []
-        self.command = " ".join(sys.argv[1:] if argv is None else argv)
+        self.command = " ".join(argv)
 
     def note_input(self, path) -> None:
         p = Path(path)
@@ -109,9 +87,10 @@ class Run:
             "command": self.command,
             "inputs": dict(sorted(self.inputs.items())),
             "outputs": {n: _sha256(self.dir / n) for n in sorted(self.outputs)},
-            "solver": asdict(self.cfg),
             "version": __version__,
         }
+        if self.cfg is not None:
+            manifest["solver"] = asdict(self.cfg)
         with open(self.dir / "manifest.json", "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -154,13 +133,10 @@ def cmd_extract(args, run: Run) -> int:
         run.write_rows("summary.csv", ["metric", "mean", "std"],
                        [(m, st.mean, st.std)
                         for m, st in summary.metrics.items()])
-        hist_rows = []
-        for m, st in summary.metrics.items():
-            for k in range(len(st.counts)):
-                hist_rows.append((m, st.bin_edges[k], st.bin_edges[k + 1],
-                                  st.counts[k]))
-        run.write_rows("histograms.csv",
-                       ["metric", "bin_lo", "bin_hi", "count"], hist_rows)
+        run.write_rows("histograms.csv", ["metric", "bin_lo", "bin_hi", "count"],
+                       [(m, st.bin_edges[k], st.bin_edges[k + 1], st.counts[k])
+                        for m, st in summary.metrics.items()
+                        for k in range(len(st.counts))])
 
     run.finish()
     if failures:
@@ -212,8 +188,7 @@ def cmd_fit(args, run: Run) -> int:
                   file=sys.stderr)
     deck = netlist.Circuit(title="fitted model cards", nodes=("0",), elements=(),
                            models=tuple(sorted(cards.items())), analyses=(), params=())
-    with open(run.path("cards.cir"), "w", encoding="utf-8") as fh:
-        fh.write(netlist.serialize(deck))
+    run.path("cards.cir").write_text(netlist.serialize(deck), encoding="utf-8")
     run.finish()
     return E_OK
 
@@ -404,18 +379,30 @@ class _Parser(argparse.ArgumentParser):
         return None
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="output directory (default: $OFETSIM_OUT "
                                       "or ./ofetsim-out)")
     common.add_argument("-v", "--verbose", action="store_true")
 
+    # one --solver.<field> per SolverConfig field, set only when given
+    solver = argparse.ArgumentParser(add_help=False)
+    group = solver.add_argument_group("solver settings")
+    hints = get_type_hints(SolverConfig)
+    for f in dc_fields(SolverConfig):
+        t = hints[f.name]
+        group.add_argument(f"--solver.{f.name}", type=_bool_word if t is bool else t,
+                           default=argparse.SUPPRESS, metavar=t.__name__.upper(),
+                           help=f"default: {f.default}")
+
     ap = _Parser(
         prog="ofetsim",
         description="Transistor characterization and circuit simulation "
                     "toolkit for stretchable organic FETs.",
-        epilog="Solver options pass through as --solver.<key>=<value>, e.g. "
-               "--solver.reltol=1e-5 --solver.method=be.")
+        epilog="sim and reproduce take solver settings as --solver.<field>=<value>, "
+               "e.g. --solver.reltol=1e-5; see ofetsim sim -h.")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("extract", parents=[common],
@@ -433,12 +420,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="fit only this device id; only its rows are read and checked")
     p.set_defaults(fn=cmd_fit)
 
-    p = sub.add_parser("sim", parents=[common],
+    p = sub.add_parser("sim", parents=[common, solver],
                        help="run every analysis directive in a netlist")
     p.add_argument("netlist")
     p.set_defaults(fn=cmd_sim)
 
-    p = sub.add_parser("reproduce", parents=[common],
+    p = sub.add_parser("reproduce", parents=[common, solver],
                        help="regenerate a figure-analogue dataset")
     p.add_argument("id")
     p.set_defaults(fn=cmd_reproduce)
@@ -447,20 +434,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    full_argv = list(argv)
     try:
-        argv, solver = _parse_solver_overrides(argv)
-    except SystemExit_usage as e:
-        print(str(e), file=sys.stderr)
-        return E_USAGE
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return E_OK if e.code == 0 else E_USAGE
     try:
-        run = Run(args, solver, full_argv)
-    except (TypeError, ValueError) as e:
+        run = Run(args, argv)
+    except ValueError as e:   # a setting SolverConfig rejects
         print(f"bad solver configuration: {e}", file=sys.stderr)
         return E_USAGE
     except OSError as e:   # the output directory: an existing file, say

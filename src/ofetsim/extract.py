@@ -127,7 +127,7 @@ def read_iv_csv(path, device: str | None = None) -> list[IvSweep]:
     CSV_COLUMNS order; then each sweep in file order (a second reversal,
     cox, W and L, LOV, then the IvSweep checks).
 
-    The file is read in one pass: one csv.reader over the kept lines, the
+    The file is read in one pass: one csv.reader per chunk of kept lines, the
     v and id columns converted whole, each row key converted only where its
     text changes, and sweep boundaries where adjacent rows' keys differ.
 
@@ -138,21 +138,11 @@ def read_iv_csv(path, device: str | None = None) -> list[IvSweep]:
     """
     lines: list[int] = []
     seats: list[int] = []
+    rows: list[list[str]] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        texts = list(_kept_lines(fh, lines, seats, device))
-    try:
-        rows = list(csv.reader(texts))
-    except csv.Error:   # a quote left open can run a field past the size limit
-        rows = []
-    if len(rows) != len(texts):
-        # a quote left open ran on into the next line: read each line on
-        # its own, as one row
-        rows = []
-        for t, line in zip(texts, lines):
-            try:
-                rows.append(next(csv.reader([t])))
-            except csv.Error as e:   # a cell past csv's field size limit
-                raise SchemaError(str(e), line) from None
+        kept = _kept_lines(fh, lines, seats, device)
+        while texts := list(islice(kept, _CHUNK_LINES)):
+            rows.extend(_csv_rows(texts, lines[-len(texts):]))
     if not rows:
         raise SchemaError("empty file: no header row")
     header = [c.strip() for c in rows[0]]
@@ -171,6 +161,28 @@ def read_iv_csv(path, device: str | None = None) -> list[IvSweep]:
         k = next(k for k, r in enumerate(rows) if len(r) != len(header))
         raise SchemaError(f"expected {len(header)} cells, got {len(rows[k])}", lines[k])
     return _sweeps(rows, {c: header.index(c) for c in CSV_COLUMNS}, lines, blocks)
+
+
+# kept lines parsed by one csv.reader; only one chunk's text is held at once
+_CHUNK_LINES = 1024
+
+
+def _csv_rows(texts: list[str], lines: list[int]) -> list[list[str]]:
+    """The one row of each line: the lines parsed jointly unless a row runs
+    on past its line (a quote left open), then each line on its own."""
+    try:
+        rows = list(csv.reader(texts))
+    except csv.Error:   # a quote left open can run a field past the size limit
+        rows = []
+    if len(rows) == len(texts):
+        return rows
+    rows = []
+    for t, line in zip(texts, lines):
+        try:
+            rows.append(next(csv.reader([t])))
+        except csv.Error as e:   # a cell past csv's field size limit
+            raise SchemaError(str(e), line) from None
+    return rows
 
 
 def _kept_lines(fh, lines: list[int], seats: list[int], device: str | None):

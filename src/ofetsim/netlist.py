@@ -27,8 +27,9 @@ them, whether by the parser or in code, so no circuit that round-trips
 badly can be built: `SourceWave` (shape, argument count, finite values),
 `DcSweep` (finite positive steps, stop >= start, a secondary sweep given
 whole and on another source, at most MAX_SWEEP_POINTS points in all),
-`Tran` (finite positive step, stop and maxstep) and `Mc` (count of at
-most MAX_MC_COUNT, seed, parameters, distributions, spreads).  The parser reports a record's
+`Tran` (finite positive step, stop and maxstep, at most MAX_TRAN_STEPS
+steps) and `Mc` (count of at most MAX_MC_COUNT, seed, parameters,
+distributions, spreads).  The parser reports a record's
 ValueError at its card line.  One table, `_DIRECTIVES`, gives the card
 grammar of `.op`, `.dc` and `.tran` to both parse and serialize.  An
 override is a model-card key, `strain` or `dir` (`par` or `perp`); the
@@ -170,6 +171,8 @@ class DcOp:
 MAX_SWEEP_POINTS = 10 ** 6
 # most replicas one .mc may draw
 MAX_MC_COUNT = 10 ** 5
+# most steps of its step (or maxstep, if smaller) one .tran may span
+MAX_TRAN_STEPS = 10 ** 6
 
 
 def sweep_count(start: float, stop: float, step: float) -> int:
@@ -219,7 +222,8 @@ class DcSweep:
 @dataclass(frozen=True)
 class Tran:
     """Transient from 0 to stop at step, no wider than max_step; ValueError
-    unless each is finite and positive (NaN fails every comparison)."""
+    unless each is finite and positive (NaN fails every comparison) and
+    stop / min(step, max_step), overflow included, is at most MAX_TRAN_STEPS."""
 
     step: float
     stop: float
@@ -230,6 +234,9 @@ class Tran:
             raise ValueError(f"needs finite positive step and stop, got {self.step} {self.stop}")
         if self.max_step is not None and not 0.0 < self.max_step < math.inf:
             raise ValueError(f"needs a finite positive maxstep, got {self.max_step}")
+        h = self.step if self.max_step is None else min(self.step, self.max_step)
+        if not self.stop / h <= MAX_TRAN_STEPS:
+            raise ValueError(f"spans more than {MAX_TRAN_STEPS} steps of {h:g}")
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,11 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ofetsim
-from ofetsim import analyses, fixtures, netlist
+from ofetsim import analyses, cli, fixtures, netlist
 from ofetsim.cli import main
 from ofetsim.engine import SolverConfig
 from ofetsim.model import ParameterError
@@ -70,6 +72,7 @@ def test_extract_manifest_hashes(tmp_path):
     for name, digest in man["outputs"].items():
         assert _sha(out / name) == digest
     assert "reports.csv" in man["outputs"]
+    assert "solver" not in man   # extract solves no circuit
 
 
 def test_extract_deterministic(tmp_path):
@@ -157,6 +160,7 @@ def test_fit_reference_device(tmp_path, capsys):
     card = c.models[0][1]
     assert 2.15e-5 < card.mu0 < 2.55e-5
     assert -1.0 < card.vth < -0.6
+    assert "solver" not in json.loads((out / "manifest.json").read_text())
 
 
 def test_fit_card_name_clash(tmp_path, capsys):
@@ -487,6 +491,19 @@ def test_sim_record_rule(tmp_path, capsys, card, needle):
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_sim_tran_of_too_many_steps(tmp_path, capsys):
+    # its step caps a run of 10^12 steps: bad input at its line, at once,
+    # not a run that never finishes
+    net = tmp_path / "rc.cir"
+    net.write_text("rc\nv1 a 0 dc 1\nr1 a b 1k\nc1 b 0 1n\n.tran 1e-12 1\n.end\n")
+    out = tmp_path / "o"
+    t0 = time.perf_counter()
+    assert main(["sim", str(net), "--out", str(out)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "line 5: .tran: spans more than 1000000 steps" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("sweep", [
     ".dc vbogus 0 1 0.5",             # unknown primary source
     ".dc vin 0 1 0.5 vbogus 0 2 1",   # unknown secondary source
@@ -558,7 +575,7 @@ def test_solver_config_has_six_fields():
 
 
 @pytest.mark.parametrize("opts, word", [
-    *[([f"--solver.{key}=1e-6"], repr(key))
+    *[([f"--solver.{key}=1e-6"], f"--solver.{key}")
       for key in ("abstol", "vntol", "gmin", "damping", "max_step")],
     (["--seed", "1"], "--seed"), (["--seed=1"], "--seed")])
 def test_removed_option_is_a_usage_error(tmp_path, capsys, opts, word):
@@ -578,7 +595,10 @@ def test_malformed_solver_value(tmp_path, capsys, opt):
     assert main(["sim", "x.cir", "--out", str(out), f"--solver.{opt}"]) == 1
     key, val = opt.split("=")
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and repr(key) in err[0] and repr(val) in err[0]
+    # argparse's usage, then one error line naming the option and the value
+    assert err[0].startswith("usage: ofetsim sim ")
+    assert err[-1].startswith(f"ofetsim sim: error: argument --solver.{key}: ")
+    assert repr(val) in err[-1]
     assert not out.exists()
 
 
@@ -614,6 +634,40 @@ def test_solver_override_recorded(tmp_path):
     man = json.loads((out / "manifest.json").read_text())
     assert man["solver"]["reltol"] == 1e-6
     assert man["solver"]["method"] == "trap"  # defaults are recorded too
+
+
+@pytest.mark.parametrize("argv", [
+    ["extract", BATCH, "--solver.reltol=1e-6"],
+    ["fit", REFERENCE, "--solver.method=be"],
+    ["fit", REFERENCE, "--device", "ref-p", "--solver.fixed_step", "1"],
+    ["--solver.reltol=1e-6", "sim", str(fixtures.path("nand_pseudo_e.cir"))]])
+def test_solver_option_off_sim_and_reproduce_is_usage_error(tmp_path, capsys, argv):
+    # extract and fit solve no circuit, and the options follow the subcommand
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert "unrecognized arguments: --solver." in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solver_options_follow_solver_config(capsys):
+    want = {f"--solver.{f.name}" for f in dataclasses.fields(SolverConfig)}
+    for cmd in ("extract", "fit", "sim", "reproduce"):
+        assert main([cmd, "--help"]) == 0
+        listed = set(re.findall(r"--solver\.\w+", capsys.readouterr().out))
+        assert listed == (want if cmd in ("sim", "reproduce") else set()), cmd
+
+
+def test_solver_option_forms(tmp_path):
+    # a unique prefix and a spaced value, as argparse reads any option
+    out = tmp_path / "o"
+    assert main(["reproduce", "fig4f", "--out", str(out), "--solver.rel=1e-6",
+                 "--solver.method", "be"]) == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["solver"] == dataclasses.asdict(SolverConfig(reltol=1e-6, method="be"))
+
+
+def test_parser_is_built_once():
+    assert cli._parser() is cli._parser()
 
 
 def test_bad_subcommand():

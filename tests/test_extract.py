@@ -611,6 +611,27 @@ def test_reader_reads_an_open_quote_line_by_line(tmp_path):
     assert read_iv_csv(path)[0].v.size == 4000
 
 
+def test_reader_reads_open_quotes_at_chunk_edges(tmp_path):
+    # kept line k + 1 holds data row k: open quotes on the last line of the
+    # first chunk, on the first and on the last line of the second
+    edge = extract._CHUNK_LINES
+    rows = _sweep_rows(3 * edge).splitlines()
+    for k in (edge - 2, edge - 1, 2 * edge - 2):
+        rows[k] = rows[k].replace(",-1e-9", ',"-1e-9')
+    path = tmp_path / "open.csv"
+    path.write_text(_HEADER + "\n".join(rows) + "\n")
+    for device in (None, "d"):
+        _assert_same_sweeps(*_read_both(path, device))
+    assert read_iv_csv(path)[0].v.size == 3 * edge
+    # a cell past csv's field size limit in the second chunk, at its line
+    rows[edge + 500] += "9" * csv.field_size_limit()
+    path.write_text(_HEADER + "\n".join(rows) + "\n")
+    got, want = _read_both(path)
+    assert want == (SchemaError, f"line {edge + 502}: field larger than field limit "
+                                 f"({csv.field_size_limit()})", edge + 502)
+    assert got == want
+
+
 def test_reader_opens_an_open_quote_file_once(tmp_path, monkeypatch):
     # the line-by-line re-read of an open quote works on the lines already
     # read, for the whole file and for one device's rows

@@ -323,6 +323,11 @@ def test_directive_lines_and_records_share_their_checks():
          "sweeps more than 1000000 points"),
         (".tran 0 1m", lambda: Tran(0.0, 1e-3), "finite positive step and stop"),
         (".tran 1u 1m 0", lambda: Tran(1e-6, 1e-3, 0.0), "finite positive maxstep"),
+        (".tran 1e-12 1", lambda: Tran(1e-12, 1.0), "spans more than 1000000 steps of 1e-12"),
+        (".tran 1u 2 1e-300", lambda: Tran(1e-6, 2.0, 1e-300),
+         "spans more than 1000000 steps of 1e-300"),
+        (".tran 1e-300 1e300", lambda: Tran(1e-300, 1e300),   # stop / step overflows
+         "spans more than 1000000 steps of 1e-300"),
         ("v2 b 0 pulse 0", lambda: SourceWave("pulse", (0.0,)), "pulse takes 2..7 arguments"),
         ("v2 b 0 ramp 0 1", lambda: SourceWave("ramp", (0.0, 1.0)),
          "unknown source shape 'ramp'"),

@@ -6,17 +6,27 @@ not) are swept with a secondary supply sweep.  The stacked sweep must equal
 one plain sweep per supply bit for bit, and every returned point must
 satisfy KCL.  The examples are derandomized and bounded, so every run tests
 the same chains.
+
+Metamorphic relations of the transient and the DC solve, on the fixtures:
+stretching time by a power of two (capacitors and cox times k, mu0 over k,
+source timings and the .tran times k) stretches the axis exactly and leaves
+every column bit-identical; mirroring polarity (otftp and otftn swapped,
+vth and every source level negated) negates every column exactly.
 """
 
 from __future__ import annotations
+
+import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ofetsim import netlist
-from ofetsim.engine import ABSTOL, GMIN, ConvergenceError, SolverConfig, dc_sweep
+from ofetsim import fixtures, netlist
+from ofetsim.engine import (ABSTOL, GMIN, ConvergenceError, SolverConfig, dc_operating_point,
+                            dc_sweep, transient)
 from ofetsim.model import drain_current_with_contacts
 
 CFG = SolverConfig()
@@ -118,3 +128,84 @@ def test_stacked_supply_sweep_equals_serial_and_satisfies_kcl(stages, vdds):
             assert np.array_equal(w.columns[name], want.columns[name]), name
         # within the Newton tolerance (the worst example reads 0.03)
         assert _kcl_worst(c, w) <= 1.0
+
+
+# -- metamorphic relations ---------------------------------------------------
+
+# fixture -> (source levels, a short .tran window)
+_WINDOWS = {
+    "ro_pseudo_e.cir": ({"vdd": 24.0}, netlist.Tran(40e-6, 4e-3)),   # two periods
+    "ro_cmos.cir": ({"vdd": 60.0}, netlist.Tran(8e-6, 0.6e-3)),      # two periods
+    "neuron.cir": ({"iex": 500e-9}, netlist.Tran(5e-3, 50e-3)),      # one spike
+}
+# indices of each source shape's levels, times and rates (1/s); every
+# argument is one of the three
+_WAVE_ARGS = {"dc": ((0,), (), ()), "pulse": ((0, 1), (2, 3, 4, 5, 6), ()),
+              "sin": ((0, 1), (3,), (2, 4))}
+
+
+def _transformed(c, k=1.0, mirror=False):
+    """c with time stretched by k and, if mirror, its polarity mirrored."""
+    assert not {key for e in c.elements for key, _ in e.overrides} & {"mu0", "cox", "vth"}
+    sign = -1.0 if mirror else 1.0
+
+    def wave(w):
+        levels, times, _rates = _WAVE_ARGS[w.kind]
+        return netlist.SourceWave(w.kind, tuple(
+            a * (sign if i in levels else k if i in times else 1.0 / k)
+            for i, a in enumerate(w.args)))
+
+    elements = tuple(replace(e, value=e.value * k) if e.kind == "C" else
+                     replace(e, wave=wave(e.wave)) if e.kind in "VI" else e
+                     for e in c.elements)
+    swap = {"p": "n", "n": "p"} if mirror else {"p": "p", "n": "n"}
+    models = tuple((name, replace(p, polarity=swap[p.polarity], vth=sign * p.vth,
+                                  cox=p.cox * k, mu0=p.mu0 / k))
+                   for name, p in c.models)
+    analyses = tuple(netlist.Tran(a.step * k, a.stop * k,
+                                  None if a.max_step is None else a.max_step * k)
+                     if isinstance(a, netlist.Tran) else a for a in c.analyses)
+    return replace(c, elements=elements, models=models, analyses=analyses)
+
+
+@functools.cache
+def _window_run(name, k=1.0, mirror=False):
+    levels, tran = _WINDOWS[name]
+    c = netlist.parse(fixtures.read(name)).with_analyses([tran])
+    for source, level in levels.items():
+        c = c.with_source_level(source, level)
+    c = _transformed(c, k, mirror)
+    return transient(c, c.analyses[0], CFG)
+
+
+@pytest.mark.parametrize("k", [2.0, 4.0])
+@pytest.mark.parametrize("name", list(_WINDOWS))
+def test_time_scaling_stretches_the_axis_exactly(name, k):
+    w, wk = _window_run(name), _window_run(name, k)
+    assert w.axis.size > 100 and np.ptp(w.columns["v(out)"]) > 1.0   # a busy window
+    assert np.array_equal(wk.axis, k * w.axis)
+    assert list(wk.columns) == list(w.columns)
+    for col, want in w.columns.items():
+        assert np.array_equal(wk.columns[col].view(np.int64), want.view(np.int64)), col
+
+
+@pytest.mark.parametrize("name", list(_WINDOWS))
+def test_polarity_mirror_negates_every_column(name):
+    w, wm = _window_run(name), _window_run(name, mirror=True)
+    assert np.array_equal(wm.axis, w.axis)
+    assert list(wm.columns) == list(w.columns)
+    for col, want in w.columns.items():
+        assert np.array_equal(wm.columns[col], -want), col
+
+
+def test_cmos_inverter_mirror_negates_cold_operating_points():
+    # checked on cold operating points, not through .dc: a .dc cannot sweep
+    # downward, so the mirrored sweep would run from -3 V up, the other
+    # direction, each point continued from another (it reads within 4e-12 V)
+    c = netlist.parse(fixtures.read("inverter_cmos.cir"))
+    for vin in np.linspace(0.0, 3.0, 31):
+        a = c.with_source_level("vin", float(vin))
+        op = dc_operating_point(a, CFG)
+        mirrored = dc_operating_point(_transformed(a, mirror=True), CFG)
+        assert mirrored.keys() == op.keys()
+        assert all(mirrored[n] == -v for n, v in op.items()), vin
