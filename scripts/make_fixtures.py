@@ -4,6 +4,12 @@ Sweeps come from known model cards run through the forward model with a
 seeded noise model (0.5% multiplicative plus 0.15 pA additive), so every
 extraction and fitting test has an exact ground truth to compare against.
 Run from the repository root:  python3 scripts/make_fixtures.py
+
+The checked-in files stay as they are: the model's arithmetic has moved by
+an ulp or two since they were written, so a rerun changes a few currents by
+at most 4e-16 relative (every voltage and key cell is the same), and new
+files would move every ``fit`` and ``extract`` output built on them.
+``tests/test_make_fixtures.py`` holds the script to that agreement.
 """
 
 from __future__ import annotations

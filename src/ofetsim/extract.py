@@ -139,7 +139,7 @@ def read_iv_csv(path, device: str | None = None) -> list[IvSweep]:
     lines: list[int] = []
     seats: list[int] = []
     rows: list[list[str]] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         kept = _kept_lines(fh, lines, seats, device)
         while texts := list(islice(kept, _CHUNK_LINES)):
             rows.extend(_csv_rows(texts, lines[-len(texts):]))
@@ -481,12 +481,9 @@ def tlm_contact_resistance(d: TlmDataset) -> TlmFit:
     """Ordinary least squares of Rtot*W on L; intercept Rc*W, slope sheet R."""
     l = np.array([row[0] for row in d.rows])
     rw = np.array([row[1] for row in d.rows])
-    slope, icpt = np.polyfit(l, rw, 1)
-    pred = slope * l + icpt
-    sst = float(((rw - rw.mean()) ** 2).sum())
-    ssr = float(((rw - pred) ** 2).sum())
+    slope, icpt, ssr, sst = (float(a[0]) for a in _window_lines(l, rw, l.size))
     r2 = 1.0 - ssr / sst if sst > 0.0 else 1.0
-    return TlmFit(rc_w=float(icpt), r_sheet=float(slope), r2=r2,
+    return TlmFit(rc_w=icpt, r_sheet=slope, r2=r2,
                   suspect_intercept=bool(icpt < 0.0))
 
 

@@ -10,6 +10,10 @@ Sign conventions: drain current is positive into the drain for n-type and
 negative for p-type devices.  ``transconductance`` and ``output_conductance``
 are derivatives of that signed current, so both are positive for a conducting
 device of either polarity.
+
+``apply_strain`` scales a card by the piecewise-linear strain response of
+``data/strain_table.json``, which ``load_strain_table`` returns as the file
+keys it, by (quantity, orientation).
 """
 
 from __future__ import annotations
@@ -213,63 +217,28 @@ class StrainState:
             raise ParameterError(f"unknown strain orientation {self.orientation!r}")
 
 
-@dataclass(frozen=True)
-class StrainTable:
-    """Piecewise-linear strain response curves.
-
-    ``length_scale`` maps strain to relative elongation of a dimension lying
-    along ("parallel") or across ("perpendicular") the strain axis.
-    ``mobility_retention`` maps strain to the mobility multiplier for a
-    channel oriented parallel or perpendicular to the strain axis.  Values
-    beyond the last breakpoint hold flat.
-    """
-
-    length_parallel: tuple[tuple[float, float], ...]
-    length_perpendicular: tuple[tuple[float, float], ...]
-    mobility_parallel: tuple[tuple[float, float], ...]
-    mobility_perpendicular: tuple[tuple[float, float], ...]
-
-    def _interp(self, curve, eps: float) -> float:
-        xs = np.array([p[0] for p in curve])
-        ys = np.array([p[1] for p in curve])
-        return float(np.interp(eps, xs, ys))
-
-    def stretch_factors(self, eps: float) -> tuple[float, float]:
-        """(along-axis, across-axis) dimension multipliers at strain eps."""
-        return (
-            1.0 + self._interp(self.length_parallel, eps),
-            1.0 + self._interp(self.length_perpendicular, eps),
-        )
-
-    def mobility_factor(self, strain: StrainState) -> float:
-        curve = (
-            self.mobility_parallel
-            if strain.orientation == "parallel"
-            else self.mobility_perpendicular
-        )
-        return self._interp(curve, strain.epsilon)
-
-
 @functools.cache
-def load_strain_table() -> StrainTable:
-    """The package's strain response table (``data/strain_table.json``), read once."""
+def load_strain_table() -> dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]:
+    """The package's strain response table (``data/strain_table.json``), read once.
+
+    Returns the file's piecewise-linear curves as ``{(quantity, orientation):
+    (strains, values)}``: ``length_scale`` is the relative elongation of a
+    dimension lying along ("parallel") or across ("perpendicular") the strain
+    axis, ``mobility_retention`` the mobility multiplier of a channel lying
+    parallel or perpendicular to it.  Values beyond the last breakpoint hold flat.
+    """
     text = resources.files("ofetsim").joinpath("data/strain_table.json").read_text()
     raw = json.loads(text)
     if raw.get("version") != 1:
         raise ParameterError(f"unsupported strain table version {raw.get('version')!r}")
-
-    def curve(section, key):
-        pts = raw[section][key]
-        if len(pts) < 2:
-            raise ParameterError(f"strain curve {section}.{key} needs >= 2 points")
-        return tuple((float(x), float(y)) for x, y in pts)
-
-    return StrainTable(
-        length_parallel=curve("length_scale", "parallel"),
-        length_perpendicular=curve("length_scale", "perpendicular"),
-        mobility_parallel=curve("mobility_retention", "parallel"),
-        mobility_perpendicular=curve("mobility_retention", "perpendicular"),
-    )
+    curves = {}
+    for quantity in ("length_scale", "mobility_retention"):
+        for orientation in ("parallel", "perpendicular"):
+            pts = raw[quantity][orientation]
+            if len(pts) < 2:
+                raise ParameterError(f"strain curve {quantity}.{orientation} needs >= 2 points")
+            curves[quantity, orientation] = tuple(np.array(pts, dtype=float).T.copy())
+    return curves
 
 
 def apply_strain(p: OtftParams, strain: StrainState) -> OtftParams:
@@ -280,11 +249,11 @@ def apply_strain(p: OtftParams, strain: StrainState) -> OtftParams:
     scaled by the orientation-resolved retention curve.  Zero strain returns
     a card with bit-identical values.
     """
-    table = load_strain_table()
-    along, across = table.stretch_factors(strain.epsilon)
-    if strain.orientation == "parallel":
-        fl, fw = along, across
-    else:
-        fl, fw = across, along
+    curves = load_strain_table()
+    eps = strain.epsilon
+    along = 1.0 + float(np.interp(eps, *curves["length_scale", "parallel"]))
+    across = 1.0 + float(np.interp(eps, *curves["length_scale", "perpendicular"]))
+    fl, fw = (along, across) if strain.orientation == "parallel" else (across, along)
+    mobility = float(np.interp(eps, *curves["mobility_retention", strain.orientation]))
     geom = DeviceGeometry(w=p.geom.w * fw, l=p.geom.l * fl, lov=p.geom.lov * fl)
-    return p.replace(geom=geom, mu0=p.mu0 * table.mobility_factor(strain))
+    return p.replace(geom=geom, mu0=p.mu0 * mobility)

@@ -15,8 +15,9 @@ continues the previous line; the first line is always the title):
     .tran step stop [maxstep] | .mc count seed [param=normal(a,b) ...]
     .end
 
-Engineering suffixes f p n u m k meg g are understood; parentheses and commas
-count as whitespace; a bare identifier in a value position resolves against
+Engineering suffixes f p n u m k meg g t and mil (25.4e-6) are understood;
+`meg` and `mil` are read before `m`.  Parentheses and commas count as
+whitespace; a bare identifier in a value position resolves against
 `.param` constants.  Subcircuits are flattened with hierarchical names
 (`x1.node`, element `rx1.r1`), so the serialized form is flat and
 `parse(serialize(parse(text)))` is a fixed point.  A `.subckt` port may
@@ -359,7 +360,7 @@ class Circuit:
 
 _NUM_RE = re.compile(r"([+-]?(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?)([a-z]*)\Z")
 _SUFFIX = {"f": 1e-15, "p": 1e-12, "n": 1e-9, "u": 1e-6, "m": 1e-3,
-           "k": 1e3, "g": 1e9}
+           "k": 1e3, "g": 1e9, "t": 1e12}
 
 # The model-card vocabulary in card order: (dialect key, OtftParams field,
 # default, None for a required key).  w, l and lov are fields of
@@ -444,6 +445,8 @@ class _Parser:
             suffix = m.group(2)
             if suffix.startswith("meg"):
                 val *= 1e6
+            elif suffix.startswith("mil"):
+                val *= 25.4e-6
             elif suffix and suffix[0] in _SUFFIX:
                 val *= _SUFFIX[suffix[0]]
             # any remaining letters are units and are ignored

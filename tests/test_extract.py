@@ -756,6 +756,15 @@ def test_device_reader_matches_full_reader_on_fixtures(tmp_path, name):
     _assert_device_parity(path, extra=("nosuch", "dev", "ref", ""))
 
 
+def test_reader_skips_a_utf8_byte_order_mark(tmp_path):
+    # Excel's "CSV UTF-8" export starts the file with one
+    plain = fixtures.path("batch_3dev_iv.csv")
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for device in (None, "dev2"):
+        _assert_same_sweeps(read_iv_csv(path, device), read_iv_csv(plain, device))
+
+
 def test_device_reader_keeps_the_file_order_of_sweeps(tmp_path):
     # x's rows on both sides of y's, or of "xx"'s, are two sweeps; a comment
     # or a blank line between two rows is not a row and does not split one

@@ -240,10 +240,15 @@ def test_strain_deterministic(pcard):
     assert a == b
 
 
-def test_strain_table_flat_extrapolation():
-    t = load_strain_table()
-    assert t.mobility_factor(StrainState(5.0, "parallel")) == \
-        t.mobility_factor(StrainState(1.0, "parallel"))
+def test_strain_table_flat_extrapolation(pcard):
+    curves = load_strain_table()
+    assert set(curves) == {(q, o) for q in ("length_scale", "mobility_retention")
+                           for o in ("parallel", "perpendicular")}
+    for orientation in ("parallel", "perpendicular"):
+        strains, values = curves["mobility_retention", orientation]
+        assert np.interp(5.0, strains, values) == values[-1]
+        assert apply_strain(pcard, StrainState(5.0, orientation)).mu0 == \
+            apply_strain(pcard, StrainState(strains[-1], orientation)).mu0
 
 
 # -- validation --------------------------------------------------------------

