@@ -11,13 +11,15 @@ the residual scale.  A Newton iteration applies it in two scatters (and a
 third for the residual scale once the update is small), solves for the
 update and stops on that update: when every KCL residual at the point
 just evaluated is within ABSTOL + reltol * (sum of |branch currents| at the
-node), or VNTOL + reltol * |V| on a voltage-source row, and every node update,
-clipped to DAMPING, is below VNTOL, it returns the point plus the update, with
-no further evaluation.  A failed call records its largest |residual| and that
-row for ConvergenceError.  DC climbs one rescue ladder, a table of rungs each
-tried from zero: plain damped Newton, gmin (node shunts from 1e-3 S down to
-GMIN, then none), source (source levels 0.1 to 1.0).  Transient uses backward
-Euler or trapezoidal companions with step-doubling error control.
+node), or VNTOL + reltol * |V| on a voltage-source row, and every node update
+is below VNTOL, it returns the point plus the update.  A node update is
+limited to DAMPING + 2 |v| at the node's voltage v (SPICE3's drain-source
+limit), so from 0 V a node reaches 0.5, 2, 6.5, 20, 60 V in five iterations.
+A failed call records its largest |residual| and that row for
+ConvergenceError.  DC climbs one rescue ladder, a table of rungs each tried
+from zero: plain Newton, gmin (node shunts from 1e-3 S down to GMIN, then
+none), source (source levels 0.1 to 1.0).  Transient uses backward Euler or
+trapezoidal companions with step-doubling error control.
 Every Newton solve after the first point starts from the predictor, as in
 SPICE2: the polynomial through the last points of the solution path at the
 solve's own time or swept value.  An attempt is one Newton call of three
@@ -61,6 +63,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -92,7 +95,7 @@ class ConvergenceError(Exception):
 ABSTOL = 1e-12    # KCL residual floor, A
 VNTOL = 1e-6      # Newton update floor, V
 GMIN = 1e-12      # permanent transistor shunt, S
-DAMPING = 0.5     # max node-voltage update per iteration, V
+DAMPING = 0.5     # node update limit at 0 V; DAMPING + 2 |v| at v, V
 
 
 @dataclass(frozen=True)
@@ -110,9 +113,13 @@ class SolverConfig:
             # written so that NaN fails: every comparison with NaN is False
             if not 0.0 < v < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {v!r}")
-        if self.max_newton_iters < 1:
-            raise ValueError(
-                f"max_newton_iters must be at least 1, got {self.max_newton_iters!r}")
+        n = self.max_newton_iters
+        try:   # Newton counts iterations up to it == n, which a float may never meet
+            operator.index(n)
+        except TypeError:
+            raise ValueError(f"max_newton_iters must be an integer, got {n!r}") from None
+        if n < 1:
+            raise ValueError(f"max_newton_iters must be at least 1, got {n!r}")
         if self.method not in ("trap", "be"):
             raise ValueError(f"method must be trap or be, got {self.method!r}")
 
@@ -204,8 +211,8 @@ while _SHUNTS[-1] * 0.1 >= GMIN:   # repeated products, not 10.0 ** -k: the ladd
     _SHUNTS.append(_SHUNTS[-1] * 0.1)
 _RUNGS = (("plain", _PLAIN), ("gmin", (*((g, 1.0) for g in _SHUNTS), *_PLAIN)),
           ("source", tuple((0.0, a) for a in np.linspace(0.1, 1.0, 10))))
-# update clamp and floor: numpy takes 0-d arrays faster than floats
-_CLAMP = np.array(-DAMPING), np.array(DAMPING), np.array(VNTOL)
+# the update floor: numpy takes 0-d arrays faster than floats
+_VNTOL = np.array(VNTOL)
 
 
 class _System:
@@ -421,7 +428,6 @@ class _System:
         xfull[:, 1:] = x0
         xf, xcol = xfull.reshape(-1), xfull[:, :, None]
         n_g, n_lin = self.cond_g.size, self.lin_a.size
-        vntol = _CLAMP[2]
         limit = cfg.max_newton_iters   # moved on for a chained replica, below
         for it in itertools.count():
             if it == limit or it == cfg.max_newton_iters and live[0] < nrep - 1:
@@ -440,15 +446,16 @@ class _System:
             np.add.at(jac.reshape(-1), tab.m_jac,
                       np.concatenate((gds, gm, -gsum, -gds, -gm, gsum), axis=1).ravel())
             couple = chain is not None and live[0] == 0 and live[-1] == nrep - 1
-            dx = self._update(jac[:-1], f_col[:-1]) if couple else self._update(jac, f_col)
+            dx = (self._update(jac[:-1], f_col[:-1], xfull[:-1]) if couple
+                  else self._update(jac, f_col, xfull))
             if couple:
                 cap_ieq[-1] += k_ieq @ dx[0]
                 db = k_rhs @ dx[0]
                 b_full[-1, :, 0] += db
                 f_col[-1, :, 0] -= db
-                dx = np.concatenate((dx, self._update(jac[-1:], f_col[-1:])))
+                dx = np.concatenate((dx, self._update(jac[-1:], f_col[-1:], xfull[-1:])))
             finite = np.isfinite(dx).all(axis=1).tolist()
-            conv = (np.abs(dx[:, :nn]) < vntol).all(axis=1).tolist()
+            conv = (np.abs(dx[:, :nn]) < _VNTOL).all(axis=1).tolist()
             if True in conv:
                 # residuals at the point just evaluated, against their tolerances;
                 # each |branch current| counts at both ends of its branch
@@ -488,8 +495,9 @@ class _System:
                 xf, xcol = xfull.reshape(-1), xfull[:, :, None]
         return result
 
-    def _update(self, jac, f_col):
-        """Stacked Newton updates, NaN where singular, node updates clipped."""
+    def _update(self, jac, f_col, xfull):
+        """Stacked Newton updates, NaN where singular, each node's update
+        limited to DAMPING + 2 |v| about its voltage v in xfull."""
         a, b = jac[:, 1:, 1:], -f_col[:, 1:]
         try:
             dx = np.linalg.solve(a, b)[:, :, 0]
@@ -498,9 +506,12 @@ class _System:
             for k in range(len(b)):
                 with contextlib.suppress(np.linalg.LinAlgError):
                     dx[k] = np.linalg.solve(a[k], b[k, :, 0])
-        lo, hi, _vntol = _CLAMP
         dxn = dx[:, :self.n_nodes]
-        np.minimum(np.maximum(dxn, lo, out=dxn), hi, out=dxn)
+        # written so that NaN takes this branch: a NaN replica must not turn
+        # the limit off for the rest of its stack (initial: a deck of no node)
+        if not np.maximum.reduce(np.abs(dxn), axis=None, initial=0.0) <= DAMPING:
+            hi = DAMPING + 2.0 * np.abs(xfull[:, 1:self.n_nodes + 1])
+            np.minimum(np.maximum(dxn, -hi, out=dxn), hi, out=dxn)
         return dx
 
     def _failed(self, rep, f_full, jac=None):

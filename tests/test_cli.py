@@ -444,6 +444,7 @@ _SIN_RC = ("r1 a b 1k", "c1 b 0 1n")
 # a sine whose phase, or whose envelope, leaves the float range: a traceback
 @example(cards=("v1 a 0 sin(0 1 1e308)", *_SIN_RC), directive=".tran 1u 10u")
 @example(cards=("v1 a 0 sin(0 1 1k 0 -1e308)", *_SIN_RC), directive=".tran 1u 10u")
+@example(cards=("r0 0 0 1",), directive=".op")   # no node: an empty Newton update
 def test_generated_deck_never_exits_1(cards, directive):
     # a deck is run (0), bad input (2) or a numerics failure (3), never a
     # crash; stdout and stderr go to pytest's capture

@@ -316,6 +316,23 @@ def test_unknown_sweep_source_raises():
         dc_sweep(c, netlist.DcSweep("v1", 0.0, 1.0, 0.5, "V1", 5.0, 6.0, 1.0))
 
 
+@pytest.mark.parametrize("iters", [2.5, 3.0, math.inf, math.nan, "3"])
+def test_newton_budget_must_be_an_integer(iters):
+    # Newton stops when its iteration count equals the budget, which a
+    # count never does for 2.5: the budget would be gone
+    with pytest.raises(ValueError, match=r"max_newton_iters must be an integer"):
+        SolverConfig(max_newton_iters=iters)
+
+
+def test_integer_newton_budget_holds(kernel_calls):
+    # a numpy integer is an integer: from 0 V the 60 V CMOS ring needs 9
+    # iterations, so a budget of 3 ends the solve after 3 kernel calls
+    c = netlist.parse(fixtures.read("ro_cmos.cir")).with_source_level("vdd", 60.0)
+    sys = engine._System(c, SolverConfig(max_newton_iters=np.int64(3)))
+    assert sys.newton(np.zeros((1, sys.dim0 - 1)), sys.sources(0.0)[None]) == [None]
+    assert kernel_calls[0] == 3
+
+
 def test_conflicting_sources_raise():
     # the source-stepping rung fails first at alpha = 0.1, from x = 0, where
     # the second source's branch row is 0.1 * 2 V off
@@ -337,40 +354,66 @@ def test_conflicting_sources_raise():
 
 def _dc_rung(c):
     """The rescue rung on which the t = 0 operating point of c converges,
-    read off the gshunt and alpha of every Newton call of the solve, and
-    the number of those calls."""
-    newton = engine._System.newton
-    calls = []
+    read off the gshunt and alpha of every Newton call of the solve, the
+    number of those calls and the number of kernel calls they made."""
+    newton, kernel = engine._System.newton, engine.kernels.otft_eval
+    calls, kernel_calls = [], [0]
 
     def spy(self, x0, src, **kw):
         calls.append((kw.get("gshunt", 0.0), kw.get("alpha", 1.0)))
         return newton(self, x0, src, **kw)
 
+    def counted(*args, **kwargs):
+        kernel_calls[0] += 1
+        return kernel(*args, **kwargs)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine._System, "newton", spy)
+        mp.setattr(engine.kernels, "otft_eval", counted)
         sys = engine._System(c, SolverConfig())
         sys.solve_dc(sys.sources(0.0))
     if any(alpha != 1.0 for _g, alpha in calls):
-        return "source", len(calls)
-    if any(g > 0.0 for g, _alpha in calls):
-        return "gmin", len(calls)
-    return "plain", len(calls)
+        rung = "source"
+    elif any(g > 0.0 for g, _alpha in calls):
+        rung = "gmin"
+    else:
+        rung = "plain"
+    return rung, len(calls), kernel_calls[0]
 
 
 @pytest.mark.parametrize("name,source,level,rung", [
     *[("neuron.cir", "iex", iex, ("gmin", 12))
       for iex in (9e-9, 20e-9, 50e-9, 100e-9, 500e-9)],
-    *[("ro_cmos.cir", "vdd", vdd, ("plain", 1)) for vdd in (30.0, 40.0)],
-    *[("ro_cmos.cir", "vdd", vdd, ("source", 12)) for vdd in (50.0, 60.0)],
+    *[("ro_cmos.cir", "vdd", vdd, ("plain", 1)) for vdd in (30.0, 40.0, 50.0, 60.0)],
     *[("ro_pseudo_e.cir", "vdd", vdd, ("plain", 1)) for vdd in (3.0, 15.0, 30.0)],
 ])
 def test_fixture_dc_rung(name, source, level, rung):
     # the neuron fails plain Newton and converges on the gmin ladder (ten
-    # shunted solves, then one unshunted); the CMOS ring at 50 and 60 V fails
-    # plain Newton and the first gmin solve, then source stepping (ten
-    # levels) converges
+    # shunted solves, then one unshunted); the CMOS ring converges on plain
+    # Newton up to 60 V (with node updates clipped to 0.5 V it ran out of
+    # iterations at 50 and 60 V and needed source stepping)
     c = netlist.parse(fixtures.read(name)).with_source_level(source, level)
-    assert _dc_rung(c) == rung
+    assert _dc_rung(c)[:2] == rung
+
+
+@pytest.mark.parametrize("name,source,level", [
+    *[("ro_cmos.cir", "vdd", vdd) for vdd in (30.0, 40.0, 50.0, 60.0)],
+    *[("ro_pseudo_e.cir", "vdd", vdd) for vdd in (3.0, 15.0, 24.0, 30.0)],
+    *[(name, None, None) for name in ("inverter_cmos.cir", "inverter_pseudo_e.cir",
+                                      "nand_pseudo_e.cir", "nor_pseudo_e.cir")],
+])
+def test_cold_operating_point_kernel_calls(name, source, level):
+    # from 0 V each node update is limited to DAMPING + 2 |v|, so the
+    # voltage a node can reach about triples per iteration (0.5, 2, 6.5,
+    # 20, 60 V): 5-10 kernel calls here.  Clipped to DAMPING, plain Newton
+    # took one iteration per half volt of supply (8-81 calls), and the CMOS
+    # ring at 50 and 60 V fell to source stepping (322 and 342)
+    c = netlist.parse(fixtures.read(name))
+    if source is not None:
+        c = c.with_source_level(source, level)
+    rung, solves, kernel_calls = _dc_rung(c)
+    assert (rung, solves) == ("plain", 1)
+    assert kernel_calls <= 12
 
 
 # -- Newton work per solve ----------------------------------------------------
@@ -723,16 +766,17 @@ def _serial_sweeps(c, d, cfg):
 
 def test_stacked_newton_matches_lone_calls(kernel_calls):
     # with a budget of 5 iterations, from the DC point moved by dv: 0 V
-    # converges on iteration 1, 0.1 V on 3, 1.4 V on 5 (the last), 2 V runs
-    # out of iterations and a NaN start fails on its first update; the 1.4 V
-    # replica leaves the stack on the same update that exhausts the 2 V one.
+    # converges on iteration 1, 0.1 V on 3, -10 V on 5 (the last), -20 V
+    # runs out of iterations and a NaN start fails on its first update; the
+    # -10 V replica leaves the stack on the same update that exhausts the
+    # -20 V one.
     # Then replicas with their own source rows, the supply at 20, 24 and 28 V
     c = netlist.parse(fixtures.read("ro_pseudo_e.cir")).with_source_level("vdd", 24.0)
     sys = engine._System(c, SolverConfig())
     src = sys.sources(0.0)
     x = sys.solve_dc(src)
     sys = engine._System(c, SolverConfig(max_newton_iters=5))
-    starts = np.stack([x + dv for dv in (1.4, 0.0, np.nan, 2.0, 0.1)])
+    starts = np.stack([x + dv for dv in (-10.0, 0.0, np.nan, -20.0, 0.1)])
     lone, records, calls = [], [], []
     for x0 in starts:
         kernel_calls[0] = 0
@@ -761,15 +805,19 @@ def _ring24():
             netlist.Tran(step=1.0 / (50.0 * 522.6), stop=2.0 / 522.6), None)
 
 
-@pytest.mark.parametrize("case", [
-    _ring24,
-    lambda: (netlist.parse(fixtures.read("ro_cmos.cir")),
-             netlist.Tran(step=8e-6, stop=1e-3), None),
-    lambda: (netlist.parse(fixtures.read("neuron.cir")),
-             netlist.Tran(step=5e-3, stop=0.05), None),
-    lambda: (netlist.parse(RC_NET), netlist.parse(RC_NET).analyses[0], {"out": 0.0}),
-], ids=["ro_pseudo_e_24v", "ro_cmos", "neuron", "rc"])
-def test_stacked_step_doubling_matches_serial(case):
+def _rc():
+    return netlist.parse(RC_NET), netlist.parse(RC_NET).analyses[0], {"out": 0.0}
+
+
+@pytest.mark.parametrize("case,iters", [
+    (_ring24, 100),
+    (lambda: (netlist.parse(fixtures.read("ro_cmos.cir")),
+              netlist.Tran(step=8e-6, stop=1e-3), None), 100),
+    (lambda: (netlist.parse(fixtures.read("neuron.cir")),
+              netlist.Tran(step=5e-3, stop=0.05), None), 100),
+    *[(_rc, iters) for iters in (100, 11, 15, 20, 25)],
+], ids=["ro_pseudo_e_24v", "ro_cmos", "neuron", "rc", "rc_11", "rc_15", "rc_20", "rc_25"])
+def test_stacked_step_doubling_matches_serial(case, iters):
     # the coupled attempt is exact Newton on the equations of the three
     # serial solves, stopped by the same test, so it takes the same steps
     # and lands every node within VNTOL and every source current within
@@ -777,9 +825,12 @@ def test_stacked_step_doubling_matches_serial(case):
     # Its starts differ, so its solutions differ within the Newton tolerance,
     # and a step width follows eta ** (-1/3) of the full-half difference:
     # the 24 V ring's axis moves by 1.0e-10 relative, the other three by
-    # 4.2e-12 at most
+    # 4.2e-12 at most.  Small budgets too: where node `in` jumps 0 -> 5 V, the
+    # full step's start is far off, and with every node update clipped to
+    # 0.5 V the coupled attempt ran out of iterations in steps that the
+    # serial order accepted (503 steps against 502 at 11 iterations)
     c, d, ic = case()
-    cfg = SolverConfig()
+    cfg = SolverConfig(max_newton_iters=iters)
     got, want = transient(c, d, cfg, ic=ic), _serial_transient(c, d, cfg, ic=ic)
     assert got.names == want.names and got.axis.size == want.axis.size
     np.testing.assert_allclose(got.axis, want.axis, rtol=5e-10, atol=0.0)
@@ -791,14 +842,15 @@ def test_stacked_step_doubling_matches_serial(case):
 
 
 def test_chained_replica_has_a_full_budget_after_the_first():
-    # an RC attempt with a budget of 10 iterations, node updates clipped to
-    # 0.5 V: the first half step starts 4.4 V off and converges on the 10th
-    # iteration, the second half step starts 6 V off and needs 3 more, which
-    # it gets; it lands within VNTOL of a lone solve from its start with its
-    # history formed from the first half step's solution.  The full step
-    # keeps a lone call's budget: 6 V off, it fails, and so does the call
+    # an RC attempt with a budget of 3 iterations, each node update limited
+    # to DAMPING + 2 |v|: the first half step starts at 0.5 V, 1.5 V off, and
+    # converges on the 3rd iteration; the second half step starts at 0 V and
+    # needs 4, which it gets after the first; it lands within VNTOL of a lone
+    # solve from its start with its history formed from the first half
+    # step's solution.  The full step keeps a lone call's budget: from 0 V
+    # it fails, and so does the call
     c = netlist.parse(RC_NET)
-    sys = engine._System(c, SolverConfig(max_newton_iters=10))
+    sys = engine._System(c, SolverConfig(max_newton_iters=3))
     out, h = sys.node_index["out"] - 1, 1e-5
     geq = 2.0 * sys.cap_c / np.array([[0.5 * h], [h], [0.5 * h]])
     ieq = geq * 2.0 + 3e-4   # trapezoidal companions from 2 V and 0.3 mA
@@ -807,19 +859,19 @@ def test_chained_replica_has_a_full_budget_after_the_first():
         return (geq[2] + geq[0]) * x[out] - ieq[0]
 
     x0 = np.array([[5.0, 2.0, -3e-4]] * 3)
-    x0[0, out] += 4.4
-    x0[2, out] += 6.0
+    x0[0, out] -= 1.5
+    x0[2, out] -= 2.0
     ieq[2] = second_half(x0[0])
     src, chain = np.array([sys.sources(t) for t in (0.5 * h, h, h)]), geq[2] + geq[0]
     sols = sys.newton(x0, src, cap_geq=geq, cap_ieq=ieq, chain=chain)
     assert np.array_equal(sols[0], sys.newton(x0[:1], src[:1], cap_geq=geq[:1],
                                               cap_ieq=ieq[:1])[0])
-    # alone, 10 iterations from its start are too few
+    # alone, 3 iterations from its start are too few
     last = dict(cap_geq=geq[2:], cap_ieq=second_half(sols[0])[None])
     assert sys.newton(x0[2:], src[2:], **last) == [None]
     (lone,) = engine._System(c, SolverConfig()).newton(x0[2:], src[2:], **last)
     np.testing.assert_allclose(sols[2], lone, rtol=0.0, atol=engine.VNTOL)
-    x0[1, out] += 6.0
+    x0[1, out] -= 2.0
     sols = sys.newton(x0, src, cap_geq=geq, cap_ieq=ieq, chain=chain)
     assert [x is None for x in sols] == [False, True, True]
 

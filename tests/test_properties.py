@@ -202,14 +202,22 @@ def test_polarity_mirror_negates_every_column(name):
 def test_cmos_inverter_mirror_negates_cold_operating_points():
     # checked on cold operating points, not through .dc: a .dc cannot sweep
     # downward, so the mirrored sweep would run from -3 V up, the other
-    # direction, each point continued from another (it reads within 4e-12 V)
-    c = netlist.parse(fixtures.read("inverter_cmos.cir"))
-    for vin in np.linspace(0.0, 3.0, 31):
-        a = c.with_source_level("vin", float(vin))
+    # direction, each point continued from another (it reads within 4e-12 V).
+    # The rings' points, from 3 to 60 V, take the node update limit
+    # DAMPING + 2 |v| for several iterations, so they check that it is
+    # symmetric in sign
+    inverter = netlist.parse(fixtures.read("inverter_cmos.cir"))
+    cases = [("inverter_cmos", inverter.with_source_level("vin", float(vin)))
+             for vin in np.linspace(0.0, 3.0, 31)]
+    for name, vdds in (("ro_cmos", (30.0, 40.0, 50.0, 60.0)),
+                       ("ro_pseudo_e", (3.0, 15.0, 24.0, 30.0))):
+        ring = netlist.parse(fixtures.read(f"{name}.cir"))
+        cases += [(name, ring.with_source_level("vdd", vdd)) for vdd in vdds]
+    for name, a in cases:
         op = dc_operating_point(a, CFG)
         mirrored = dc_operating_point(_transformed(a, mirror=True), CFG)
         assert mirrored.keys() == op.keys()
-        assert all(mirrored[n] == -v for n, v in op.items()), vin
+        assert all(mirrored[n] == -v for n, v in op.items()), (name, op)
 
 
 def _dc_voltages(c):
