@@ -28,9 +28,9 @@ step to t + h, whose capacitor history follows the first half step's
 iterate in every iteration, solved after the others.  Each starts through
 the last four points of the half-step path: every accepted attempt adds its
 first half step's solution and its accepted point, h/2 apart; a fixed step
-starts through the last four accepted points.  A DC sweep point starts
-through the last three sweep points.  Starts change the work of a solve,
-not its tolerances.
+starts through the last four accepted points.  A DC sweep value starts
+through solved coarse sweep points, below.  Starts change the work of a
+solve, not its tolerances.
 
 Newton takes B starts and B source rows and returns B solutions: B solves
 of one circuit, each with its own start, source row and capacitor
@@ -39,12 +39,13 @@ scatters, matrix product and stacked np.linalg.solve.  Callers build the
 rows from _System.sources, so Newton reads no waveform.  Each replica's
 entries keep the order of a lone solve, so its result is bit-identical to
 one, except the chained second half step's; a replica leaves the stack when
-it converges or fails.  A DC sweep solves blocks of SWEEP_BLOCK consecutive
-values, one call per block whose replicas are every (value, curve) pair;
-each starts from its curve's polynomial through the last three points
-before the block.  A replica that fails enters the ladder through one plain
-solve from the polynomial through its own three preceding points.  Fixed
-steps and DC solves are stacks of one.
+it converges or fails.  A DC sweep solves every SWEEP_STRIDE-th value and
+the last, then every other value from the cubic through its four nearest
+coarse points, in calls whose replicas are every (value, curve) pair of a
+block (see _dc_sweep_curves): the 1,501-point pseudo-E sweep takes 69
+kernel calls and 1.66 replica-iterations per point, against 133 and 2.06
+in one pass of blocks extrapolated past the points.  Fixed steps and DC
+solves are stacks of one.
 
 Transients stack 1 or 3 replicas of 12-24 transistors, so an iteration costs
 numpy calls, not arithmetic.  The stamp table of a stack therefore also
@@ -571,8 +572,9 @@ def _extrapolate(ts, xs, t):
     (ts[k], xs[k]), in Lagrange form: the predicted start of the next Newton
     solve.  An array t broadcasts against the points' values: t of shape
     (m, 1, ..., 1) gives the m values at once, also through a single point,
-    each equal bit for bit to its own float call; for a few values the float
-    calls are cheaper, as the weights are then Python floats."""
+    each equal bit for bit to its own float call, and so do points of their
+    own for each value: ts of shape (k, m, 1, ..., 1), xs of (k, m, ...); for
+    a few values the float calls are cheaper, the weights then being floats."""
     ts, xs = ts[-4:], xs[-4:]
     p = np.zeros(np.shape(t))
     for j, (tj, xj) in enumerate(zip(ts, xs)):
@@ -603,20 +605,26 @@ def dc_sweep(c: Circuit, directive: DcSweep, cfg: SolverConfig | None = None):
                             [f"{directive.source2}={v:g}" for v in outer])
 
 
-# swept values per stacked Newton call of a DC sweep
+# coarse values per stacked Newton call of a DC sweep (a fine call, whose
+# starts interpolate, takes twice as many), and the stride of the coarse pass
 SWEEP_BLOCK = 32
+SWEEP_STRIDE = 16
 
 
 def _dc_sweep_curves(c, d, cfg, extras, labels):
     """One Waveform per curve: d.source swept with that curve's fixed source
-    overrides.
+    overrides, in two passes of Newton calls whose replicas are every
+    (value, live curve) pair of a block of values.
 
-    The first point of every curve is a cold DC solve.  After it, each block
-    of up to SWEEP_BLOCK consecutive values is one Newton call whose replicas
-    are every (value, live curve) pair; a replica starts from its curve's
-    polynomial through the last three points before the block.  A replica
-    that fails enters the rescue ladder through one plain solve from the
-    polynomial through its own three preceding points.  A curve that fails
+    The coarse pass solves every SWEEP_STRIDE-th value and the last: the
+    first by a cold DC solve, then blocks of SWEEP_BLOCK, each replica from
+    its curve's polynomial through the three coarse points before the block.
+    The fine pass solves every other value in blocks of 2 * SWEEP_BLOCK, each
+    replica from the cubic through its curve's four coarse points nearest
+    it.  A replica that fails enters the rescue ladder alone: a coarse one
+    through one plain solve from the polynomial through its own three
+    preceding coarse points (except at a block's first value, whose block
+    start was that polynomial), a fine one at the rungs.  A curve that fails
     there leaves the sweep, whose error is raised once the other curves are
     done, so the first failing curve is the one reported."""
     sys = _System(c, cfg)
@@ -629,38 +637,56 @@ def _dc_sweep_curves(c, d, cfg, extras, labels):
     rows = np.zeros((values.size, len(extras), sys.dim0 - 1))
     live = list(range(len(extras)))   # curves that have not failed
     errors = {}
-    points = values.tolist()
-    i = 0
-    while i < values.size and live:
-        end = min(i + SWEEP_BLOCK, values.size) if i else 1
+    coarse = [*range(0, values.size - 1, SWEEP_STRIDE), values.size - 1]
+
+    def solve(idx, x0, retry):
+        """One call over the values idx (sweep indices) of every live curve
+        from x0 (values, curves, unknowns), None: each replica fails; a failed
+        replica (j, curve k) enters the ladder from retry(j, k)."""
         called = list(live)
         # a source row per replica, (value, curve) pairs value after value
-        src = np.tile(curves[called], (end - i, 1))
-        src[:, swept] = values[i:end].repeat(len(called))
-        if i:
-            lo = max(i - 3, 0)
-            # (values, curves, unknowns)
-            x0 = _extrapolate(points[lo:i], rows[lo:i, called], values[i:end, None, None])
-            xs = sys.newton(x0.reshape(-1, x0.shape[-1]), src)
-        else:
-            xs = [None] * len(called)
+        src = np.tile(curves[called], (len(idx), 1))
+        src[:, swept] = values[idx].repeat(len(called))
+        xs = [None] * len(src) if x0 is None else sys.newton(x0.reshape(len(src), -1), src)
+        if not any(x is None for x in xs):
+            rows[np.ix_(idx, called)] = np.reshape(xs, (len(idx), len(called), -1))
+            return
         for r, (x, row) in enumerate(zip(xs, src)):
             j, k = r // len(called), called[r % len(called)]
             if k not in live:
                 continue
             if x is None:
-                # retried alone from its own polynomial, except at a block's
-                # first value: its block start was that polynomial
-                lo, val = max(i + j - 3, 0), points[i + j]
-                start = _extrapolate(points[lo:i + j], rows[lo:i + j, k], val) if j else None
+                at = f"dc sweep at {d.source}={values[idx[j]]:g}"
                 try:
-                    x = sys.solve_dc(row, f"dc sweep at {d.source}={val:g}", start)
+                    x = sys.solve_dc(row, f"{at} ({labels[k]})" if labels[k] else at,
+                                     retry(j, k))
                 except ConvergenceError as e:
                     errors[k] = e
                     live.remove(k)
                     continue
-            rows[i + j, k] = x
-        i = end
+            rows[idx[j], k] = x
+
+    def before(q, k, t):   # polynomial through the three coarse points before q
+        ix = coarse[max(q - 3, 0):q]
+        return _extrapolate(values[ix], rows[ix][:, k], t)
+
+    solve(coarse[:1], None, lambda j, k: None)
+    for p in range(1, len(coarse), SWEEP_BLOCK):
+        if not live:
+            break
+        idx = coarse[p:p + SWEEP_BLOCK]
+        solve(idx, before(p, live, values[idx, None, None]),
+              lambda j, k: before(p + j, k, values[idx[j]]) if j else None)
+    fine = np.setdiff1d(np.arange(values.size), coarse)
+    # each fine value's four nearest coarse points, as (4, values) sweep indices
+    near = np.array(coarse)[np.clip(fine // SWEEP_STRIDE - 1, 0, max(len(coarse) - 4, 0))
+                            + np.arange(min(len(coarse), 4))[:, None]]
+    for b in range(0, fine.size, 2 * SWEEP_BLOCK):
+        if not live:
+            break
+        idx, w = fine[b:b + 2 * SWEEP_BLOCK], near[:, b:b + 2 * SWEEP_BLOCK]
+        solve(idx.tolist(), _extrapolate(values[w, None, None], rows[w][:, :, live],
+                                         values[idx, None, None]), lambda j, k: None)
     if errors:
         raise errors[min(errors)]
     return [Waveform(axis_name=d.source, axis=values, columns=sys.columns_of(rows[:, k]),

@@ -467,28 +467,30 @@ def test_ring_step_kernel_calls(kernel_calls):
     assert kernel_calls[0] <= 3.0 * steps
 
 
-@pytest.mark.parametrize("name,sweep", [
-    ("inverter_pseudo_e.cir", None),
-    ("inverter_cmos.cir", netlist.DcSweep("vin", 0.0, 5.0, 0.01)),
+@pytest.mark.parametrize("name,sweep,per_point", [
+    ("inverter_pseudo_e.cir", None, 0.06),
+    ("inverter_cmos.cir", netlist.DcSweep("vin", 0.0, 5.0, 0.01), 0.09),
 ])
-def test_sweep_point_kernel_calls(name, sweep, kernel_calls):
-    # blocks of 32 values share one stacked call: 0.131 and 0.100 calls per
-    # point, against 1.25 and 1.42 with one call per value, and 3.56 and 3.50
-    # from previous-point starts with a re-check evaluation per solve
+def test_sweep_point_kernel_calls(name, sweep, per_point, kernel_calls):
+    # a coarse pass of every 16th value in blocks of 32, then the other
+    # values in blocks of 64 from interpolating cubics: 0.046 and 0.076 calls
+    # per point, against 0.089 and 0.098 with blocks of 32 consecutive values,
+    # 1.25 and 1.42 with one call per value, and 3.56 and 3.50 from
+    # previous-point starts with a re-check evaluation per solve
     c = netlist.parse(fixtures.read(name))
     w = dc_sweep(c, sweep or c.analyses[0], SolverConfig())
-    assert kernel_calls[0] <= 0.16 * w.axis.size
+    assert kernel_calls[0] <= per_point * w.axis.size
 
 
 def test_cmos_vdd_sweep_kernel_calls(kernel_calls):
-    # the three supply curves and 32 values are the replicas of one stacked
-    # call: 0.068 calls per point over all curves, against 0.572 with one
-    # call per value and 1.35 curve by curve
+    # the three supply curves are replicas of every call: 0.033 calls per
+    # point over all curves, against 0.050 with blocks of 32 consecutive
+    # values, 0.572 with one call per value and 1.35 curve by curve
     c = netlist.parse(fixtures.read("inverter_cmos.cir"))
     ws = dc_sweep(c, netlist.DcSweep("vin", 0.0, 7.0, 0.01, "vdd", 3.0, 7.0, 2.0))
     points = sum(w.axis.size for w in ws)
     assert points == 3 * 701
-    assert kernel_calls[0] <= 0.08 * points
+    assert kernel_calls[0] <= 0.04 * points
 
 
 # -- replica axis: stacked solves against lone-call references ----------------
@@ -533,6 +535,19 @@ def test_extrapolate_matches_scalar_loop():
             assert np.array_equal(got[k].view(np.int64), ref.view(np.int64))
             assert np.array_equal(engine._extrapolate(ts, xs, v).view(np.int64),
                                   ref.view(np.int64))
+
+
+def test_extrapolate_per_value_points_match_scalar_loop():
+    # each of m values through points of its own, ts of shape (k, m, 1, 1)
+    rng = np.random.default_rng(5)
+    for k in range(1, 5):
+        ts = np.cumsum(rng.random((k, 9)), axis=0)
+        xs = rng.standard_normal((k, 9, 3, 7))
+        tv = ts[-1] + rng.random(9)
+        got = engine._extrapolate(ts[:, :, None, None], xs, tv[:, None, None])
+        for m, v in enumerate(tv.tolist()):
+            ref = _extrapolate_reference(ts[:, m].tolist(), list(xs[:, m]), v)
+            assert np.array_equal(got[m].view(np.int64), ref.view(np.int64))
 
 
 def test_extrapolate_reproduces_low_degree_polynomials():
@@ -721,23 +736,23 @@ def _curves(d):
             for v in engine._sweep_values(d.start2, d.stop2, d.step2)]
 
 
-def _sweeps(c, d, cfg, starts):
+def _sweeps(c, d, cfg, order, starts):
     """One sweep per curve, each on its own system and with lone Newton
-    calls.  Value i after the first tries the starts extrapolated through
-    the three values before each index of starts(i) in turn, then a cold DC
-    solve."""
+    calls, solving the values in the order order(n) of their n indices.
+    Value i after the first tries the starts extrapolated through the values
+    of each index list of starts(i) in turn, then a cold DC solve."""
     out = []
     for label, extra in _curves(d):
         sys = engine._System(c, cfg)
         values = engine._sweep_values(d.start, d.stop, d.step)
         rows = np.empty((values.size, sys.dim0 - 1))
-        for i, val in enumerate(values):
+        for i in order(values.size):
+            val = values[i]
             src = sys.sources(overrides={d.source.lower(): float(val), **extra})
             x = None
-            for end in starts(i) if i else ():
-                lo = max(end - 3, 0)
+            for near in starts(i) if i else ():
                 (x,) = sys.newton(
-                    _extrapolate_reference(values[lo:end], rows[lo:end], val)[None], src[None])
+                    _extrapolate_reference(values[near], rows[near], val)[None], src[None])
                 if x is not None:
                     break
             if x is None:
@@ -751,17 +766,62 @@ def _sweeps(c, d, cfg, starts):
 def _pointwise_sweeps(c, d, cfg):
     """Each value from the polynomial through the three values before it:
     the sweep of one Newton call per value, the accuracy reference."""
-    return _sweeps(c, d, cfg, lambda i: (i,))
+    return _sweeps(c, d, cfg, range, lambda i: [range(max(i - 3, 0), i)])
+
+
+def _block_sweeps(c, d, cfg):
+    """Each value from the polynomial through the three values before its
+    block of SWEEP_BLOCK, then the lone retry from the three values before
+    it: the single-pass block sweep, the reference at stride 1."""
+    def starts(i):
+        first = 1 + (i - 1) // engine.SWEEP_BLOCK * engine.SWEEP_BLOCK
+        return [range(max(first - 3, 0), first)] + (
+            [range(max(i - 3, 0), i)] if first < i else [])
+    return _sweeps(c, d, cfg, range, starts)
+
+
+def _coarse(n):
+    """Sweep indices of the coarse pass: every SWEEP_STRIDE-th and the last."""
+    return sorted({*range(0, n, engine.SWEEP_STRIDE), n - 1})
 
 
 def _serial_sweeps(c, d, cfg):
-    """Each value from the polynomial through the three values before its
-    block, then the lone retry from the three values before it: the
-    reference for the stacked block sweep."""
+    """The coarse values first, each from the polynomial through the three
+    coarse values before its block of SWEEP_BLOCK, then the lone retry from
+    the three coarse values before it; then every other value in order,
+    from the cubic through the four coarse values nearest its interval: the
+    reference for the stacked two-pass sweep."""
+    coarse = []
+
+    def order(n):
+        coarse[:] = _coarse(n)
+        return coarse + sorted(set(range(n)) - set(coarse))
+
     def starts(i):
-        first = 1 + (i - 1) // engine.SWEEP_BLOCK * engine.SWEEP_BLOCK
-        return (first,) if first == i else (first, i)
-    return _sweeps(c, d, cfg, starts)
+        if i in coarse:
+            p = coarse.index(i)
+            first = 1 + (p - 1) // engine.SWEEP_BLOCK * engine.SWEEP_BLOCK
+            return [coarse[max(first - 3, 0):first]] + (
+                [coarse[max(p - 3, 0):p]] if first < p else [])
+        q = max(p for p, ci in enumerate(coarse) if ci < i)   # i's interval
+        lo = min(max(q - 1, 0), max(len(coarse) - 4, 0))
+        return [coarse[lo:lo + 4]]
+    return _sweeps(c, d, cfg, order, starts)
+
+
+def _replica(n, i, k, live):
+    """Where a sweep of n values solves value i of curve k, with the curves
+    live in that call: its replica in the call, and how a failed replica
+    there enters the ladder ("lone": a plain solve from its own polynomial,
+    at a coarse value after its block's first; "zero": the rungs at once)."""
+    coarse = _coarse(n)
+    if i in coarse:
+        j = (coarse.index(i) - 1) % engine.SWEEP_BLOCK
+        retry = "lone" if j else "zero"
+    else:
+        j = [v for v in range(n) if v not in coarse].index(i) % (2 * engine.SWEEP_BLOCK)
+        retry = "zero"
+    return j * len(live) + live.index(k), retry
 
 
 def test_stacked_newton_matches_lone_calls(kernel_calls):
@@ -952,20 +1012,26 @@ def _diverge_starts(monkeypatch, vdd, vin, count):
 
 
 def test_failed_warm_start_falls_back_alone(monkeypatch):
-    # the 5 V curve's block start at vin = 2 (value 40, the eighth of its
-    # block, replica 7 * 3 + 1) diverges while the 3 V and 7 V curves
-    # converge.  It alone is retried from its own polynomial, and the retry
-    # either converges or diverges too and the rescue ladder starts from
-    # zero.  At vin = 1.65 (value 33, the first of its block, replica 1) the
-    # block start was that polynomial, so the ladder starts from zero at
-    # once.  The stacked sweep gives the serial answer every time
+    # the 5 V curve's start at one value diverges while the 3 V and 7 V
+    # curves converge, and it alone enters the ladder.  At a coarse value
+    # after its block's first (the fourth, vin = 2.4) it is retried from its
+    # own polynomial, and the retry either converges or diverges too and the
+    # rungs start from zero.  At a block's first coarse value (vin = 0.8) the
+    # block start was that polynomial, and at a fine value (vin = 2) the start
+    # was the cubic through the coarse values around it, so the rungs start
+    # at once.  The stacked sweep gives the serial answer every time
     c = netlist.parse(fixtures.read("inverter_cmos.cir"))
     d = replace(CMOS_VDDS, step=0.05)
-    first = engine._sweep_values(d.start, d.stop, d.step).tolist()[33]
-    for vin, count, starts in ((2.0, 1, [22, "lone"]), (2.0, 2, [22, "lone", "zero"]),
-                               (first, 1, [1, "zero"])):
+    values = engine._sweep_values(d.start, d.stop, d.step).tolist()
+    coarse = _coarse(len(values))
+    for i, count, retry in ((coarse[3], 1, "lone"), (coarse[3], 2, "lone"),
+                            (coarse[1], 1, "zero"),
+                            (coarse[2] + engine.SWEEP_STRIDE // 2, 1, "zero")):
+        replica, how = _replica(len(values), i, 1, [0, 1, 2])
+        assert how == retry
+        starts = [replica, retry, "zero"][:count + 1]
         with monkeypatch.context() as mp:
-            hit = _diverge_starts(mp, 5.0, vin, count)
+            hit = _diverge_starts(mp, 5.0, values[i], count)
             want = _serial_sweeps(c, d, SolverConfig())
             assert hit == ["lone", *starts[1:]]
             hit.clear()
@@ -976,22 +1042,78 @@ def test_failed_warm_start_falls_back_alone(monkeypatch):
 
 
 def test_first_failing_curve_is_reported(monkeypatch):
-    # curve order decides which failure is raised, as curve by curve.  The
-    # 3 V curve's block start at vin = 0.5 fails and its retry rescues it.
-    # At the 7 V curve's vin = 1 and then the 5 V curve's vin = 2 every start
-    # diverges: the block start, the retry and the first solve of each rung
+    # curve order decides which failure is raised, as curve by curve, and
+    # the message names the curve.  Every start diverges at the 7 V curve's
+    # coarse vin = 1.6 (the block start, the retry and the first solve of
+    # each rung): it leaves the sweep in the coarse pass.  In the fine pass
+    # the 3 V curve's start at vin = 0.4 fails and the plain rung rescues it,
+    # and every start diverges at the 5 V curve's vin = 2: its error is raised
     c = netlist.parse(fixtures.read("inverter_cmos.cir"))
     d = replace(CMOS_VDDS, step=0.05)
-    rescued = _diverge_starts(monkeypatch, 3.0, 0.5, 1)
-    failed = [_diverge_starts(monkeypatch, vdd, vin, 5)
-              for vdd, vin in ((7.0, 1.0), (5.0, 2.0))]
-    with pytest.raises(ConvergenceError, match=r"^dc sweep at vin=2: no convergence "
+    values = engine._sweep_values(d.start, d.stop, d.step).tolist()
+    n, coarse, half = len(values), _coarse(len(values)), engine.SWEEP_STRIDE // 2
+    at = {"7": (7.0, coarse[2], 5), "rescued": (3.0, coarse[0] + half, 1),
+          "5": (5.0, coarse[2] + half, 5)}
+    hits = {key: _diverge_starts(monkeypatch, vdd, values[i], count)
+            for key, (vdd, i, count) in at.items()}
+    with pytest.raises(ConvergenceError, match=r"^dc sweep at vin=2 \(vdd=5\): no convergence "
                                                r"\(failed at source step 0\.1\)"):
         dc_sweep(c, d, SolverConfig())
-    # replica (value in block) * (live curves) + (place among them), then lone
-    assert rescued == [9 * 3, "lone"]
-    assert failed == [[19 * 3 + 2, "lone", "zero", "zero", "zero"],
-                      [7 * 2 + 1, "lone", "zero", "zero", "zero"]]
+    # the replica in its call, with the curves live then, and how it enters
+    # the ladder, then the first solve of each further rung
+    assert _replica(n, coarse[2], 2, [0, 1, 2])[1] == "lone"
+    assert hits["7"] == [*_replica(n, coarse[2], 2, [0, 1, 2]), "zero", "zero", "zero"]
+    assert hits["rescued"] == [*_replica(n, coarse[0] + half, 0, [0, 1])]
+    assert hits["5"] == [*_replica(n, coarse[2] + half, 1, [0, 1]), "zero", "zero"]
+
+
+def test_one_curve_failure_names_the_value_only(monkeypatch):
+    c = netlist.parse(fixtures.read("inverter_cmos.cir"))
+    _diverge_starts(monkeypatch, 3.0, 2.0, 5)
+    with pytest.raises(ConvergenceError, match=r"^dc sweep at vin=2: no convergence "):
+        dc_sweep(c, netlist.DcSweep("vin", 0.0, 3.0, 0.05), SolverConfig())
+
+
+@pytest.mark.parametrize("case", ["inverter_pseudo_e", "inverter_cmos_vdds"])
+def test_stride_one_is_the_block_sweep(monkeypatch, case):
+    # every value in the coarse pass: the single-pass sweep of blocks of
+    # SWEEP_BLOCK consecutive values, bit for bit
+    monkeypatch.setattr(engine, "SWEEP_STRIDE", 1)
+    c, d = SWEEPS[case]()
+    d = d or c.analyses[0]
+    got = dc_sweep(c, d, SolverConfig())
+    for a, b in zip(got if isinstance(got, list) else [got], _block_sweeps(c, d, SolverConfig()),
+                    strict=True):
+        _same_waveform(a, b)
+
+
+@pytest.mark.parametrize("stop", [4.8, 5.0])
+def test_coarse_pass_solves_every_stride_and_the_last(monkeypatch, stop):
+    # 481 = 1 + 30 * 16 values and 501 values: either way the coarse pass
+    # solves values 0, 16, 32, ... and the last, one cold solve and then
+    # blocks of SWEEP_BLOCK consecutive coarse values, before the fine pass
+    # solves every other value in order, in blocks of 2 * SWEEP_BLOCK
+    c = netlist.parse(fixtures.read("inverter_cmos.cir"))
+    d = netlist.DcSweep("vin", 0.0, stop, 0.01)
+    values = engine._sweep_values(d.start, d.stop, d.step).tolist()
+    assert len(values) == (481 if stop == 4.8 else 501)
+    newton, calls = engine._System.newton, []
+
+    def recorded(self, x0, src, **kw):
+        calls.append(src[:, self.source_index["vin"]].tolist())
+        return newton(self, x0, src, **kw)
+
+    monkeypatch.setattr(engine._System, "newton", recorded)
+    dc_sweep(c, d, SolverConfig())
+    coarse = values[::engine.SWEEP_STRIDE]
+    coarse += values[-1:] if coarse[-1] != values[-1] else []
+    fine = [v for v in values if v not in coarse]
+    assert calls[0] == values[:1]   # the cold solve's plain rung
+    split = next(k for k, vs in enumerate(calls) if vs[0] in fine)
+    assert calls[1:split] == [
+        coarse[p:p + engine.SWEEP_BLOCK] for p in range(1, len(coarse), engine.SWEEP_BLOCK)]
+    assert calls[split:] == [fine[b:b + 2 * engine.SWEEP_BLOCK]
+                             for b in range(0, len(fine), 2 * engine.SWEEP_BLOCK)]
 
 
 def test_step_failure_names_the_first_failed_solve():
