@@ -77,7 +77,7 @@ class Run:
             fh.write(",".join(header) + "\n")
             for row in rows:
                 fh.write(",".join(repr(float(x)) if isinstance(x, float)
-                                  else str(x) for x in row) + "\n")
+                                  else extract.csv_cell(str(x)) for x in row) + "\n")
 
     def write_waveform(self, stem: str, w: engine.Waveform) -> None:
         engine.write_waveform_csv(w, self.path(stem + ".csv"))
@@ -340,7 +340,7 @@ def _supp10(run: Run) -> None:
 def _load(run: Run, name: str):
     p = fixtures.path(name)
     run.note_input(p)
-    return netlist.parse(p.read_text())
+    return netlist.parse(p.read_text(encoding="utf-8"))
 
 
 REPRODUCERS = {

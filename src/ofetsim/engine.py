@@ -39,13 +39,13 @@ scatters, matrix product and stacked np.linalg.solve.  Callers build the
 rows from _System.sources, so Newton reads no waveform.  Each replica's
 entries keep the order of a lone solve, so its result is bit-identical to
 one, except the chained second half step's; a replica leaves the stack when
-it converges or fails.  A DC sweep solves every SWEEP_STRIDE-th value and
-the last, then every other value from the cubic through its four nearest
-coarse points, in calls whose replicas are every (value, curve) pair of a
-block (see _dc_sweep_curves): the 1,501-point pseudo-E sweep takes 69
-kernel calls and 1.66 replica-iterations per point, against 133 and 2.06
-in one pass of blocks extrapolated past the points.  Fixed steps and DC
-solves are stacks of one.
+it converges or fails.  A DC sweep is one loop of such calls over a list
+of blocks, each call's replicas every (value, curve) pair of its block (see
+dc_sweep): the first value cold, then every SWEEP_STRIDE-th value and the
+last, each from the polynomial through the three coarse points before its
+block, then every other value from the cubic through its four nearest
+coarse points.  A replica that fails there climbs the rescue ladder alone.
+Fixed steps and DC solves are stacks of one.
 
 Transients stack 1 or 3 replicas of 12-24 transistors, so an iteration costs
 numpy calls, not arithmetic.  The stamp table of a stack therefore also
@@ -530,16 +530,14 @@ class _System:
         cause = f"{row} has no DC path" if no_path else f"largest residual {residual:.3g} at {row}"
         return ConvergenceError(f"{message}; {cause}", residual=residual, at=at, row=row)
 
-    def solve_dc(self, src, context="dc operating point", start=None):
+    def solve_dc(self, src, context="dc operating point"):
         """Newton at the source row ``src`` up the rescue ladder: plain, then
         gmin (shunts of 1e-3 S down to GMIN, then none), then source
-        (levels 0.1 to 1.0), each from zero, after one plain solve from
-        ``start`` when it is given.  A rung's solve starts from the one
-        before; the first rung whose solves all converge gives the point."""
-        ladder = [(np.zeros(self.dim0 - 1), solves) for _name, solves in _RUNGS]
-        if start is not None:
-            ladder.insert(0, (start, _PLAIN))
-        for x, solves in ladder:
+        (levels 0.1 to 1.0).  Each rung's first solve starts from zero and
+        each later one from the solve before; the first rung whose solves
+        all converge gives the point."""
+        for _name, solves in _RUNGS:
+            x = np.zeros(self.dim0 - 1)
             for gshunt, alpha in solves:
                 (x,) = self.newton(x[None], src[None], alpha=alpha, gshunt=gshunt)
                 if x is None:
@@ -573,8 +571,9 @@ def _extrapolate(ts, xs, t):
     solve.  An array t broadcasts against the points' values: t of shape
     (m, 1, ..., 1) gives the m values at once, also through a single point,
     each equal bit for bit to its own float call, and so do points of their
-    own for each value: ts of shape (k, m, 1, ..., 1), xs of (k, m, ...); for
-    a few values the float calls are cheaper, the weights then being floats."""
+    own for each value: ts of shape (k, m, 1, ..., 1), xs of (k, m, ...), or
+    of (k, 1, ...) shared by every value; for a few values the float calls
+    are cheaper, the weights then being floats."""
     ts, xs = ts[-4:], xs[-4:]
     p = np.zeros(np.shape(t))
     for j, (tj, xj) in enumerate(zip(ts, xs)):
@@ -590,44 +589,36 @@ def _sweep_values(start, stop, step):
     return start + step * np.arange(sweep_count(start, stop, step))
 
 
-def dc_sweep(c: Circuit, directive: DcSweep, cfg: SolverConfig | None = None):
-    """Swept-source DC solution with warm-started continuation.
-
-    Returns a Waveform; if the directive has a secondary sweep, returns a
-    list of Waveforms (one per secondary value, labeled `src2=value`).
-    """
-    cfg = cfg or SolverConfig()
-    if directive.source2 is None:
-        return _dc_sweep_curves(c, directive, cfg, [{}], [""])[0]
-    outer = _sweep_values(directive.start2, directive.stop2, directive.step2)
-    return _dc_sweep_curves(c, directive, cfg,
-                            [{directive.source2: float(v)} for v in outer],
-                            [f"{directive.source2}={v:g}" for v in outer])
-
-
 # coarse values per stacked Newton call of a DC sweep (a fine call, whose
-# starts interpolate, takes twice as many), and the stride of the coarse pass
+# starts interpolate, takes twice as many), and the stride of the coarse values
 SWEEP_BLOCK = 32
 SWEEP_STRIDE = 16
 
 
-def _dc_sweep_curves(c, d, cfg, extras, labels):
-    """One Waveform per curve: d.source swept with that curve's fixed source
-    overrides, in two passes of Newton calls whose replicas are every
-    (value, live curve) pair of a block of values.
+def dc_sweep(c: Circuit, directive: DcSweep, cfg: SolverConfig | None = None):
+    """Swept-source DC solution by block continuation.
 
-    The coarse pass solves every SWEEP_STRIDE-th value and the last: the
-    first by a cold DC solve, then blocks of SWEEP_BLOCK, each replica from
-    its curve's polynomial through the three coarse points before the block.
-    The fine pass solves every other value in blocks of 2 * SWEEP_BLOCK, each
-    replica from the cubic through its curve's four coarse points nearest
-    it.  A replica that fails enters the rescue ladder alone: a coarse one
-    through one plain solve from the polynomial through its own three
-    preceding coarse points (except at a block's first value, whose block
-    start was that polynomial), a fine one at the rungs.  A curve that fails
-    there leaves the sweep, whose error is raised once the other curves are
-    done, so the first failing curve is the one reported."""
-    sys = _System(c, cfg)
+    Returns a Waveform; if the directive has a secondary sweep, returns a
+    list of Waveforms (one per secondary value, labeled `src2=value`).
+
+    One loop of Newton calls solves every curve, each call's replicas every
+    (value, live curve) pair of a block of values: the first value cold,
+    then every SWEEP_STRIDE-th value and the last in blocks of SWEEP_BLOCK,
+    each replica from its curve's polynomial through the three coarse
+    values before its block, then every other value in blocks of
+    2 * SWEEP_BLOCK, each from the cubic through its curve's four coarse
+    values nearest it.  A replica that fails climbs the rescue ladder alone
+    (see _System.solve_dc); a curve that fails there leaves the sweep, whose
+    error is raised once the other curves are done, so the first failing
+    curve is the one reported.
+    """
+    d = directive
+    sys = _System(c, cfg or SolverConfig())
+    extras, labels = [{}], [""]
+    if d.source2 is not None:
+        outer = _sweep_values(d.start2, d.stop2, d.step2)
+        extras = [{d.source2: float(v)} for v in outer]
+        labels = [f"{d.source2}={v:g}" for v in outer]
     for name in (d.source, *extras[0]):
         if name not in sys.source_index:
             raise KeyError(f"dc sweep: unknown source {name!r}")
@@ -637,60 +628,49 @@ def _dc_sweep_curves(c, d, cfg, extras, labels):
     rows = np.zeros((values.size, len(extras), sys.dim0 - 1))
     live = list(range(len(extras)))   # curves that have not failed
     errors = {}
-    coarse = [*range(0, values.size - 1, SWEEP_STRIDE), values.size - 1]
-
-    def solve(idx, x0, retry):
-        """One call over the values idx (sweep indices) of every live curve
-        from x0 (values, curves, unknowns), None: each replica fails; a failed
-        replica (j, curve k) enters the ladder from retry(j, k)."""
+    coarse = np.array([*range(0, values.size - 1, SWEEP_STRIDE), values.size - 1])
+    fine = np.setdiff1d(np.arange(values.size), coarse)
+    # each fine value's four nearest coarse points, as (4, values) sweep indices
+    near = coarse[np.clip(fine // SWEEP_STRIDE - 1, 0, max(coarse.size - 4, 0))
+                  + np.arange(min(coarse.size, 4))[:, None]]
+    # each call's sweep indices and their start points as (points, values)
+    # sweep indices; a coarse block's one column of points serves all its values
+    blocks = [(coarse[:1], None),
+              *((coarse[p:p + SWEEP_BLOCK], coarse[max(p - 3, 0):p, None])
+                for p in range(1, coarse.size, SWEEP_BLOCK)),
+              *((fine[b:b + 2 * SWEEP_BLOCK], near[:, b:b + 2 * SWEEP_BLOCK])
+                for b in range(0, fine.size, 2 * SWEEP_BLOCK))]
+    for idx, pts in blocks:
+        if not live:
+            break
         called = list(live)
         # a source row per replica, (value, curve) pairs value after value
-        src = np.tile(curves[called], (len(idx), 1))
+        src = np.tile(curves[called], (idx.size, 1))
         src[:, swept] = values[idx].repeat(len(called))
-        xs = [None] * len(src) if x0 is None else sys.newton(x0.reshape(len(src), -1), src)
+        xs = [None] * len(src) if pts is None else sys.newton(_extrapolate(
+            values[pts, None, None], rows[pts][:, :, called],
+            values[idx, None, None]).reshape(len(src), -1), src)
         if not any(x is None for x in xs):
-            rows[np.ix_(idx, called)] = np.reshape(xs, (len(idx), len(called), -1))
-            return
+            rows[np.ix_(idx, called)] = np.reshape(xs, (idx.size, len(called), -1))
+            continue
         for r, (x, row) in enumerate(zip(xs, src)):
-            j, k = r // len(called), called[r % len(called)]
+            i, k = idx[r // len(called)], called[r % len(called)]
             if k not in live:
                 continue
             if x is None:
-                at = f"dc sweep at {d.source}={values[idx[j]]:g}"
+                at = f"dc sweep at {d.source}={values[i]:g}"
                 try:
-                    x = sys.solve_dc(row, f"{at} ({labels[k]})" if labels[k] else at,
-                                     retry(j, k))
+                    x = sys.solve_dc(row, f"{at} ({labels[k]})" if labels[k] else at)
                 except ConvergenceError as e:
                     errors[k] = e
                     live.remove(k)
                     continue
-            rows[idx[j], k] = x
-
-    def before(q, k, t):   # polynomial through the three coarse points before q
-        ix = coarse[max(q - 3, 0):q]
-        return _extrapolate(values[ix], rows[ix][:, k], t)
-
-    solve(coarse[:1], None, lambda j, k: None)
-    for p in range(1, len(coarse), SWEEP_BLOCK):
-        if not live:
-            break
-        idx = coarse[p:p + SWEEP_BLOCK]
-        solve(idx, before(p, live, values[idx, None, None]),
-              lambda j, k: before(p + j, k, values[idx[j]]) if j else None)
-    fine = np.setdiff1d(np.arange(values.size), coarse)
-    # each fine value's four nearest coarse points, as (4, values) sweep indices
-    near = np.array(coarse)[np.clip(fine // SWEEP_STRIDE - 1, 0, max(len(coarse) - 4, 0))
-                            + np.arange(min(len(coarse), 4))[:, None]]
-    for b in range(0, fine.size, 2 * SWEEP_BLOCK):
-        if not live:
-            break
-        idx, w = fine[b:b + 2 * SWEEP_BLOCK], near[:, b:b + 2 * SWEEP_BLOCK]
-        solve(idx.tolist(), _extrapolate(values[w, None, None], rows[w][:, :, live],
-                                         values[idx, None, None]), lambda j, k: None)
+            rows[i, k] = x
     if errors:
         raise errors[min(errors)]
-    return [Waveform(axis_name=d.source, axis=values, columns=sys.columns_of(rows[:, k]),
-                     label=label) for k, label in enumerate(labels)]
+    waves = [Waveform(axis_name=d.source, axis=values, columns=sys.columns_of(rows[:, k]),
+                      label=label) for k, label in enumerate(labels)]
+    return waves if d.source2 is not None else waves[0]
 
 
 def transient(c: Circuit, directive: Tran, cfg: SolverConfig | None = None,

@@ -114,6 +114,14 @@ _KINDS = ("transfer", "output")
 _NUMBERS = CSV_COLUMNS[2:]   # in the order a row's cells are checked
 
 
+def csv_cell(text: str) -> str:
+    """A text cell as csv.QUOTE_MINIMAL writes it: in quotes, each quote
+    doubled, if it holds a comma, a quote or a line break; else as it is."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def read_iv_csv(path, device: str | None = None) -> list[IvSweep]:
     """Read sweeps from a schema-v1 measurement CSV.
 
@@ -304,7 +312,7 @@ def write_iv_csv(path, sweeps: list[IvSweep]) -> None:
         for s in sweeps:
             g = s.geom
             meta = (
-                f"{s.device_id},{s.kind},{repr(g.w * 1e6)},{repr(g.l * 1e6)},"
+                f"{csv_cell(s.device_id)},{s.kind},{repr(g.w * 1e6)},{repr(g.l * 1e6)},"
                 f"{repr(g.lov * 1e6)},{repr(s.cox * 1e5)},{repr(s.fixed_bias)}"
             )
             for v, i in zip(s.v, s.i):

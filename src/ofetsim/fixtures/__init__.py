@@ -20,4 +20,4 @@ def path(name: str) -> Path:
 
 
 def read(name: str) -> str:
-    return path(name).read_text()
+    return path(name).read_text(encoding="utf-8")

@@ -227,7 +227,8 @@ def load_strain_table() -> dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]:
     axis, ``mobility_retention`` the mobility multiplier of a channel lying
     parallel or perpendicular to it.  Values beyond the last breakpoint hold flat.
     """
-    text = resources.files("ofetsim").joinpath("data/strain_table.json").read_text()
+    text = resources.files("ofetsim").joinpath("data/strain_table.json").read_text(
+        encoding="utf-8")
     raw = json.loads(text)
     if raw.get("version") != 1:
         raise ParameterError(f"unsupported strain table version {raw.get('version')!r}")

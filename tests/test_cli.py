@@ -62,6 +62,22 @@ def test_extract_batch(tmp_path):
     assert len(hrows) > 0
 
 
+def test_extract_reports_quoted_ids(tmp_path):
+    # ids holding a comma or a quote keep every reports.csv row at the
+    # header's 9 cells, and read back as the input's ids
+    quoted = {"dev,1": '"dev,1"', 'de"v': '"de""v"'}
+    lines = pathlib.Path(BATCH).read_text(encoding="utf-8").splitlines()
+    first = lines[1].split(",")[0]
+    rows = [ln[len(first):] for ln in lines[1:] if ln.split(",")[0] == first]
+    text = "\n".join([lines[0]] + [q + r for q in quoted.values() for r in rows])
+    (tmp_path / "iv.csv").write_text(text + "\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["extract", str(tmp_path / "iv.csv"), "--out", str(out)]) == 0
+    header, reports = _read_csv(out / "reports.csv")
+    assert len(header) == 9 and [len(r) for r in reports] == [9, 9]
+    assert [r[0] for r in reports] == list(quoted)
+
+
 def test_extract_manifest_hashes(tmp_path):
     out = tmp_path / "o"
     main(["extract", BATCH, "--out", str(out)])
@@ -693,3 +709,15 @@ def test_module_entry_point():
                        capture_output=True, text=True, env=env)
     assert r.returncode == 0
     assert "extract" in r.stdout and "reproduce" in r.stdout
+
+
+@pytest.mark.parametrize("rid", ["supp10", "fig4f"])
+def test_reproduce_reads_package_text_as_utf8(tmp_path, rid):
+    # every text read of the package names its encoding: no EncodingWarning
+    src = str(pathlib.Path(ofetsim.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    r = subprocess.run([sys.executable, "-X", "warn_default_encoding", "-W",
+                        "error::EncodingWarning", "-m", "ofetsim", "reproduce", rid,
+                        "--out", str(tmp_path / rid)], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr

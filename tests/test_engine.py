@@ -736,11 +736,12 @@ def _curves(d):
             for v in engine._sweep_values(d.start2, d.stop2, d.step2)]
 
 
-def _sweeps(c, d, cfg, order, starts):
+def _sweeps(c, d, cfg, order, points):
     """One sweep per curve, each on its own system and with lone Newton
     calls, solving the values in the order order(n) of their n indices.
-    Value i after the first tries the starts extrapolated through the values
-    of each index list of starts(i) in turn, then a cold DC solve."""
+    Value i after the first starts from the polynomial through the values
+    of the index list points(i); a failed start, and the first value, take
+    a cold DC solve."""
     out = []
     for label, extra in _curves(d):
         sys = engine._System(c, cfg)
@@ -750,11 +751,10 @@ def _sweeps(c, d, cfg, order, starts):
             val = values[i]
             src = sys.sources(overrides={d.source.lower(): float(val), **extra})
             x = None
-            for near in starts(i) if i else ():
+            if i:
+                near = points(i)
                 (x,) = sys.newton(
                     _extrapolate_reference(values[near], rows[near], val)[None], src[None])
-                if x is not None:
-                    break
             if x is None:
                 x = sys.solve_dc(src)
             rows[i] = x
@@ -766,62 +766,55 @@ def _sweeps(c, d, cfg, order, starts):
 def _pointwise_sweeps(c, d, cfg):
     """Each value from the polynomial through the three values before it:
     the sweep of one Newton call per value, the accuracy reference."""
-    return _sweeps(c, d, cfg, range, lambda i: [range(max(i - 3, 0), i)])
+    return _sweeps(c, d, cfg, range, lambda i: range(max(i - 3, 0), i))
 
 
 def _block_sweeps(c, d, cfg):
     """Each value from the polynomial through the three values before its
-    block of SWEEP_BLOCK, then the lone retry from the three values before
-    it: the single-pass block sweep, the reference at stride 1."""
-    def starts(i):
+    block of SWEEP_BLOCK: the single-pass block sweep, the reference at
+    stride 1."""
+    def points(i):
         first = 1 + (i - 1) // engine.SWEEP_BLOCK * engine.SWEEP_BLOCK
-        return [range(max(first - 3, 0), first)] + (
-            [range(max(i - 3, 0), i)] if first < i else [])
-    return _sweeps(c, d, cfg, range, starts)
+        return range(max(first - 3, 0), first)
+    return _sweeps(c, d, cfg, range, points)
 
 
 def _coarse(n):
-    """Sweep indices of the coarse pass: every SWEEP_STRIDE-th and the last."""
+    """Sweep indices of the coarse values: every SWEEP_STRIDE-th and the last."""
     return sorted({*range(0, n, engine.SWEEP_STRIDE), n - 1})
 
 
 def _serial_sweeps(c, d, cfg):
     """The coarse values first, each from the polynomial through the three
-    coarse values before its block of SWEEP_BLOCK, then the lone retry from
-    the three coarse values before it; then every other value in order,
-    from the cubic through the four coarse values nearest its interval: the
-    reference for the stacked two-pass sweep."""
+    coarse values before its block of SWEEP_BLOCK; then every other value
+    in order, from the cubic through the four coarse values nearest its
+    interval: the reference for the stacked coarse-to-fine sweep."""
     coarse = []
 
     def order(n):
         coarse[:] = _coarse(n)
         return coarse + sorted(set(range(n)) - set(coarse))
 
-    def starts(i):
+    def points(i):
         if i in coarse:
             p = coarse.index(i)
             first = 1 + (p - 1) // engine.SWEEP_BLOCK * engine.SWEEP_BLOCK
-            return [coarse[max(first - 3, 0):first]] + (
-                [coarse[max(p - 3, 0):p]] if first < p else [])
+            return coarse[max(first - 3, 0):first]
         q = max(p for p, ci in enumerate(coarse) if ci < i)   # i's interval
         lo = min(max(q - 1, 0), max(len(coarse) - 4, 0))
-        return [coarse[lo:lo + 4]]
-    return _sweeps(c, d, cfg, order, starts)
+        return coarse[lo:lo + 4]
+    return _sweeps(c, d, cfg, order, points)
 
 
 def _replica(n, i, k, live):
     """Where a sweep of n values solves value i of curve k, with the curves
-    live in that call: its replica in the call, and how a failed replica
-    there enters the ladder ("lone": a plain solve from its own polynomial,
-    at a coarse value after its block's first; "zero": the rungs at once)."""
+    live in that call: its replica in the call."""
     coarse = _coarse(n)
     if i in coarse:
         j = (coarse.index(i) - 1) % engine.SWEEP_BLOCK
-        retry = "lone" if j else "zero"
     else:
         j = [v for v in range(n) if v not in coarse].index(i) % (2 * engine.SWEEP_BLOCK)
-        retry = "zero"
-    return j * len(live) + live.index(k), retry
+    return j * len(live) + live.index(k)
 
 
 def test_stacked_newton_matches_lone_calls(kernel_calls):
@@ -1013,30 +1006,27 @@ def _diverge_starts(monkeypatch, vdd, vin, count):
 
 def test_failed_warm_start_falls_back_alone(monkeypatch):
     # the 5 V curve's start at one value diverges while the 3 V and 7 V
-    # curves converge, and it alone enters the ladder.  At a coarse value
-    # after its block's first (the fourth, vin = 2.4) it is retried from its
-    # own polynomial, and the retry either converges or diverges too and the
-    # rungs start from zero.  At a block's first coarse value (vin = 0.8) the
-    # block start was that polynomial, and at a fine value (vin = 2) the start
-    # was the cubic through the coarse values around it, so the rungs start
-    # at once.  The stacked sweep gives the serial answer every time
+    # curves converge, and it alone climbs the rescue ladder, whose rungs
+    # start from zero: at a block's first coarse value (vin = 0.8), at a
+    # later one (the fourth, vin = 2.4) and at a fine value (vin = 2).  When
+    # the plain rung diverges too, the gmin rung starts from zero and each of
+    # its later solves from the one before.  The stacked sweep gives the
+    # serial answer every time
     c = netlist.parse(fixtures.read("inverter_cmos.cir"))
     d = replace(CMOS_VDDS, step=0.05)
     values = engine._sweep_values(d.start, d.stop, d.step).tolist()
     coarse = _coarse(len(values))
-    for i, count, retry in ((coarse[3], 1, "lone"), (coarse[3], 2, "lone"),
-                            (coarse[1], 1, "zero"),
-                            (coarse[2] + engine.SWEEP_STRIDE // 2, 1, "zero")):
-        replica, how = _replica(len(values), i, 1, [0, 1, 2])
-        assert how == retry
-        starts = [replica, retry, "zero"][:count + 1]
+    gmin = ["zero"] + ["lone"] * (len(engine._RUNGS[1][1]) - 1)
+    for i, count in ((coarse[1], 1), (coarse[3], 1), (coarse[3], 2),
+                     (coarse[2] + engine.SWEEP_STRIDE // 2, 1)):
+        rungs = ["zero"] if count == 1 else ["zero", *gmin]
         with monkeypatch.context() as mp:
             hit = _diverge_starts(mp, 5.0, values[i], count)
             want = _serial_sweeps(c, d, SolverConfig())
-            assert hit == ["lone", *starts[1:]]
+            assert hit == ["lone", *rungs]
             hit.clear()
             got = dc_sweep(c, d, SolverConfig())
-        assert hit == starts
+        assert hit == [_replica(len(values), i, 1, [0, 1, 2]), *rungs]
         for a, b in zip(got, want):
             _same_waveform(a, b)
 
@@ -1044,27 +1034,26 @@ def test_failed_warm_start_falls_back_alone(monkeypatch):
 def test_first_failing_curve_is_reported(monkeypatch):
     # curve order decides which failure is raised, as curve by curve, and
     # the message names the curve.  Every start diverges at the 7 V curve's
-    # coarse vin = 1.6 (the block start, the retry and the first solve of
-    # each rung): it leaves the sweep in the coarse pass.  In the fine pass
+    # coarse vin = 1.6 (the block start and the first solve of each rung):
+    # it leaves the sweep among the coarse values.  Among the fine values
     # the 3 V curve's start at vin = 0.4 fails and the plain rung rescues it,
     # and every start diverges at the 5 V curve's vin = 2: its error is raised
     c = netlist.parse(fixtures.read("inverter_cmos.cir"))
     d = replace(CMOS_VDDS, step=0.05)
     values = engine._sweep_values(d.start, d.stop, d.step).tolist()
     n, coarse, half = len(values), _coarse(len(values)), engine.SWEEP_STRIDE // 2
-    at = {"7": (7.0, coarse[2], 5), "rescued": (3.0, coarse[0] + half, 1),
-          "5": (5.0, coarse[2] + half, 5)}
+    at = {"7": (7.0, coarse[2], 4), "rescued": (3.0, coarse[0] + half, 1),
+          "5": (5.0, coarse[2] + half, 4)}
     hits = {key: _diverge_starts(monkeypatch, vdd, values[i], count)
             for key, (vdd, i, count) in at.items()}
     with pytest.raises(ConvergenceError, match=r"^dc sweep at vin=2 \(vdd=5\): no convergence "
                                                r"\(failed at source step 0\.1\)"):
         dc_sweep(c, d, SolverConfig())
-    # the replica in its call, with the curves live then, and how it enters
-    # the ladder, then the first solve of each further rung
-    assert _replica(n, coarse[2], 2, [0, 1, 2])[1] == "lone"
-    assert hits["7"] == [*_replica(n, coarse[2], 2, [0, 1, 2]), "zero", "zero", "zero"]
-    assert hits["rescued"] == [*_replica(n, coarse[0] + half, 0, [0, 1])]
-    assert hits["5"] == [*_replica(n, coarse[2] + half, 1, [0, 1]), "zero", "zero"]
+    # the replica in its call, with the curves live then, then the first
+    # solve of each rung
+    assert hits["7"] == [_replica(n, coarse[2], 2, [0, 1, 2]), "zero", "zero", "zero"]
+    assert hits["rescued"] == [_replica(n, coarse[0] + half, 0, [0, 1]), "zero"]
+    assert hits["5"] == [_replica(n, coarse[2] + half, 1, [0, 1]), "zero", "zero", "zero"]
 
 
 def test_one_curve_failure_names_the_value_only(monkeypatch):

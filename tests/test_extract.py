@@ -306,10 +306,13 @@ def test_batch_statistics_degenerate_single():
 # -- CSV schema --------------------------------------------------------------
 
 
-def test_csv_round_trip(tmp_path):
+# ids with a comma or a quote are written in quotes, as csv.QUOTE_MINIMAL
+# does; unquoted, a quote only opens a quoted cell at the cell's start
+@pytest.mark.parametrize("dev", ["a", "dev,1", 'de"v', '"dev'])
+def test_csv_round_trip(tmp_path, dev):
     p = ref_params()
-    sweeps = [synth_transfer(p, vds=-30.0, device_id="a"),
-              synth_output(p, vgs=-20.0, device_id="a")]
+    sweeps = [synth_transfer(p, vds=-30.0, device_id=dev),
+              synth_output(p, vgs=-20.0, device_id=dev)]
     path = tmp_path / "iv.csv"
     write_iv_csv(path, sweeps)
     back = read_iv_csv(path)
