@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 usage, 2 bad input or schema, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import hashlib
 import json
@@ -73,11 +74,11 @@ class Run:
         return self.dir / name
 
     def write_rows(self, name: str, header: list[str], rows) -> None:
+        """Write a header and rows with Python's csv module (QUOTE_MINIMAL)."""
         with open(self.path(name), "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(repr(float(x)) if isinstance(x, float)
-                                  else extract.csv_cell(str(x)) for x in row) + "\n")
+            out = csv.writer(fh, lineterminator="\n")
+            out.writerow(header)
+            out.writerows(rows)
 
     def write_waveform(self, stem: str, w: engine.Waveform) -> None:
         engine.write_waveform_csv(w, self.path(stem + ".csv"))
@@ -268,10 +269,8 @@ def _fig4f(run: Run) -> None:
 
 def _fig4h(run: Run) -> None:
     vdds = [15.0, 20.0, 25.0, 30.0]
-    text = fixtures.read("ro_pseudo_e.cir")
-    run.note_input(fixtures.path("ro_pseudo_e.cir"))
-    ratio20 = netlist.parse(text)
-    ratio10 = netlist.parse(text, params={"w2": 200e-6, "rc2": 57e3})
+    ratio20 = _load(run, "ro_pseudo_e.cir")
+    ratio10 = _load(run, "ro_pseudo_e.cir", params={"w2": 200e-6, "rc2": 57e3})
     f20 = dict(analyses.vco_curve(ratio20, vdds, run.cfg))
     f10 = dict(analyses.vco_curve(ratio10, vdds, run.cfg))
     run.write_rows("fig4h.csv", ["vdd_V", "f_ratio20_Hz", "f_ratio10_Hz"],
@@ -337,10 +336,10 @@ def _supp10(run: Run) -> None:
     run.write_rows("supp10.csv", ["gate", "a", "b", "out"], rows)
 
 
-def _load(run: Run, name: str):
+def _load(run: Run, name: str, params=None):
     p = fixtures.path(name)
     run.note_input(p)
-    return netlist.parse(p.read_text(encoding="utf-8"))
+    return netlist.parse(p.read_text(encoding="utf-8"), params=params)
 
 
 REPRODUCERS = {

@@ -75,6 +75,8 @@ class IvSweep:
     def __post_init__(self):
         if self.kind not in ("transfer", "output"):
             raise ValueError(f"sweep kind must be transfer or output, got {self.kind!r}")
+        if "\n" in self.device_id or "\r" in self.device_id:
+            raise ValueError(f"device id may not hold a line break, got {self.device_id!r}")
         if not math.isfinite(self.fixed_bias):
             raise ValueError(f"fixed bias must be finite, got {self.fixed_bias}")
         v = np.asarray(self.v, dtype=float)
@@ -112,14 +114,6 @@ CSV_COLUMNS = (
 )
 _KINDS = ("transfer", "output")
 _NUMBERS = CSV_COLUMNS[2:]   # in the order a row's cells are checked
-
-
-def csv_cell(text: str) -> str:
-    """A text cell as csv.QUOTE_MINIMAL writes it: in quotes, each quote
-    doubled, if it holds a comma, a quote or a line break; else as it is."""
-    if "," in text or '"' in text or "\n" in text or "\r" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
 
 
 def read_iv_csv(path, device: str | None = None) -> list[IvSweep]:
@@ -306,17 +300,15 @@ def _sweeps(rows: list[list[str]], idx: dict, lines: list[int],
 
 
 def write_iv_csv(path, sweeps: list[IvSweep]) -> None:
-    """Write sweeps in schema v1 with full float round-trip precision."""
+    """Write sweeps in schema v1 with Python's csv module (QUOTE_MINIMAL)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(CSV_COLUMNS)
         for s in sweeps:
             g = s.geom
-            meta = (
-                f"{csv_cell(s.device_id)},{s.kind},{repr(g.w * 1e6)},{repr(g.l * 1e6)},"
-                f"{repr(g.lov * 1e6)},{repr(s.cox * 1e5)},{repr(s.fixed_bias)}"
-            )
-            for v, i in zip(s.v, s.i):
-                fh.write(f"{meta},{repr(float(v))},{repr(float(i))}\n")
+            meta = (s.device_id, s.kind, g.w * 1e6, g.l * 1e6, g.lov * 1e6,
+                    s.cox * 1e5, s.fixed_bias)
+            out.writerows((*meta, v, i) for v, i in zip(s.v.tolist(), s.i.tolist()))
 
 
 # -- figure-of-merit extraction ---------------------------------------------

@@ -420,9 +420,9 @@ def _tokenize(line: str) -> list[str]:
 class _Parser:
     def __init__(self, params_override: dict | None):
         self.diags: list[Diagnostic] = []
-        self.params: dict[str, float] = {}
         self.params_override = {k.lower(): float(v)
                                 for k, v in (params_override or {}).items()}
+        self.params: dict[str, float] = dict(self.params_override)
         self.models: dict[str, OtftParams] = {}
         self.elements: list[Element] = []
         self.analyses: list = []
@@ -635,9 +635,9 @@ def _logical_lines(text: str):
 def parse(text: str, params: dict | None = None) -> Circuit:
     """Parse netlist text into a flattened Circuit.
 
-    `params` overrides `.param` constants before substitution (used for
-    ratio studies).  Raises NetlistError carrying line-numbered diagnostics
-    if any error is found.
+    `params` overrides `.param` constants before any card is read, so
+    `.param` cards see the overrides too (used for ratio studies).  Raises
+    NetlistError carrying line-numbered diagnostics if any error is found.
     """
     p = _Parser(params)
     lines = _logical_lines(text)
@@ -702,14 +702,12 @@ def parse(text: str, params: dict | None = None) -> Circuit:
         if card == ".param":
             for k, v in p.kwargs(toks[1:], lineno, ".param").items():
                 num = p.number(v, lineno, f".param {k}")
-                if num is not None:
+                if num is not None and k not in p.params_override:
                     p.params[k] = num
-            p.params.update(p.params_override)
             continue
         top.append((lineno, toks))
     if current is not None:
         p.error(current[0], f".subckt {current[1]!r} never closed with .ends")
-    p.params.update(p.params_override)
 
     # pass 2: models first so instances can bind in file order
     cards = []

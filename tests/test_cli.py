@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import pathlib
 import re
@@ -76,6 +78,20 @@ def test_extract_reports_quoted_ids(tmp_path):
     header, reports = _read_csv(out / "reports.csv")
     assert len(header) == 9 and [len(r) for r in reports] == [9, 9]
     assert [r[0] for r in reports] == list(quoted)
+
+
+def test_write_rows_bytes(tmp_path):
+    # floats (numpy's too) as their shortest round-trip text, integers as
+    # digits, a text cell quoted only if it holds a comma or a quote
+    run = cli.Run(argparse.Namespace(cmd="extract", out=str(tmp_path)), ["extract"])
+    run.write_rows("t.csv", ["x", "y", "z", "u", "v", "w", "q"], [
+        (-0.0, math.nan, math.inf, 1e16, 1e-05, 5e-324, 0.1),
+        (np.float64(2.5e-07), np.int64(3), 7, "dev,1", 'de"v', "", "ok"),
+    ])
+    assert (tmp_path / "t.csv").read_bytes() == (
+        b"x,y,z,u,v,w,q\n"
+        b"-0.0,nan,inf,1e+16,1e-05,5e-324,0.1\n"
+        b'2.5e-07,3,7,"dev,1","de""v",,ok\n')
 
 
 def test_extract_manifest_hashes(tmp_path):

@@ -326,6 +326,13 @@ def test_csv_round_trip(tmp_path, dev):
         assert x.geom.l == pytest.approx(y.geom.l, rel=1e-12)
 
 
+@pytest.mark.parametrize("dev", ["a\nb", "a\rb"])
+def test_sweep_id_may_not_hold_a_line_break(dev):
+    # written, such an id would span two lines, which the reader rejects
+    with pytest.raises(ValueError, match="device id may not hold a line break"):
+        synth_transfer(ref_params(), vds=-30.0, device_id=dev)
+
+
 _HEADER = "device_id,kind,W_um,L_um,LOV_um,cox_nF_cm2,fixed_bias_V,v_V,id_A\n"
 
 

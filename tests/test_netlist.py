@@ -125,6 +125,21 @@ def test_param_override_at_parse_time():
         parse(NESTED, params={"rload": float("inf")})
 
 
+def test_param_override_applies_inside_param_cards():
+    # an overridden name holds its override in the card that sets it and in
+    # later ones; the card's own value for it is still checked
+    text = "t\n.param a={a} b=a\n.param c=a\nv1 n 0 dc 1\nr1 n 0 1k\n.end"
+    c = parse(text.format(a="1"), params={"a": 5})
+    assert dict(c.params) == {"a": 5.0, "b": 5.0, "c": 5.0}
+    assert dict(parse(text.format(a="1")).params) == {"a": 1.0, "b": 1.0, "c": 1.0}
+    with pytest.raises(NetlistError, match="malformed number") as err:
+        parse(text.format(a="12zz4"), params={"a": 5})
+    assert [d.line for d in err.value.diagnostics] == [2]
+    # a .param card may reference a name that only an override sets
+    c = parse("t\n.param b=z\nv1 n 0 dc 1\nr1 n 0 b\n.end", params={"z": 2e3})
+    assert dict(c.params)["b"] == 2e3 and c.element("r1").value == 2e3
+
+
 def test_ring_oscillators_flatten_to_12_transistors():
     for name in ("ro_pseudo_e.cir", "ro_cmos.cir"):
         c = parse(fixtures.read(name))
