@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__, analyses, engine, extract, fixtures, netlist
 from .engine import SolverConfig
-from .model import ParameterError
+from .model import ContactSolveError, ParameterError
 
 E_OK, E_USAGE, E_INPUT, E_NUMERIC = 0, 1, 2, 3
 
@@ -457,7 +457,7 @@ def main(argv: list[str] | None = None) -> int:
     except (extract.SchemaError, netlist.NetlistError, ParameterError) as e:
         print(str(e), file=sys.stderr)
         return E_INPUT
-    except (engine.ConvergenceError, extract.ExtractionError,
+    except (engine.ConvergenceError, ContactSolveError, extract.ExtractionError,
             extract.FitError, analyses.AnalysisError) as e:
         print(str(e), file=sys.stderr)
         return E_NUMERIC

@@ -8,7 +8,12 @@ decades evenly.
 
 The card fit (``fit_model``) concatenates all sweeps that share geometry and
 cox into one bias batch, so each residual pass makes one contact-resistance
-solve (``model.drain_current_with_contacts``) per batch.  Its Jacobian is
+solve (``model.drain_current_with_contacts``) per batch: Newton on the
+current kept inside each bias's bracket between 0 and vds/rc.  Each trial
+card's solve starts from the accepted card's currents, which cuts the
+kernel calls of a fit by about a quarter.  A solve that does not converge
+raises ``model.ContactSolveError`` (``ofetsim fit`` exits 3), so no card is
+fitted against currents that do not solve their equation.  Its Jacobian is
 exact: one kernel call at the solved internal bias gives the current's
 derivatives by bias and by ss, gamma and lambda, and implicit
 differentiation through the contact solve turns them into d(current)/d(card)
@@ -19,6 +24,7 @@ direction points out of the box is held for that iteration.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 from itertools import islice
@@ -54,6 +60,10 @@ class FitError(Exception):
         self.best = best
 
 
+# largest bias magnitude a sweep may hold, V
+MAX_BIAS_V = 1e6
+
+
 @dataclass(frozen=True, eq=False)
 class IvSweep:
     """One monotone I-V sweep with bias metadata.
@@ -62,6 +72,10 @@ class IvSweep:
                 fixed_bias = VGS)
     fixed_bias  the non-swept terminal voltage, V; finite
     v, i        swept voltage and drain current arrays
+
+    Every voltage is at most ``MAX_BIAS_V`` in magnitude: far beyond any
+    device's bias, and far short of where the extraction's window fits
+    overflow (squares of voltages past 1e154 V).
     """
 
     kind: str
@@ -79,6 +93,9 @@ class IvSweep:
             raise ValueError(f"device id may not hold a line break, got {self.device_id!r}")
         if not math.isfinite(self.fixed_bias):
             raise ValueError(f"fixed bias must be finite, got {self.fixed_bias}")
+        if abs(self.fixed_bias) > MAX_BIAS_V:
+            raise ValueError(f"fixed bias must be at most {MAX_BIAS_V:g} V in magnitude, "
+                             f"got {self.fixed_bias}")
         v = np.asarray(self.v, dtype=float)
         i = np.asarray(self.i, dtype=float)
         if v.ndim != 1 or v.shape != i.shape:
@@ -90,6 +107,11 @@ class IvSweep:
             raise ValueError("swept voltage must be strictly monotone")
         if not (np.isfinite(v).all() and np.isfinite(i).all()):
             raise ValueError("sweep contains non-finite values")
+        # v is monotone, so its largest magnitude is at one of its ends
+        if max(abs(v[0]), abs(v[-1])) > MAX_BIAS_V:
+            k = int(np.flatnonzero(np.abs(v) > MAX_BIAS_V)[0])
+            raise ValueError(f"swept voltage must be at most {MAX_BIAS_V:g} V in magnitude, "
+                             f"got {v[k]} at point {k + 1}")
         if not self.cox > 0.0:
             raise ValueError(f"cox must be positive, got {self.cox}")
         v.setflags(write=False)
@@ -300,15 +322,25 @@ def _sweeps(rows: list[list[str]], idx: dict, lines: list[int],
 
 
 def write_iv_csv(path, sweeps: list[IvSweep]) -> None:
-    """Write sweeps in schema v1 with Python's csv module (QUOTE_MINIMAL)."""
+    """Write sweeps in schema v1 with Python's csv module (QUOTE_MINIMAL).
+
+    Each sweep's seven key cells are formatted once, by a csv writer of the
+    same dialect, and each of its rows is that prefix plus ``repr(v),repr(i)``,
+    which is how csv writes a float.
+    """
+    key = io.StringIO()
+    keys = csv.writer(key, lineterminator="\n")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(CSV_COLUMNS)
+        csv.writer(fh, lineterminator="\n").writerow(CSV_COLUMNS)
         for s in sweeps:
             g = s.geom
-            meta = (s.device_id, s.kind, g.w * 1e6, g.l * 1e6, g.lov * 1e6,
-                    s.cox * 1e5, s.fixed_bias)
-            out.writerows((*meta, v, i) for v, i in zip(s.v.tolist(), s.i.tolist()))
+            key.seek(0)
+            key.truncate()
+            keys.writerow((s.device_id, s.kind, g.w * 1e6, g.l * 1e6, g.lov * 1e6,
+                           s.cox * 1e5, s.fixed_bias))
+            prefix = key.getvalue()[:-1]
+            fh.write("".join(f"{prefix},{v!r},{i!r}\n"
+                             for v, i in zip(s.v.tolist(), s.i.tolist())))
 
 
 # -- figure-of-merit extraction ---------------------------------------------
@@ -552,15 +584,18 @@ def _bias_groups(sweeps) -> list[_Group]:
             for (geom, cox), rows in parts.items()]
 
 
-def _residuals(params: OtftParams, groups, i_scale: float):
+def _residuals(params: OtftParams, groups, i_scale: float, start=None):
     """asinh residuals over the groups and the model currents behind them.
 
-    Each group takes one contact-resistance solve over its whole batch.
+    Each group takes one contact-resistance solve over its whole batch,
+    started from ``start``, model currents over the groups (those of a
+    nearby card), when given.
     """
+    ends = np.cumsum([0] + [g.vg.size for g in groups])
     im = np.concatenate([
         model.drain_current_with_contacts(params.replace(geom=g.geom, cox=g.cox),
-                                          g.vg, g.vd)
-        for g in groups])
+                                          g.vg, g.vd, None if start is None else start[a:b])
+        for g, a, b in zip(groups, ends, ends[1:])])
     meas = np.concatenate([g.i for g in groups])
     return np.arcsinh(im / i_scale) - np.arcsinh(meas / i_scale), im
 
@@ -619,8 +654,10 @@ def fit_model(sweeps: list[IvSweep], polarity: str = "p",
     diagonal scaling: the damping is multiplied by 10 on a rejected step
     and divided by 10 on an accepted one.  Sweeps sharing geometry and cox
     form one bias batch, so a residual pass makes one contact-resistance
-    solve per batch.  The Jacobian is exact: one kernel call per batch at
-    the accepted point, differentiated implicitly through the contact
+    solve per batch, each trial's started from the accepted point's
+    currents; a solve that does not converge raises
+    ``model.ContactSolveError``.  The Jacobian is exact: one kernel call per
+    batch at the accepted point, differentiated implicitly through the contact
     solve (see ``_jacobian``).  A parameter on its bound whose descent
     direction points out of the box is held for that iteration (its column
     is zeroed); every other step is clipped to the bounds.  Converges on
@@ -686,7 +723,7 @@ def fit_model(sweeps: list[IvSweep], polarity: str = "p",
                 lam_lm *= LM_FACTOR
                 continue
             trial = np.clip(vec + step, lo, hi)
-            rt, it = _residuals(with_vec(trial), groups, I_SCALE)
+            rt, it = _residuals(with_vec(trial), groups, I_SCALE, start=im)
             ct = float(rt @ rt)
             if ct < cost:
                 gain = cost - ct

@@ -33,6 +33,10 @@ class ParameterError(ValueError):
     """Physically invalid device or strain parameters."""
 
 
+class ContactSolveError(ArithmeticError):
+    """drain_current_with_contacts did not converge within its budget."""
+
+
 @dataclass(frozen=True)
 class DeviceGeometry:
     """Channel width, length and gate/contact overlap length, in meters."""
@@ -109,22 +113,27 @@ def kernel_args(p: OtftParams) -> tuple:
             p.ss, p.gamma, p.lam, p.order)
 
 
-def _eval_batch(p: OtftParams, vgs, vds, rows: int = 3) -> tuple[np.ndarray, tuple]:
+def _bias(vgs, vds) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Flat float64 arrays of the broadcast biases, and their shape."""
     vg = np.asarray(vgs, dtype=float)
     vd = np.asarray(vds, dtype=float)
     if not (np.all(np.isfinite(vg)) and np.all(np.isfinite(vd))):
         raise ValueError("bias voltages must be finite")
     vg, vd = np.broadcast_arrays(vg, vd)
-    shape = vg.shape
-    n = vg.size
+    return (np.ascontiguousarray(vg.ravel()), np.ascontiguousarray(vd.ravel()),
+            vg.shape)
+
+
+def _card_args(p: OtftParams, n: int) -> tuple:
+    """kernel_args(p) for a batch of n biases, the exponents gamma and order
+    as arrays: see kernels.otft_eval."""
     sign, kwl, mu0, vthn, ss, gamma, lam, order = kernel_args(p)
-    # the exponents gamma and order stay arrays: see kernels.otft_eval
-    out = kernels.otft_eval(
-        np.ascontiguousarray(vg.ravel(), dtype=float),
-        np.ascontiguousarray(vd.ravel(), dtype=float),
-        sign, kwl, mu0, vthn, ss, np.full(n, gamma), lam, np.full(n, order),
-        out=np.empty((rows, n)),
-    )
+    return sign, kwl, mu0, vthn, ss, np.full(n, gamma), lam, np.full(n, order)
+
+
+def _eval_batch(p: OtftParams, vgs, vds, rows: int = 3) -> tuple[np.ndarray, tuple]:
+    vg, vd, shape = _bias(vgs, vds)
+    out = kernels.otft_eval(vg, vd, *_card_args(p, vg.size), out=np.empty((rows, vg.size)))
     return out, shape
 
 
@@ -162,31 +171,73 @@ def sensitivities(p: OtftParams, vgs, vds) -> np.ndarray:
     return _eval_batch(p, vgs, vds, rows=6)[0]
 
 
-def drain_current_with_contacts(p: OtftParams, vgs, vds):
+# iteration budget of drain_current_with_contacts
+CONTACT_MAX_ITERS = 100
+# the smallest normal double: below it a current has no relative precision
+_TINY = np.finfo(float).tiny
+
+
+def drain_current_with_contacts(p: OtftParams, vgs, vds, start=None):
     """Drain current with rc split as two series contact resistors.
 
-    Solves id = f(vgs - id*rc/2, vds - id*rc) by Newton on the current,
-    vectorized over bias arrays, until the largest update is at most 1e-14
-    relative or 100 iterations have run.  The update is clamped so the
-    contact drop never jumps by more than 2 V per iteration.
+    Solves id = f(vgs - id*rc/2, vds - id*rc) for every bias of the arrays
+    at once, by Newton on the current kept inside a root bracket (rtsafe:
+    Press et al., Numerical Recipes, 3rd ed., 2007, 9.4).  The current has
+    the sign of the internal vds and is 0 where that is, so each root lies
+    between 0 and vds/rc.  Each iterate narrows its bias's bracket by the
+    sign of the residual there; a Newton step that lands outside the
+    bracket is replaced by the bracket's midpoint.  The kernel's card
+    arrays and ``kernels.card_constants`` are built once per call.
+
+    The iteration starts from ``start``, currents over the biases, flat or
+    in their shape (a nearby card's solution: ``extract.fit_model`` passes
+    the accepted card's), or without it from the intrinsic current at the
+    external bias; either is clipped into the bracket.  It stops when the
+    largest update is at most 1e-14 (1 + max |id|) A and each bias's update
+    at most 1e-10 |id| (plus the smallest normal double).  The Newton step
+    just taken then leaves each current within 1e-12 relative of its root,
+    or within what the rounding of the internal biases resolves.  A solve
+    that has not stopped after ``CONTACT_MAX_ITERS`` iterations raises
+    ContactSolveError, naming the bias with the largest last update; it
+    never returns an unchecked current, and ``ofetsim fit`` exits 3 on it.
     """
-    out, shape = _eval_batch(p, vgs, vds)
+    vg, vd, shape = _bias(vgs, vds)
+    args = _card_args(p, vg.size)
+    card = kernels.card_constants(args[2], args[4], args[5], args[7])
+    out = np.empty((3, vg.size))
     if p.rc == 0.0:
-        return _shaped(out[0], shape)
-    vg = np.broadcast_to(np.asarray(vgs, dtype=float), shape).ravel()
-    vd = np.broadcast_to(np.asarray(vds, dtype=float), shape).ravel()
+        return _shaped(kernels.otft_eval(vg, vd, *args, out=out, card=card)[0], shape)
     rs = 0.5 * p.rc
-    clamp = 2.0 / p.rc
-    i = out[0].copy()
-    for _ in range(100):
-        out, _ = _eval_batch(p, vg - i * rs, vd - i * p.rc)
+    end = vd / p.rc
+    lo = np.minimum(end, 0.0)   # g(lo) >= 0 >= g(hi) for g(i) = f - i
+    hi = np.maximum(end, 0.0)
+    if start is None:
+        start = kernels.otft_eval(vg, vd, *args, out=out, card=card)[0]
+    i = np.clip(np.ravel(start), lo, hi)
+    for _ in range(CONTACT_MAX_ITERS):
+        out = kernels.otft_eval(vg - i * rs, vd - i * p.rc, *args, out=out, card=card)
         g = out[0] - i
-        dg = -(out[1] * rs + out[2] * p.rc) - 1.0
-        step = np.clip(-g / dg, -clamp, clamp)
-        i = i + step
-        if np.max(np.abs(step)) <= 1e-14 * (1.0 + np.max(np.abs(i))):
-            break
-    return _shaped(i, shape)
+        lo = np.where(g > 0.0, i, lo)
+        hi = np.where(g < 0.0, i, hi)
+        # -dg/di = 1 + rc (gm/2 + gds) >= 1: gm and gds are >= 0, and where
+        # drain and source swap, the rows are -gm and gm + gds
+        step = g / (out[1] * rs + out[2] * p.rc + 1.0)
+        new = i + step
+        inside = (new >= lo) & (new <= hi)   # False for NaN
+        if not inside.all():
+            mid = 0.5 * (lo + hi)
+            step = np.where(inside, step, mid - i)
+            new = np.where(inside, new, mid)
+        i = new
+        size = np.abs(step)
+        if (size.max() <= 1e-14 * (1.0 + np.abs(i).max())
+                and (size <= 1e-10 * np.abs(i) + _TINY).all()):
+            return _shaped(i, shape)
+    k = int(np.argmax(np.abs(step)))
+    raise ContactSolveError(
+        f"contact solve did not converge in {CONTACT_MAX_ITERS} iterations at "
+        f"vgs={float(vg[k])!r} V, vds={float(vd[k])!r} V (rc={p.rc!r} ohm, last update "
+        f"{step[k]:.3g} A)")
 
 
 def device_capacitances(p: OtftParams) -> tuple[float, float]:

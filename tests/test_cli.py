@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ofetsim
-from ofetsim import analyses, cli, fixtures, netlist
+from ofetsim import analyses, cli, extract, fixtures, model, netlist
 from ofetsim.cli import main
 from ofetsim.engine import SolverConfig
 from ofetsim.model import ParameterError
@@ -233,6 +233,38 @@ def test_fit_non_finite_fixed_bias(tmp_path, capsys, bias, device):
     assert main(["fit", str(path), *device, "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         f"line 123: output sweep of 'ref-p': fixed bias must be finite, got {float(bias)}\n")
+    assert not (out / "cards.cir").exists()
+
+
+@pytest.mark.parametrize("cmd", [["extract"], ["fit"], ["fit", "--device", "ref-p"]])
+@pytest.mark.parametrize("cell,message", [
+    ("v_V", "swept voltage must be at most 1e+06 V in magnitude, got 1e+300 at point 1"),
+    ("fixed_bias_V", "fixed bias must be at most 1e+06 V in magnitude, got 1e+300")])
+def test_huge_finite_bias_is_bad_input(tmp_path, capsys, cmd, cell, message):
+    # 1e300 V overflowed the extraction's window fits: a RuntimeWarning, so
+    # exit 1 under -W error and a silent exit 0 without it
+    lines = pathlib.Path(REFERENCE).read_text().splitlines()
+    assert lines[1] == "ref-p,transfer,380.0,35.0,5.0,35.0,-30.0,0.0,-1.0409566789412683e-13"
+    cells = lines[1].split(",")
+    cells[extract.CSV_COLUMNS.index(cell)] = "1e300"
+    lines[1] = ",".join(cells)
+    path = tmp_path / "huge.csv"
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "o"
+    assert main([cmd[0], str(path), *cmd[1:], "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"line 2: transfer sweep of 'ref-p': {message}\n"
+    assert not (out / "cards.cir").exists() and not (out / "reports.csv").exists()
+
+
+def test_fit_exits_3_on_a_failed_contact_solve(tmp_path, capsys, monkeypatch):
+    # the first LM trial moves rc off 0, and its contact solve needs more
+    # than one iteration
+    monkeypatch.setattr(model, "CONTACT_MAX_ITERS", 1)
+    out = tmp_path / "o"
+    assert main(["fit", REFERENCE, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"contact solve did not converge in 1 iterations at vgs=\S+ V, "
+                        r"vds=\S+ V \(rc=\S+ ohm, last update \S+ A\)\n", err), err
     assert not (out / "cards.cir").exists()
 
 

@@ -315,6 +315,16 @@ def test_csv_round_trip(tmp_path, dev):
               synth_output(p, vgs=-20.0, device_id=dev)]
     path = tmp_path / "iv.csv"
     write_iv_csv(path, sweeps)
+    # each sweep's key cells are formatted once: the bytes are still those
+    # of one csv.writer row per point
+    want = io.StringIO()
+    rows = csv.writer(want, lineterminator="\n")
+    rows.writerow(extract.CSV_COLUMNS)
+    for s in sweeps:
+        g = s.geom
+        rows.writerows((s.device_id, s.kind, g.w * 1e6, g.l * 1e6, g.lov * 1e6, s.cox * 1e5,
+                        s.fixed_bias, v, i) for v, i in zip(s.v.tolist(), s.i.tolist()))
+    assert path.read_bytes() == want.getvalue().encode()
     back = read_iv_csv(path)
     assert len(back) == 2
     for x, y in zip(sweeps, back):
@@ -368,6 +378,13 @@ _SCHEMA_CASES = [
      "line 12: transfer sweep of 'd': fixed bias must be finite, got inf"),
     (_HEADER + _sweep_rows(3, fb="-inf"),
      "line 2: transfer sweep of 'd': fixed bias must be finite, got -inf"),
+    # a finite bias beyond 1 MV, before the point count
+    (_HEADER + _sweep_rows(3, fb="-1e300"),
+     "line 2: transfer sweep of 'd': fixed bias must be at most 1e+06 V in magnitude, "
+     "got -1e+300"),
+    (_HEADER + _sweep_rows(10) + _sweep_rows(10, dev="e", v=[-0.5 * k for k in range(9)] + [-2e6]),
+     "line 12: transfer sweep of 'e': swept voltage must be at most 1e+06 V in magnitude, "
+     "got -2000000.0 at point 10"),
     (_HEADER + _sweep_rows(10, cox=-35), "line 2: column cox_nF_cm2: must be positive, got -35.0"),
     # geometry is checked in the CSV's units, at the sweep's first line
     (_HEADER + _sweep_rows(10) + _sweep_rows(10, geom="0,35,5"),

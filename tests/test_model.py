@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from conftest import REF_GEOM, ref_params
-from ofetsim import kernels
+from ofetsim import engine, kernels, model, netlist
 from ofetsim.model import (
+    ContactSolveError,
     DeviceGeometry,
     OtftParams,
     ParameterError,
@@ -186,6 +187,87 @@ def test_contacts_solve_consistency(pcard):
     drop = i * pcard.rc / 2.0
     i_check = float(drain_current(pcard, vgs - drop, vds - 2.0 * drop))
     assert abs(i - i_check) <= 1e-9 * abs(i)
+
+
+# The contact solve gave -2.170e-5 A on this card at vg = vd = -40 V, where
+# the root is -3.106e-6 A; the 2 um reference card left 15 of 46 points
+# unconverged at vd = -40 V.
+_CARD_10MEG = OtftParams("p", 1e-6, -1.0, 0.2, 0.1, 0.3, 1e7, 3.5e-4,
+                         DeviceGeometry(380e-6, 35e-6))
+_CARD_2UM = ref_params().replace(rc=300e3, geom=DeviceGeometry(380e-6, 2e-6, 5e-6))
+
+
+def _seeded_contact_cards():
+    """(card, vgs, vds) cases: the two cards above, and seeded cards of both
+    polarities with mu0 1e-6..1e-3, rc 1e2..1e9 ohm, gamma 0..2, lambda
+    0..0.1 at biases within +-40 V."""
+    cases = [(_CARD_10MEG, np.array([-40.0, -20.0, -5.0]), np.full(3, -40.0)),
+             (_CARD_2UM, np.arange(-40.0, 5.5, 5.0), np.full(10, -40.0))]
+    rng = np.random.default_rng(20261021)
+    for pol in "pnpnpn":
+        card = OtftParams(pol, 10 ** rng.uniform(-6, -3), rng.uniform(-2, 2),
+                          rng.uniform(0.1, 0.3), rng.uniform(0, 0.1), rng.uniform(0, 2),
+                          10 ** rng.uniform(2, 9), 3.5e-4, REF_GEOM)
+        cases.append((card, rng.uniform(-40, 40, 3), rng.uniform(-40, 40, 3)))
+    return cases
+
+
+def _op_current(p, vg, vd):
+    """Drain current of the engine's .op of one transistor at gate vg and
+    drain vd, source grounded: the current through the drain contact."""
+    c = netlist.parse(
+        f"one transistor\nvd d 0 dc {vd!r}\nvg g 0 dc {vg!r}\nm1 d g 0 card\n"
+        f".model card otft{p.polarity} mu0={p.mu0!r} vth={p.vth!r} ss={p.ss!r} "
+        f"lambda={p.lam!r} gamma={p.gamma!r} rc={p.rc!r} cox={p.cox!r} w={p.geom.w!r} "
+        f"l={p.geom.l!r} lov={p.geom.lov!r}\n.op\n.end")
+    sys = engine._System(c, engine.SolverConfig())
+    x = dict(zip(sys.unknown_names, np.concatenate(([0.0], sys.solve_dc(sys.sources())))))
+    return (x["d"] - x["m1#d"]) * (2.0 / p.rc)
+
+
+def test_contact_solve_agrees_with_engine_op(monkeypatch):
+    # the engine solves the same device through two internal nodes; without
+    # its GMIN shunts (which carry up to 1e-12 S * 40 V through rc/2) its
+    # circuit is the contact equation, so the two agree within the engine's
+    # Newton tolerance
+    monkeypatch.setattr(engine, "GMIN", 0.0)
+    tol = engine.SolverConfig().reltol
+    for p, vgs, vds in _seeded_contact_cards():
+        i = drain_current_with_contacts(p, vgs, vds)
+        for k in range(vgs.size):
+            i_op = _op_current(p, float(vgs[k]), float(vds[k]))
+            assert abs(i[k] - i_op) <= engine.ABSTOL + tol * abs(i_op), (p, vgs[k], vds[k])
+    i = float(drain_current_with_contacts(_CARD_10MEG, -40.0, -40.0))
+    assert i == pytest.approx(-3.106e-6, rel=1e-3)
+
+
+def test_contact_solve_warm_start_finds_the_same_root():
+    for p, vgs, vds in _seeded_contact_cards():
+        cold = drain_current_with_contacts(p, vgs, vds)
+        # starts off the root, and outside the bracket [0, vds/rc] both ways
+        for start in (0.5 * cold, 1.5 * cold, -cold, 10.0 * vds / p.rc):
+            warm = drain_current_with_contacts(p, vgs, vds, start=start)
+            np.testing.assert_allclose(warm, cold, rtol=1e-12, atol=0.0)
+
+
+def test_contact_solve_builds_card_constants_once(pcard, monkeypatch):
+    made, cards = [], []
+    real_constants, real_eval = kernels.card_constants, kernels.otft_eval
+    monkeypatch.setattr(kernels, "card_constants",
+                        lambda *a: made.append(real_constants(*a)) or made[-1])
+    monkeypatch.setattr(kernels, "otft_eval",
+                        lambda *a, **kw: cards.append(kw.get("card")) or real_eval(*a, **kw))
+    drain_current_with_contacts(pcard, np.linspace(-30.0, 0.0, 31), -30.0)
+    assert len(made) == 1 and len(cards) > 2
+    assert all(c is made[0] for c in cards)
+
+
+def test_contact_solve_raises_past_its_budget(monkeypatch):
+    # never an unchecked current: the error names the worst bias
+    monkeypatch.setattr(model, "CONTACT_MAX_ITERS", 2)
+    with pytest.raises(ContactSolveError, match=r"did not converge in 2 iterations at "
+                       r"vgs=-40\.0 V, vds=-40\.0 V \(rc=10000000\.0 ohm"):
+        drain_current_with_contacts(_CARD_10MEG, [-5.0, -40.0], -40.0)
 
 
 def test_on_current_order_of_magnitude(pcard):

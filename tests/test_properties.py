@@ -13,11 +13,16 @@ source timings and the .tran times k) stretches the axis exactly and leaves
 every column bit-identical; mirroring polarity (otftp and otftn swapped,
 vth and every source level negated) negates every column exactly; shuffling
 the card order moves every DC node voltage by less than VNTOL.
+
+The contact solve of ``model.drain_current_with_contacts``, on cards drawn
+inside the fit's bounds: every returned current solves its equation and lies
+in its bracket between 0 and vds/rc.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -25,10 +30,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ofetsim import fixtures, netlist
+from ofetsim import extract, fixtures, netlist
 from ofetsim.engine import (ABSTOL, GMIN, VNTOL, ConvergenceError, SolverConfig,
                             dc_operating_point, dc_sweep, transient)
-from ofetsim.model import drain_current_with_contacts
+from ofetsim.model import DeviceGeometry, OtftParams, drain_current_with_contacts, sensitivities
 
 CFG = SolverConfig()
 
@@ -246,3 +251,39 @@ def test_shuffled_card_order_keeps_dc_within_vntol(name):
         assert got.keys() == want.keys()
         for node, v in want.items():
             assert np.max(np.abs(np.subtract(got[node], v))) < VNTOL, node
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+_B = extract._BOUNDS
+# cards inside the fit's bounds, of both polarities and both channel
+# lengths; rc > 0, since rc = 0 is the intrinsic current
+contact_card = st.builds(
+    OtftParams, polarity=st.sampled_from("pn"), mu0=_log_uniform(*_B["mu0"]),
+    vth=st.floats(*_B["vth"]), ss=_log_uniform(*_B["ss"]), lam=st.floats(*_B["lam"]),
+    gamma=st.floats(*_B["gamma"]), rc=_log_uniform(1e-2, _B["rc"][1]), cox=st.just(3.5e-4),
+    geom=st.sampled_from([DeviceGeometry(380e-6, 35e-6), DeviceGeometry(380e-6, 2e-6)]))
+bias = st.floats(-40.0, 40.0)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(p=contact_card, biases=st.lists(st.tuples(bias, bias), min_size=1, max_size=8))
+def test_contact_solve_solves_its_equation_inside_its_bracket(p, biases):
+    vgs, vds = np.array(biases).T
+    i = drain_current_with_contacts(p, vgs, vds)
+    # I = f(vgs - I rc/2, vds - I rc) within 1e-12 relative, as the Newton
+    # correction at I: |I - f| / |d(I - f)/dI|.  The raw |I - f| cannot meet
+    # 1e-12 |I| even at the best double, since d(I - f)/dI = 1 + rc (gm/2 +
+    # gds) reaches 1e9 on contact-limited cards.  Below the smallest normal
+    # double a current has no relative precision, and f is known only to the
+    # rounding of the internal biases, eps (|vgs gm| + |vds gds|): with ss
+    # near 1e-3 V/dec that is up to 2e-11 |I|.
+    vgi, vdi = vgs - i * (0.5 * p.rc), vds - i * p.rc
+    f = sensitivities(p, vgi, vdi)
+    slope = 1.0 + p.rc * (0.5 * f[1] + f[2])
+    tol = (1e-12 * np.abs(i) + np.finfo(float).tiny) * slope
+    rounding = 4.0 * np.finfo(float).eps * (np.abs(vgi * f[1]) + np.abs(vdi * f[2]))
+    assert np.all(np.abs(i - f[0]) <= tol + rounding), (i, f[0], slope)
+    assert np.all((np.minimum(vds / p.rc, 0.0) <= i) & (i <= np.maximum(vds / p.rc, 0.0)))
