@@ -7,53 +7,40 @@ rc/2.  Each circuit is elaborated once into a stamp table: flat matrix and
 right-hand-side indices with sign patterns for conductors, voltage-source
 incidence, capacitor companions, the six transistor Jacobian entries and the
 drain-current injection, plus the node incidence of every branch current for
-the residual scale.  A Newton iteration applies it in two scatters (and a
-third for the residual scale once the update is small), solves for the
-update and stops on that update: when every KCL residual at the point
-just evaluated is within ABSTOL + reltol * (sum of |branch currents| at the
-node), or VNTOL + reltol * |V| on a voltage-source row, and every node update
-is below VNTOL, it returns the point plus the update.  A node update is
-limited to DAMPING + 2 |v| at the node's voltage v (SPICE3's drain-source
-limit), so from 0 V a node reaches 0.5, 2, 6.5, 20, 60 V in five iterations.
-A failed call records its largest |residual| and that row for
-ConvergenceError.  DC climbs one rescue ladder, a table of rungs each tried
-from zero: plain Newton, gmin (node shunts from 1e-3 S down to GMIN, then
-none), source (source levels 0.1 to 1.0).  Transient uses backward Euler or
-trapezoidal companions with step-doubling error control.
+the residual scale.  A Newton iteration applies it in one scatter, solves
+for the update and stops on that update: when every KCL residual at the
+point just evaluated is within ABSTOL + reltol * (sum of |branch currents|
+at the node), or VNTOL + reltol * |V| on a voltage-source row, and every
+node update is below VNTOL, it returns the point plus the update.  A node
+update is limited to DAMPING + 2 |v| at the node's voltage v (SPICE3's
+drain-source limit).  A failed call records its largest |residual| and that
+row for ConvergenceError.  DC climbs one rescue ladder (see solve_dc).
+Transient uses backward Euler or trapezoidal companions with step-doubling
+error control.
+
 Every Newton solve after the first point starts from the predictor, as in
 SPICE2: the polynomial through the last points of the solution path at the
-solve's own time or swept value.  An attempt is one Newton call of three
-replicas: the first half step to t + h/2, the full step and the second half
-step to t + h, whose capacitor history follows the first half step's
-iterate in every iteration, solved after the others.  Each starts through
-the last four points of the half-step path: every accepted attempt adds its
-first half step's solution and its accepted point, h/2 apart; a fixed step
-starts through the last four accepted points.  A DC sweep value starts
-through solved coarse sweep points, below.  Starts change the work of a
-solve, not its tolerances.
+solve's own time or swept value; starts change the work of a solve, not its
+tolerances.  An attempt is one Newton call of three replicas: the first half
+step to t + h/2, the full step and the second half step to t + h, whose
+capacitor history follows the first half step's iterate, solved after the
+others.  Each starts through the last four points of the half-step path,
+to which an accepted attempt adds its first half step and its new point.
 
 Newton takes B starts and B source rows and returns B solutions: B solves
 of one circuit, each with its own start, source row and capacitor
-companions, share every iteration's kernel call (over B x n_m devices),
-scatters, matrix product and stacked np.linalg.solve.  Callers build the
-rows from _System.sources, so Newton reads no waveform.  Each replica's
-entries keep the order of a lone solve, so its result is bit-identical to
-one, except the chained second half step's; a replica leaves the stack when
-it converges or fails.  A DC sweep is one loop of such calls over a list
-of blocks, each call's replicas every (value, curve) pair of its block (see
-dc_sweep): the first value cold, then every SWEEP_STRIDE-th value and the
-last, each from the polynomial through the three coarse points before its
-block, then every other value from the cubic through its four nearest
-coarse points.  A replica that fails there climbs the rescue ladder alone.
-Fixed steps and DC solves are stacks of one.
+companions, share every iteration's kernel call, scatter, matrix product
+and stacked np.linalg.solve, each in a lone solve's order, so its result is
+bit-identical to one, except the chained second half step's.  A DC sweep is
+a loop of such calls over blocks of (value, curve) pairs (see dc_sweep);
+fixed steps and DC solves are stacks of one.
 
 Transients stack 1 or 3 replicas of 12-24 transistors, so an iteration costs
-numpy calls, not arithmetic.  The stamp table of a stack therefore also
-holds the tiled card arrays of its transistors and their card constants
-(kernels.card_constants, computed once per table, not per kernel call), all
-views into the arrays of the largest stack yet.  The matrices, residuals and
-scatter values are allocated by each call and iteration: at this size an
-allocation costs about what filling a kept array in place does.
+numpy calls, not arithmetic, and makes few: it fills its stack's arrays in
+place (the matrices, then the residuals, in one array that one np.add.at
+adds every device entry to; updates with a zero ground column), one |update|
+pass serves the node limit, finiteness and VNTOL, and the residual test
+first bounds the scale by the channel currents alone.
 
 Waveforms serialize to CSV, the one waveform file: every number is repr() of
 a float, so read_waveform_csv returns the written bits.
@@ -64,7 +51,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -115,14 +101,15 @@ class SolverConfig:
             if not 0.0 < v < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {v!r}")
         n = self.max_newton_iters
-        try:   # Newton counts iterations up to it == n, which a float may never meet
-            operator.index(n)
-        except TypeError:
-            raise ValueError(f"max_newton_iters must be an integer, got {n!r}") from None
+        # Newton stops at it == n, which a float may never meet; True would be 1
+        if isinstance(n, bool) or not hasattr(type(n), "__index__"):
+            raise ValueError(f"max_newton_iters must be an integer, got {n!r}")
         if n < 1:
             raise ValueError(f"max_newton_iters must be at least 1, got {n!r}")
         if self.method not in ("trap", "be"):
             raise ValueError(f"method must be trap or be, got {self.method!r}")
+        if not isinstance(self.fixed_step, bool):   # "false" is a true string
+            raise ValueError(f"fixed_step must be a bool, got {self.fixed_step!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,8 +199,6 @@ while _SHUNTS[-1] * 0.1 >= GMIN:   # repeated products, not 10.0 ** -k: the ladd
     _SHUNTS.append(_SHUNTS[-1] * 0.1)
 _RUNGS = (("plain", _PLAIN), ("gmin", (*((g, 1.0) for g in _SHUNTS), *_PLAIN)),
           ("source", tuple((0.0, a) for a in np.linspace(0.1, 1.0, 10))))
-# the update floor: numpy takes 0-d arrays faster than floats
-_VNTOL = np.array(VNTOL)
 
 
 class _System:
@@ -296,41 +281,34 @@ class _System:
         self.cap_stamp = _pair_stamp(dim0, self.cap_a, self.cap_b)
         self.m_jac = _flat(dim0, ((d, d), (d, g), (d, s), (s, d), (s, g), (s, s)),
                            by_element=False)
-        self.cap_inc = np.eye(dim0)[self.cap_a] - np.eye(dim0)[self.cap_b]
         self.lin_a = np.concatenate((cond_a, self.cap_a))
         self.lin_b = np.concatenate((cond_b, self.cap_b))
-        # Each stamp-table array as a lone call's flat indices, and the size
-        # of the vector (dim0) or matrix (dim0 ** 2) they move by from one
-        # replica to the next.  A stack lays the lone array out replica after
-        # replica, so each replica's entries keep a lone call's order.
+        # xfull @ lin_inc: each conductor's and capacitor's voltage, exact (1, -1, 0)
+        inc = np.eye(dim0)[self.lin_a] - np.eye(dim0)[self.lin_b]
+        self.lin_inc, self.cap_inc = inc.T, inc[cond_a.size:]
+        # Each stamp-table array as a lone call's flat indices, and what they move
+        # by per replica: a vector or a matrix, so that each keeps a lone call's
+        # order.  Injections go to the residuals, which follow a stack's matrices.
         self._lone = dict(
-            m_dgs=(np.stack((d, g, s)), dim0), m_inj=(np.concatenate((d, s)), dim0),
-            # the unknowns the residual scale reads: both ends of every
-            # conductor and capacitor, then the branch currents
-            res_idx=(np.concatenate((self.lin_a, self.lin_b, k)), dim0),
+            m_gds=(np.stack((g, d, s)), dim0), m_ds=(np.stack((d, s)), dim0),
             rhs_idx=(np.concatenate((np.stack((ia, ib), axis=1).ravel(), k,
                                      self.cap_a, self.cap_b)), dim0),
             # both ends of every branch current: conductors and capacitor
             # companions, current sources, voltage sources, transistor channels
             scale_idx=(np.concatenate((cond_a, self.cap_a, ia, va, d,
                                        cond_b, self.cap_b, ib, vb, s)), dim0),
-            m_jac=(self.m_jac, dim0 * dim0), cap_stamp=(self.cap_stamp, dim0 * dim0))
+            cap_stamp=(self.cap_stamp, dim0 * dim0),
+            m_jac=(self.m_jac.reshape(6, -1), dim0 * dim0), m_inj=(np.stack((d, s)), dim0))
 
     def _replicas(self, nrep):
-        """Stamp table and kernel arguments of a stack of nrep replicas: the
-        arrays of self._lone, the card arrays m_par and their constants card.
-
-        Replica r's entries are a lone call's, moved by r vectors of dim0 or
-        r (dim0, dim0) matrices into the flattened stacked arrays, and follow
-        replica r - 1's; the card arrays are tiled, so the exponents stay
-        arrays, and their card constants are computed once here.  The table
-        of nrep replicas is therefore the start of any larger stack's: one
-        table, of the largest stack yet, serves every smaller stack through
-        views.
-        """
+        """Stamp table, kernel arguments and iteration arrays of a stack of
+        nrep replicas (see newton).  Replica r's entries follow replica r - 1's,
+        so one set of arrays, of the largest stack yet, serves every smaller
+        stack through views; only the device entries and put are per stack.
+        The card arrays are tiled, so the exponents stay arrays."""
         tab = self._stacks.get(nrep)
         if tab is None:
-            full = self._full
+            full, dim0 = self._full, self.dim0
             if full is None or nrep > full["nrep"]:
                 # each array flattened over (replica, entry): a stack's part
                 # is a slice of it
@@ -340,8 +318,10 @@ class _System:
                     for name, (lone, step) in self._lone.items()}
                 m_par = [np.tile(col, nrep) for col in self.m_par]
                 _sign, _kwl, mu0, _vthn, ss, gamma, _lam, order = m_par
-                full.update(nrep=nrep, m_par=m_par,
-                            card=kernels.card_constants(mu0, ss, gamma, order))
+                full.update(nrep=nrep, m_par=m_par, a_static=np.array([self.a_static] * nrep),
+                            card=kernels.card_constants(mu0, ss, gamma, order),
+                            work=np.empty(nrep * dim0 * (dim0 + 1)),
+                            dx=np.zeros((2, nrep, dim0)))   # ground's column stays 0
                 self._stacks.clear()
             n = nrep * self.m_d.size   # devices of the stack
             tab = self._stacks[nrep] = SimpleNamespace(
@@ -349,7 +329,23 @@ class _System:
                    for name, (lone, _step) in self._lone.items()},
                 m_par=tuple(col[:n] for col in full["m_par"]),
                 card=kernels.Card(*(f[:n] if isinstance(f, np.ndarray) else f
-                                    for f in full["card"])))
+                                    for f in full["card"])),
+                a_static=full["a_static"][:nrep], work=full["work"][:nrep * dim0 * (dim0 + 1)],
+                ent=np.empty((8, n)))
+            j, i, e = tab.m_jac, tab.m_inj + nrep * dim0 * dim0, tab.ent
+            # the device entries, a row each over the stack's devices: gds, gm
+            # and id from the kernel, -(gm + gds), -gds, -gm, -id, gm + gds
+            tab.put = np.concatenate((j[0], j[1], i[0], j[2], j[3], j[4], i[1], j[5]))
+            tab.rows = e[2::-1], e[0:3], e[4:7], e[1], e[0], e[7], e[5], e[4], e[3]
+            jac, f = np.split(tab.work, [nrep * dim0 * dim0])   # each contiguous
+            tab.jac, tab.f = jac.reshape(nrep, dim0, dim0), f.reshape(nrep, dim0, 1)
+            dx, adx = full["dx"][:, :nrep]
+            tab.dx, tab.adx_n, tab.m_ds = dx, adx[:, 1:self.n_nodes + 1], tab.m_ds.ravel()
+            # the residuals but ground's, id and -id, and what a chain moves by
+            tab.res, tab.ids, tab.chain = tab.f[:, 1:, 0], e[2::4], (dx[0, 1:], tab.f[-1, :, 0])
+            # the stacked solves' arguments (see _update): all, all but the last, the last
+            tab.solves = [(tab.jac[p, 1:, 1:], tab.f[p, 1:], dx[p, 1:, None], dx[p], adx[p], p)
+                          for p in (slice(None), slice(-1), slice(-1, None))]
         return tab
 
     def sources(self, t=None, overrides=None):
@@ -384,35 +380,27 @@ class _System:
         no earlier than replica 0, with cfg.max_newton_iters iterations from
         replica 0's converging one; any failure ends the call.
 
-        All active replicas share each iteration's work: one kernel call over
-        every replica's transistors, scatters over the stacked stamp table,
-        one stacked product and stacked solves.  These act on each replica
-        alone and in a lone call's order, so an unchained replica's result is
-        bit-identical to a lone call's; the chained one's currents gather the
-        rounding of their moves.  A replica stops on the update that
-        converges and returns the point plus that update, without evaluating
-        the devices again; it leaves the stack then, as does a replica whose
-        solve fails.  Terms that do not depend on the iterate (sources,
-        shunts, capacitor companions, branch-row tolerances) are stamped once
-        per call, and the residual tolerances only once an update is small.
-        """
+        Each replica's work is a lone call's, in its order, so an unchained
+        replica's result is bit-identical to a lone call's; the chained one's
+        currents gather the rounding of their moves.  A replica returns the
+        point plus the update that converges, and leaves the stack then, as
+        does one whose solve fails.  Terms fixed for the call are stamped once."""
         cfg = self.cfg
-        dim0, nb0, nn = self.dim0, self.branch0, self.n_nodes
+        dim0, nb0, n_g = self.dim0, self.branch0, self.cond_g.size
         nrep = len(x0)
         if alpha != 1.0:
             src = src * alpha
         vs, cs = src[:, :self.n_branch], src[:, self.n_branch:]
         tab = self._stacks.get(nrep) or self._replicas(nrep)
 
-        a_base = np.array([self.a_static] * nrep)
+        a_base = tab.a_static.copy()
         if gshunt > 0.0:
-            idx = np.arange(1, nb0)
-            a_base[:, idx, idx] += gshunt
+            a_base[:, range(1, nb0), range(1, nb0)] += gshunt
         if cap_geq is None:
             cap_geq = cap_ieq = np.zeros((nrep, self.cap_c.size))
         else:
             np.add.at(a_base.reshape(-1), tab.cap_stamp,
-                      (cap_geq[:, :, None] * _G_SIGNS).ravel())
+                      np.multiply.outer(cap_geq, _G_SIGNS).reshape(-1))
         if chain is not None:   # the last row's currents and right-hand side
             k_ieq = chain[:, None] * self.cap_inc[:, 1:]   # per unit update of replica 0
             k_rhs, cap_ieq = self.cap_inc.T @ k_ieq, cap_ieq.copy()
@@ -423,63 +411,63 @@ class _System:
         tol_branch = VNTOL + cfg.reltol * np.abs(vs)
 
         live = range(nrep)   # replica of each stacked row
-        result = [None] * nrep
-        self.fail = [None] * nrep
-        xfull = np.zeros((nrep, dim0))
-        xfull[:, 1:] = x0
+        result, self.fail = [None] * nrep, [None] * nrep
+        xfull = np.concatenate((np.zeros((nrep, 1)), x0), axis=1)
         xf, xcol = xfull.reshape(-1), xfull[:, :, None]
-        n_g, n_lin = self.cond_g.size, self.lin_a.size
+        couple = chain is not None   # while replica 0 and the last are in the stack
         limit = cfg.max_newton_iters   # moved on for a chained replica, below
         for it in itertools.count():
             if it == limit or it == cfg.max_newton_iters and live[0] < nrep - 1:
                 for k, rep in enumerate(live):
-                    self._failed(rep, f_col[k, :, 0])
+                    self._failed(rep, f[k, :, 0])
                 break
-            nrow = xfull.shape[0]
-            v_d, v_g, v_s = xf[tab.m_dgs]
-            # the kernel's rows, one row per replica
-            idr, gm, gds = kernels.otft_eval(
-                v_g - v_s, v_d - v_s, *tab.m_par, card=tab.card).reshape(3, nrow, -1)
-            f_col = a_base @ xcol - b_full
-            np.add.at(f_col.reshape(-1), tab.m_inj, np.concatenate((idr, -idr), axis=1).ravel())
-            jac = a_base.copy()
-            gsum = gm + gds
-            np.add.at(jac.reshape(-1), tab.m_jac,
-                      np.concatenate((gds, gm, -gsum, -gds, -gm, gsum), axis=1).ravel())
-            couple = chain is not None and live[0] == 0 and live[-1] == nrep - 1
-            dx = (self._update(jac[:-1], f_col[:-1], xfull[:-1]) if couple
-                  else self._update(jac, f_col, xfull))
+            f, dx, rows = tab.f, tab.dx, tab.rows
+            v_g, v_d, v_s = xf[tab.m_gds]
+            kernels.otft_eval(v_g - v_s, v_d - v_s, *tab.m_par, out=rows[0], card=tab.card)
+            np.negative(rows[1], out=rows[2])
+            np.add(rows[3], rows[4], out=rows[5])
+            np.add(rows[6], rows[7], out=rows[8])
+            np.copyto(tab.jac, a_base)
+            np.matmul(a_base, xcol, out=f)
+            np.subtract(f, b_full, out=f)
+            np.add.at(tab.work, tab.put, tab.ent.reshape(-1))
+            finite = self._update(*tab.solves[1 if couple else 0], xfull)
             if couple:
-                cap_ieq[-1] += k_ieq @ dx[0]
-                db = k_rhs @ dx[0]
+                dx0, f_last = tab.chain
+                cap_ieq[-1] += k_ieq @ dx0
+                db = k_rhs @ dx0
                 b_full[-1, :, 0] += db
-                f_col[-1, :, 0] -= db
-                dx = np.concatenate((dx, self._update(jac[-1:], f_col[-1:], xfull[-1:])))
-            finite = np.isfinite(dx).all(axis=1).tolist()
-            conv = (np.abs(dx[:, :nn]) < _VNTOL).all(axis=1).tolist()
+                f_last -= db
+                finite = self._update(*tab.solves[2], xfull) and finite
+            conv = (np.maximum.reduce(tab.adx_n, axis=1, initial=0.0) < VNTOL).tolist()
             if True in conv:
-                # residuals at the point just evaluated, against their tolerances;
-                # each |branch current| counts at both ends of its branch
-                v = xf[tab.res_idx].reshape(nrow, -1)
-                dv = v[:, :n_lin] - v[:, n_lin:2 * n_lin]
-                a_br = np.abs(np.concatenate((self.cond_g * dv[:, :n_g],
-                                              cap_geq * dv[:, n_g:] - cap_ieq, cs,
-                                              v[:, 2 * n_lin:], idr), axis=1))
-                scale = np.bincount(tab.scale_idx, np.concatenate((a_br, a_br), axis=1).ravel(),
-                                    xf.size)
-                tol = (ABSTOL + cfg.reltol * scale).reshape(xfull.shape)
-                tol[:, nb0:] = tol_branch
-                within = (np.abs(f_col[:, 1:, 0]) <= tol[:, 1:]).all(axis=1).tolist()
+                # residuals at the point just evaluated against their tolerances,
+                # first from the channel currents alone: a sum of some of a
+                # node's terms, in their order, is no larger than all of them
+                f_abs = np.abs(tab.res)
+                scale = np.bincount(tab.m_ds, np.abs(tab.ids).reshape(-1), xf.size)
+                for every in (False, True):
+                    tol = (ABSTOL + cfg.reltol * scale).reshape(xfull.shape)
+                    tol[:, nb0:] = tol_branch
+                    within = (f_abs <= tol[:, 1:]).all(axis=1).tolist()
+                    if every or all(w or not c for c, w in zip(conv, within)):
+                        break
+                    dv = xfull @ self.lin_inc   # each |branch current|, at both its ends
+                    i_br = (self.cond_g * dv[:, :n_g], cap_geq * dv[:, n_g:] - cap_ieq, cs,
+                            xfull[:, nb0:], tab.ent[2].reshape(len(xfull), -1))
+                    scale = np.bincount(tab.scale_idx, np.abs(np.concatenate(
+                        i_br + i_br, axis=1)).reshape(-1), xf.size)
                 conv = [a and b for a, b in zip(conv, within)]
                 if couple:
                     conv[-1] = conv[-1] and conv[0]
                     limit += it * conv[0]
-            xfull[:, 1:] += dx
-            if True in conv or False in finite:
+            xfull += dx
+            if True in conv or not finite:   # if not all are finite, which are
+                finite = [True] * len(conv) if finite else np.isfinite(dx).all(axis=1).tolist()
                 keep = []
                 for k, (ok, fin) in enumerate(zip(conv, finite)):
                     if not fin:
-                        self._failed(live[k], f_col[k, :, 0], jac[k])
+                        self._failed(live[k], f[k, :, 0], tab.jac[k])
                     elif ok:
                         result[live[k]] = xfull[k, 1:]   # a row not written again
                     else:
@@ -487,33 +475,36 @@ class _System:
                 if not keep or (chain is not None and False in finite):
                     break
                 live = [live[k] for k in keep]
+                couple = couple and live[0] == 0 and live[-1] == nrep - 1
                 if keep[-1] - keep[0] == len(keep) - 1:   # a run of rows: views
                     keep = slice(keep[0], keep[-1] + 1)
-                xfull, f_col, a_base, b_full, cs, cap_geq, cap_ieq, tol_branch = (
-                    a[keep] for a in (xfull, f_col, a_base, b_full, cs, cap_geq, cap_ieq,
+                xfull, f, a_base, b_full, cs, cap_geq, cap_ieq, tol_branch = (
+                    a[keep] for a in (xfull, f, a_base, b_full, cs, cap_geq, cap_ieq,
                                       tol_branch))
-                tab = self._replicas(len(live))
                 xf, xcol = xfull.reshape(-1), xfull[:, :, None]
+                tab = self._replicas(len(live))
         return result
 
-    def _update(self, jac, f_col, xfull):
-        """Stacked Newton updates, NaN where singular, each node's update
-        limited to DAMPING + 2 |v| about its voltage v in xfull."""
-        a, b = jac[:, 1:, 1:], -f_col[:, 1:]
+    def _update(self, jac, f, dx_col, dx, adx, part, xfull):
+        """Write the updates -jac^-1 f into dx_col, the rows dx but ground's (NaN
+        where jac is singular), each node's limited to DAMPING + 2 |v| about its
+        voltage v in xfull[part], and |dx| into adx: are all finite?"""
         try:
-            dx = np.linalg.solve(a, b)[:, :, 0]
+            np.negative(np.linalg.solve(jac, f), out=dx_col)
         except np.linalg.LinAlgError:   # replica by replica
-            dx = np.full(b.shape[:2], np.nan)
-            for k in range(len(b)):
+            dx_col[...] = np.nan
+            for k in range(len(f)):
                 with contextlib.suppress(np.linalg.LinAlgError):
-                    dx[k] = np.linalg.solve(a[k], b[k, :, 0])
-        dxn = dx[:, :self.n_nodes]
-        # written so that NaN takes this branch: a NaN replica must not turn
-        # the limit off for the rest of its stack (initial: a deck of no node)
-        if not np.maximum.reduce(np.abs(dxn), axis=None, initial=0.0) <= DAMPING:
-            hi = DAMPING + 2.0 * np.abs(xfull[:, 1:self.n_nodes + 1])
+                    np.negative(np.linalg.solve(jac[k], f[k, :, 0]), out=dx_col[k, :, 0])
+        top = np.maximum.reduce(np.abs(dx, out=adx), axis=None, initial=0.0)
+        # NaN takes it, so a NaN replica keeps the limit on for its stack; so
+        # may a branch update above DAMPING, where the limit changes nothing
+        if not top <= DAMPING:
+            dxn = dx[:, 1:self.n_nodes + 1]
+            hi = DAMPING + 2.0 * np.abs(xfull[part, 1:self.n_nodes + 1])
             np.minimum(np.maximum(dxn, -hi, out=dxn), hi, out=dxn)
-        return dx
+            top = np.maximum.reduce(np.abs(dx, out=adx), axis=None, initial=0.0)
+        return top < math.inf
 
     def _failed(self, rep, f_full, jac=None):
         """Record a replica's failed Newton solve: its largest |residual| and its
@@ -569,19 +560,30 @@ def _extrapolate(ts, xs, t):
     """Value at t of the polynomial through the last four (or fewer) points
     (ts[k], xs[k]), in Lagrange form: the predicted start of the next Newton
     solve.  An array t broadcasts against the points' values: t of shape
-    (m, 1, ..., 1) gives the m values at once, also through a single point,
-    each equal bit for bit to its own float call, and so do points of their
-    own for each value: ts of shape (k, m, 1, ..., 1), xs of (k, m, ...), or
-    of (k, 1, ...) shared by every value; for a few values the float calls
-    are cheaper, the weights then being floats."""
+    (m, 1, ..., 1) gives m values at once, even through one point, and so do
+    points of their own for each value: ts of shape (k, m, 1, ..., 1), xs of
+    (k, m, ...) or of (k, 1, ...) shared by all.  A tuple of float times stacks
+    their values.  Each is bit for bit its own float call's: the weighted
+    points summed from 0.0."""
     ts, xs = ts[-4:], xs[-4:]
+
+    def weights(tv):   # each (tv - tk) / (tj - tk) in k order, from 1.0
+        ws = []
+        for j, tj in enumerate(ts):
+            w = 1.0
+            for k, tk in enumerate(ts):
+                if k != j:
+                    w = w * ((tv - tk) / (tj - tk))
+            ws.append(w)
+        return ws
+
+    if isinstance(t, tuple):
+        ws = {tv: weights(tv) for tv in t}
+        w = np.array([ws[tv] for tv in t]).T[:, :, None]
+        return np.add.reduce(w * np.asarray(xs)[:, None], axis=0, initial=0.0)
     p = np.zeros(np.shape(t))
-    for j, (tj, xj) in enumerate(zip(ts, xs)):
-        w = 1.0
-        for k, tk in enumerate(ts):
-            if k != j:
-                w = w * ((t - tk) / (tj - tk))
-        p = p + w * xj
+    for w, x in zip(weights(t), xs):
+        p = p + w * x
     return p
 
 
@@ -700,42 +702,39 @@ def transient(c: Circuit, directive: Tran, cfg: SolverConfig | None = None,
                 x[sys.node_index[key] - 1] = float(v)
         first_be = True
 
-    def vab(xv):
-        xfull = np.concatenate(([0.0], xv))
-        return xfull[sys.cap_a] - xfull[sys.cap_b]
+    cap_x = sys.cap_inc[:, 1:].T   # x @ cap_x: the capacitor voltages (see lin_inc)
+    cap_k = {"be": cap_c, "trap": 2.0 * cap_c}   # companion conductances times h
 
     def steps_from(state, t_new, hs, method, path):
         """Solve steps of widths hs ending at the times t_new from the state
         (x, capacitor currents, capacitor voltages) as one Newton call, each
-        from the polynomial through the points path = (times, xs) and with
-        the sources at its own time: the solutions (None where failed) and the last step's new
-        state.  Three steps are an attempt, the last chained to the first;
-        the new state re-forms its history from the first's solution: the
-        iterated one to rounding, so an accepted attempt's half step and new
-        point lie on one path."""
+        started through path = (times, xs): the solutions (None where failed)
+        and the last step's new state.  Three steps are an attempt, the last
+        chained to the first, then its history re-formed from the first's."""
         _x, i_in, v_in = state
-        geq = (1.0 if method == "be" else 2.0) * cap_c / np.array(hs)[:, None]
-
-        def companion(g, v, i):
-            return g * v if method == "be" else g * v + i
-
-        def second_half(xv):   # its companions from the first half step's x
-            return companion(geq[2], v := vab(xv), geq[0] * v - ieq[0])
-
-        ieq = companion(geq, v_in, i_in)
-        at = {tn: (_extrapolate(*path, tn), sys.sources(tn))   # see _extrapolate
-              for tn in dict.fromkeys(t_new)}
-        x0, src = (np.array(a) for a in zip(*(at[tn] for tn in t_new)))
+        trap = method == "trap"
+        geq = cap_k[method] / np.array(hs)[:, None]
+        ieq = geq * v_in + i_in if trap else geq * v_in
+        x0 = _extrapolate(*path, tuple(t_new))
+        rows = {tn: sys.sources(tn) for tn in dict.fromkeys(t_new)}   # each time once
+        src = np.array([rows[tn] for tn in t_new])
         chain = None
-        if len(hs) == 3:   # second_half is linear: the chain is its slope
-            ieq[2], chain = second_half(x0[0]), companion(geq[2], 1.0, geq[0])
+        if len(hs) == 3:   # the second half step's currents, linear in the first's v
+            g_half = geq[0]   # the companions of both half steps, h/2 wide
+
+            def second_half(v):
+                gv = g_half * v
+                return gv + (gv - ieq[0]) if trap else gv
+
+            ieq[2], chain = second_half(x0[0] @ cap_x), g_half + g_half if trap else g_half
         sols = sys.newton(x0, src, cap_geq=geq, cap_ieq=ieq, chain=chain)
         if sols[-1] is None:
             return sols, None
-        ie = ieq[-1] if chain is None else second_half(sols[0])
-        return sols, (sols[-1], geq[-1] * (v := vab(sols[-1])) - ie, v)
+        v0, v = np.array((sols[0], sols[-1])) @ cap_x
+        ie = ieq[-1] if chain is None else second_half(v0)
+        return sols, (sols[-1], geq[-1] * v - ie, v)
 
-    state = (x, np.zeros(cap_c.size), vab(x))
+    state = (x, np.zeros(cap_c.size), x @ cap_x)
     times = [0.0]
     states = [x.copy()]
     t = 0.0
@@ -768,8 +767,9 @@ def transient(c: Circuit, directive: Tran, cfg: SolverConfig | None = None,
                 if h < cfg.min_step:
                     raise sys.error(f"transient: step underflow at t={t:g}", at=t)
                 continue
-            ratio = np.abs(xh2[:nn] - xf[:nn]) / (cfg.lte_tol * (1.0 + np.abs(xh2[:nn])))
-            eta = float(np.max(ratio)) if nn else 0.0
+            x2 = xh2[:nn]
+            ratio = np.abs(x2 - xf[:nn]) / (cfg.lte_tol * (1.0 + np.abs(x2)))
+            eta = float(np.maximum.reduce(ratio, initial=0.0))
             if eta <= 1.0:
                 path = (path[0][-2:] + [t + 0.5 * h, t + h], path[1][-2:] + [xh, xh2])
                 t += h

@@ -316,12 +316,20 @@ def test_unknown_sweep_source_raises():
         dc_sweep(c, netlist.DcSweep("v1", 0.0, 1.0, 0.5, "V1", 5.0, 6.0, 1.0))
 
 
-@pytest.mark.parametrize("iters", [2.5, 3.0, math.inf, math.nan, "3"])
+@pytest.mark.parametrize("iters", [2.5, 3.0, math.inf, math.nan, "3", True, False])
 def test_newton_budget_must_be_an_integer(iters):
     # Newton stops when its iteration count equals the budget, which a
-    # count never does for 2.5: the budget would be gone
+    # count never does for 2.5: the budget would be gone.  True is an int
+    # to Python, and would pass as a budget of 1
     with pytest.raises(ValueError, match=r"max_newton_iters must be an integer"):
         SolverConfig(max_newton_iters=iters)
+
+
+@pytest.mark.parametrize("fixed", ["false", "true", "", 0, 1, None])
+def test_fixed_step_must_be_a_bool(fixed):
+    # a non-empty string is true: "false" ran a fixed-step transient
+    with pytest.raises(ValueError, match=r"fixed_step must be a bool"):
+        SolverConfig(fixed_step=fixed)
 
 
 def test_integer_newton_budget_holds(kernel_calls):
@@ -860,6 +868,64 @@ def _ring24():
 
 def _rc():
     return netlist.parse(RC_NET), netlist.parse(RC_NET).analyses[0], {"out": 0.0}
+
+
+def test_attempt_half_and_full_steps_match_lone_calls(monkeypatch):
+    # in every coupled attempt of the 24 V ring, replica 0 (the first half
+    # step) and replica 1 (the full step) equal, bit for bit, lone Newton
+    # calls from the same start with the same source row and companions;
+    # the chained second half step is held to the serial order by
+    # test_stacked_step_doubling_matches_serial
+    newton = engine._System.newton
+    attempts = []
+
+    def recorded(self, x0, src, **kw):
+        inputs = [a.copy() for a in (x0, src, kw.get("cap_geq"), kw.get("cap_ieq"))
+                  if a is not None]
+        sols = newton(self, x0, src, **kw)
+        if len(x0) == 3:
+            attempts.append((self, *inputs, sols))
+        return sols
+
+    monkeypatch.setattr(engine._System, "newton", recorded)
+    c, d, _ic = _ring24()
+    transient(c, d, SolverConfig())
+    monkeypatch.undo()
+    assert len(attempts) > 200
+    compared = 0
+    for sys, x0, src, geq, ieq, sols in attempts:
+        for r in (0, 1):
+            if sols[r] is not None:
+                (lone,) = sys.newton(x0[r:r + 1], src[r:r + 1], cap_geq=geq[r:r + 1],
+                                     cap_ieq=ieq[r:r + 1])
+                assert lone is not None and np.array_equal(lone, sols[r])
+                compared += 1
+    assert compared == 2 * len(attempts)
+
+
+def test_one_or_two_solves_per_kernel_call(monkeypatch):
+    # through the module attribute, as perfbench's tracer counts them: each
+    # Newton iteration of the 24 V ring makes one kernel call and one
+    # stacked np.linalg.solve, or two when the chained replica is solved
+    # after replica 0; a rewrite may neither hide a solve nor add one
+    events = []
+    kernel, solve = engine.kernels.otft_eval, np.linalg.solve
+
+    def counted_kernel(*args, **kwargs):
+        events.append("k")
+        return kernel(*args, **kwargs)
+
+    def counted_solve(*args, **kwargs):
+        events.append("s")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(engine.kernels, "otft_eval", counted_kernel)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    c, d, _ic = _ring24()
+    transient(c, d, SolverConfig())
+    per_call = [len(run) for run in "".join(events).split("k")]
+    assert per_call[0] == 0 and len(per_call) > 400
+    assert set(per_call[1:]) == {1, 2}
 
 
 @pytest.mark.parametrize("case,iters", [
